@@ -16,9 +16,9 @@ from .algorithms import (
     round_fedndl2,
     round_fedndl3,
     round_fednmut,
+    round_fednmut_array,
     round_fednmut_matrix,
     stack_states,
-    tracking_bias,
 )
 from .channel import NoiseSpec, StreamKey, derive_stream, sample_noise
 from .data import Dataset, Shard, generate, partition_iid
@@ -101,6 +101,7 @@ __all__ = [
     "round_fedndl2",
     "round_fedndl3",
     "round_fednmut",
+    "round_fednmut_array",
     "round_fednmut_matrix",
     "run_averaged",
     "run_detailed",
@@ -110,7 +111,6 @@ __all__ = [
     "stack_states",
     "stochastic_gradient",
     "sweep",
-    "tracking_bias",
 ]
 
 __version__ = "0.1.0"

@@ -23,9 +23,7 @@ from .algorithms import (
     round_fedndl1,
     round_fedndl2,
     round_fedndl3,
-    round_fednmut,
-    stack_states,
-    tracking_bias,
+    round_fednmut_array,
 )
 from .channel import (
     PURPOSE_CHANNEL_NOISE,
@@ -195,10 +193,16 @@ def run_detailed(
     # The initial point is shared across repeats; repeats differ through
     # batch sampling and channel noise only.
     init_stream = derive_stream(StreamKey(seed, 0, 0, 0, PURPOSE_INIT))
-    states = init_states(n, d, config.x0_mode, init_stream)
+    X = init_states(n, d, config.x0_mode, init_stream)
+    # FedNMUT's last broadcasts and Deltas, zero before the first round
+    y_tilde = delta = np.zeros((d, n))
 
-    rows = [measure(stack_states(states), dataset, config.lam, -1, eta_at(config.lr, 0), shards)]
+    rows = [measure(X, dataset, config.lam, -1, eta_at(config.lr, 0), shards)]
     bias_sq: list[float] = []
+
+    def stream(t: int, i: int, purpose: int) -> np.random.Generator:
+        return derive_stream(StreamKey(seed, repeat_index, t, i, purpose))
+
     for t in range(config.rounds):
         eta = eta_at(config.lr, t)
         if config.noise_variance == 0.0:
@@ -206,44 +210,30 @@ def run_detailed(
         else:
             noises = np.column_stack(
                 [
-                    sample_noise(
-                        derive_stream(StreamKey(seed, repeat_index, t, i, PURPOSE_CHANNEL_NOISE)),
-                        d,
-                        config.noise_variance,
-                    )
+                    sample_noise(stream(t, i, PURPOSE_CHANNEL_NOISE), d, config.noise_variance)
                     for i in range(n)
                 ]
             )
 
-        def batch_stream(i: int, t: int = t) -> np.random.Generator:
-            return derive_stream(StreamKey(seed, repeat_index, t, i, PURPOSE_DATA_BATCH))
+        def grad(i: int, x: np.ndarray, t: int = t) -> np.ndarray:
+            batch = stream(t, i, PURPOSE_DATA_BATCH)
+            return stochastic_gradient(x, shards[i], dataset, obj_cfg, batch)
 
-        if config.algorithm == "fedndl2":
-            inputs = RoundInputs(eta=eta, W=mixing, grads=None, noises=noises)
-            states = round_fedndl2(
-                states,
-                inputs,
-                lambda i, x: stochastic_gradient(x, shards[i], dataset, obj_cfg, batch_stream(i)),
-            )
+        grads = None
+        if config.algorithm != "fedndl2":
+            grads = np.column_stack([grad(i, X[:, i]) for i in range(n)])
+        mu = config.mu if config.algorithm == "fednmut" else 0.0
+        inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises, mu=mu)
+        if config.algorithm == "fedndl1":
+            X = round_fedndl1(X, inputs)
+        elif config.algorithm == "fedndl2":
+            X = round_fedndl2(X, inputs, grad)
+        elif config.algorithm == "fedndl3":
+            X = round_fedndl3(X, inputs)
         else:
-            grads = np.column_stack(
-                [
-                    stochastic_gradient(states[i].x, shards[i], dataset, obj_cfg, batch_stream(i))
-                    for i in range(n)
-                ]
-            )
-            if config.algorithm == "fedndl1":
-                inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises)
-                states = round_fedndl1(states, inputs)
-            elif config.algorithm == "fedndl3":
-                inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises)
-                states = round_fedndl3(states, inputs)
-            else:
-                inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises, mu=config.mu)
-                bias = tracking_bias(states, inputs)
-                bias_sq.append(float((bias * bias).sum() / n))
-                states = round_fednmut(states, inputs)
-        rows.append(measure(stack_states(states), dataset, config.lam, t, eta, shards))
+            X, y_tilde, delta, bias = round_fednmut_array(X, y_tilde, delta, inputs)
+            bias_sq.append(float((bias * bias).sum() / n))
+        rows.append(measure(X, dataset, config.lam, t, eta, shards))
     return RunResult(metrics=rows, bias_sq=bias_sq)
 
 
@@ -383,20 +373,25 @@ def sweep(template: RunConfig, axes: dict, out_dir) -> list[dict]:
 
     Writes manifest.csv listing every cell and returns the manifest rows.
     Cells share the same immutable dataset; nothing else is shared.
+    Colliding cell_ids are rejected before any cell runs.
     """
     import os
 
-    os.makedirs(out_dir, exist_ok=True)
     template.validate()
+    cells: dict[str, RunConfig] = {}
+    for values in _axis_values(template, axes):
+        config = replace(template, **dict(zip(SWEEP_AXES, values)))
+        cid = cell_id(config)
+        if cid in cells:
+            clash = [f"{k}={getattr(cells[cid], k)!r} vs {getattr(config, k)!r}" for k in axes]
+            raise ValueError(f"sweep cells share cell_id {cid!r}: {', '.join(clash)}")
+        cells[cid] = config
+    os.makedirs(out_dir, exist_ok=True)
     dataset = generate(template.m, template.d, template.label_noise_variance, template.master_seed)
     manifest_rows = []
-    for algorithm, topo, noise_variance, mu in _axis_values(template, axes):
-        config = replace(
-            template, algorithm=algorithm, topology=topo, noise_variance=noise_variance, mu=mu
-        )
+    for cid, config in cells.items():
         shards = partition_iid(dataset, config.n)
         avg = run_averaged(config, dataset=dataset, shards=shards)
-        cid = cell_id(config)
         csv_name = cid + ".csv"
         write_cell_csv(os.path.join(out_dir, csv_name), avg)
         manifest_rows.append(

@@ -12,9 +12,9 @@ from dflsim.algorithms import (
     round_fedndl2,
     round_fedndl3,
     round_fednmut,
+    round_fednmut_array,
     round_fednmut_matrix,
     stack_states,
-    tracking_bias,
 )
 from dflsim.metrics import consensus_error
 from dflsim.topology import FULLY_CONNECTED, RING, TORUS, MixingMatrix, TopologySpec, build_mixing
@@ -35,54 +35,52 @@ def single_client_mixing():
 
 class TestFedNDL1:
     def test_single_client_is_plain_sgd(self):
-        states = states_from_columns(np.array([[1.0], [2.0]]))
+        X = np.array([[1.0], [2.0]])
         grads = np.array([[0.5], [-1.0]])
         inputs = RoundInputs(eta=0.1, W=single_client_mixing(), grads=grads, noises=np.zeros((2, 1)))
-        out = round_fedndl1(states, inputs)
-        np.testing.assert_allclose(out[0].x, [0.95, 2.1])
+        out = round_fedndl1(X, inputs)
+        np.testing.assert_allclose(out[:, 0], [0.95, 2.1])
 
     def test_two_clients_average(self):
         # post-SGD parameters [1], [3] under uniform weights land both at [2]
         w = MixingMatrix(n=2, weights=np.full((2, 2), 0.5), rho=1.0)
-        states = states_from_columns(np.array([[1.0, 3.0]]))
         inputs = RoundInputs(eta=1.0, W=w, grads=np.zeros((1, 2)), noises=np.zeros((1, 2)))
-        out = round_fedndl1(states, inputs)
-        np.testing.assert_array_equal(stack_states(out), [[2.0, 2.0]])
+        out = round_fedndl1(np.array([[1.0, 3.0]]), inputs)
+        np.testing.assert_array_equal(out, [[2.0, 2.0]])
 
     def test_identity_mixing_isolates_noise_path(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((4, 3))
         noises = rng.standard_normal((4, 3))
         inputs = RoundInputs(eta=0.3, W=identity_mixing(3), grads=np.zeros((4, 3)), noises=noises)
-        out = round_fedndl1(states_from_columns(X), inputs)
-        np.testing.assert_allclose(stack_states(out), X + noises, atol=1e-15)
+        out = round_fedndl1(X, inputs)
+        np.testing.assert_allclose(out, X + noises, atol=1e-15)
 
 
 class TestFedNDL2:
     def test_equal_clients_reduce_to_parallel_sgd(self):
         x0 = np.array([1.0, -2.0])
         mixing = build_mixing(TopologySpec(FULLY_CONNECTED, 4))
-        states = states_from_columns(np.tile(x0[:, None], (1, 4)))
+        X = np.tile(x0[:, None], (1, 4))
         g = np.array([0.25, 0.5])
         inputs = RoundInputs(eta=0.2, W=mixing, grads=None, noises=np.zeros((2, 4)))
-        out = round_fedndl2(states, inputs, lambda i, x: g)
-        np.testing.assert_allclose(stack_states(out), np.tile((x0 - 0.2 * g)[:, None], (1, 4)))
+        out = round_fedndl2(X, inputs, lambda i, x: g)
+        np.testing.assert_allclose(out, np.tile((x0 - 0.2 * g)[:, None], (1, 4)))
 
     def test_zero_gradient_is_pure_gossip(self):
         mixing = build_mixing(TopologySpec(RING, 8))
         rng = np.random.default_rng(1)
         X = rng.standard_normal((5, 8))
         inputs = RoundInputs(eta=0.1, W=mixing, grads=None, noises=np.zeros((5, 8)))
-        out = round_fedndl2(states_from_columns(X), inputs, lambda i, x: np.zeros(5))
-        assert consensus_error(stack_states(out)) <= (1 - mixing.rho) * consensus_error(X) + 1e-12
+        out = round_fedndl2(X, inputs, lambda i, x: np.zeros(5))
+        assert consensus_error(out) <= (1 - mixing.rho) * consensus_error(X) + 1e-12
 
     def test_single_client_noisy_self_loop(self):
-        states = states_from_columns(np.array([[2.0]]))
         noises = np.array([[0.5]])
         inputs = RoundInputs(eta=0.1, W=single_client_mixing(), grads=None, noises=noises)
-        out = round_fedndl2(states, inputs, lambda i, x: np.array([x[0]]))
+        out = round_fedndl2(np.array([[2.0]]), inputs, lambda i, x: np.array([x[0]]))
         # gossiped point is 2.5, gradient callback returns it
-        np.testing.assert_allclose(out[0].x, [2.5 - 0.1 * 2.5])
+        np.testing.assert_allclose(out[:, 0], [2.5 - 0.1 * 2.5])
 
 
 class TestFedNDL3:
@@ -92,17 +90,16 @@ class TestFedNDL3:
         X = rng.standard_normal((3, 4))
         grads = rng.standard_normal((3, 4))
         inputs = RoundInputs(eta=0.2, W=mixing, grads=grads, noises=np.zeros((3, 4)))
-        out = round_fedndl3(states_from_columns(X), inputs)
+        out = round_fedndl3(X, inputs)
         expected = X - 0.2 * grads.mean(axis=1, keepdims=True)
-        np.testing.assert_allclose(stack_states(out), expected, atol=1e-14)
+        np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_single_client_plain_sgd(self):
-        states = states_from_columns(np.array([[1.0]]))
         inputs = RoundInputs(
             eta=0.5, W=single_client_mixing(), grads=np.array([[2.0]]), noises=np.zeros((1, 1))
         )
-        out = round_fedndl3(states, inputs)
-        np.testing.assert_allclose(out[0].x, [0.0])
+        out = round_fedndl3(np.array([[1.0]]), inputs)
+        np.testing.assert_allclose(out[:, 0], [0.0])
 
     def test_noise_enters_through_mixed_broadcast(self):
         # with zero gradients the step is exactly -eta * (delta W), i.e. one
@@ -112,8 +109,8 @@ class TestFedNDL3:
         X = rng.standard_normal((2, 4))
         noises = rng.standard_normal((2, 4))
         inputs = RoundInputs(eta=0.3, W=mixing, grads=np.zeros((2, 4)), noises=noises)
-        out = round_fedndl3(states_from_columns(X), inputs)
-        np.testing.assert_allclose(stack_states(out) - X, -0.3 * noises @ mixing.weights, atol=1e-15)
+        out = round_fedndl3(X, inputs)
+        np.testing.assert_allclose(out - X, -0.3 * noises @ mixing.weights, atol=1e-15)
 
     def test_noise_variance_per_round(self):
         # per-coordinate variance of the update is eta^2 * v * sum_j w_ij^2
@@ -126,8 +123,7 @@ class TestFedNDL3:
         for _ in range(rounds):
             noises = rng.normal(0.0, np.sqrt(v), size=(4, 4))
             inputs = RoundInputs(eta=eta, W=mixing, grads=inputs_grads, noises=noises)
-            out = round_fedndl3(states_from_columns(X), inputs)
-            steps.append(stack_states(out) - X)
+            steps.append(round_fedndl3(X, inputs) - X)
         samples = np.stack(steps)
         target = eta * eta * v * float((mixing.weights[0] ** 2).sum())
         np.testing.assert_allclose(samples.var(), target, rtol=0.05)
@@ -162,7 +158,7 @@ class TestFedNMUT:
 
     def test_mu_outside_tracking_regime_warns(self):
         mixing = build_mixing(TopologySpec(RING, 8))  # rho/42 ~ 0.0084
-        states = init_states(8, 3, "shared_random", np.random.default_rng(8))
+        states = states_from_columns(init_states(8, 3, "shared_random", np.random.default_rng(8)))
         inputs = RoundInputs(
             eta=0.1, W=mixing, grads=np.zeros((3, 8)), noises=np.zeros((3, 8)), mu=0.02
         )
@@ -182,13 +178,14 @@ def test_per_client_matches_matrix_oracle(kind, n):
     x0 = rng.standard_normal(d)
     states = [ClientState(x=x0.copy()) for _ in range(n)]
     net = init_network_state(np.tile(x0[:, None], (1, n)))
+    X, y_tilde, delta = net.X, np.zeros((d, n)), np.zeros((d, n))
     for _ in range(rounds):
         grads = rng.standard_normal((d, n))
         noises = rng.normal(0.0, np.sqrt(variance), size=(d, n))
         inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises, mu=mu)
 
         x_before = stack_states(states)
-        bias = tracking_bias(states, inputs)
+        X, y_tilde, delta, bias = round_fednmut_array(X, y_tilde, delta, inputs)
         states = round_fednmut(states, inputs)
         net = round_fednmut_matrix(net, inputs)
         x_after = stack_states(states)
@@ -209,11 +206,42 @@ def test_per_client_matches_matrix_oracle(kind, n):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x0_mode", ["shared_random", "independent_random"])
+@pytest.mark.parametrize("kind,n", [(FULLY_CONNECTED, 4), (RING, 8), (TORUS, 9)])
+def test_array_kernel_matches_per_client_oracle(kind, n, x0_mode):
+    """100 noisy rounds under a decaying step size, where the matrix oracle drifts.
+
+    The per-client bias is read off the oracle's own outputs: it stores
+    Delta_i and its broadcast yt_i = Delta_i + mu b_i + delta_i.
+    """
+    d, rounds, mu, variance = 16, 100, 0.02, 0.005
+    mixing = build_mixing(TopologySpec(kind, n))
+    rng = np.random.default_rng(2000 + n)
+    X = init_states(n, d, x0_mode, rng)
+    states = states_from_columns(X)
+    y_tilde, delta = np.zeros((d, n)), np.zeros((d, n))
+    for t in range(rounds):
+        eta = 0.05 * 0.9 ** (t // 10)
+        noises = rng.normal(0.0, np.sqrt(variance), size=(d, n))
+        inputs = RoundInputs(
+            eta=eta, W=mixing, grads=rng.standard_normal((d, n)), noises=noises, mu=mu
+        )
+        X, y_tilde, delta, bias = round_fednmut_array(X, y_tilde, delta, inputs)
+        states = round_fednmut(states, inputs)
+
+        assert np.max(np.abs(X - stack_states(states))) <= 1e-8
+        oracle_y_tilde = np.column_stack([s.y_tilde_prev[i] for i, s in enumerate(states)])
+        oracle_delta = np.column_stack([s.delta_prev for s in states])
+        oracle_bias = (oracle_y_tilde - noises - oracle_delta) / mu
+        assert np.max(np.abs(bias - oracle_bias)) <= 1e-8
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_neighbor_copies_stay_consistent_for_200_rounds():
     d, n = 6, 8
     mixing = build_mixing(TopologySpec(RING, n))
     rng = np.random.default_rng(99)
-    states = init_states(n, d, "independent_random", rng)
+    states = states_from_columns(init_states(n, d, "independent_random", rng))
     for _ in range(200):
         inputs = RoundInputs(
             eta=0.05,
@@ -230,25 +258,26 @@ def test_neighbor_copies_stay_consistent_for_200_rounds():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_bias_column_mean_follows_noise_recursion():
-    """bbar_{t+1} = mu * bbar_t + dbar_t on the live per-client dynamics."""
+    """bbar_{t+1} = mu * bbar_t + dbar_t on the array kernel's bias."""
     d, n, eta, mu, variance = 8, 8, 0.1, 0.02, 0.01
     mixing = build_mixing(TopologySpec(RING, n))
     rng = np.random.default_rng(12)
-    states = init_states(n, d, "independent_random", rng)
+    X = init_states(n, d, "independent_random", rng)
+    y_tilde, delta = np.zeros((d, n)), np.zeros((d, n))
     prev_bias_mean = np.zeros(d)
     prev_noise_mean = np.zeros(d)
     for t in range(40):
         grads = rng.standard_normal((d, n))
         noises = rng.normal(0.0, np.sqrt(variance), size=(d, n))
         inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises, mu=mu)
-        bias_mean = tracking_bias(states, inputs).mean(axis=1)
+        X, y_tilde, delta, bias = round_fednmut_array(X, y_tilde, delta, inputs)
+        bias_mean = bias.mean(axis=1)
         if t == 0:
             np.testing.assert_allclose(bias_mean, np.zeros(d), atol=1e-12)
         else:
             np.testing.assert_allclose(
                 bias_mean, mu * prev_bias_mean + prev_noise_mean, atol=1e-10
             )
-        states = round_fednmut(states, inputs)
         prev_bias_mean = bias_mean
         prev_noise_mean = noises.mean(axis=1)
 
@@ -260,8 +289,7 @@ def test_consensus_sgd_equivalence_with_shared_gradient_draws():
     mixing = build_mixing(TopologySpec(FULLY_CONNECTED, n))
     rng = np.random.default_rng(21)
     x0 = rng.standard_normal(d)
-    s1 = [ClientState(x=x0.copy()) for _ in range(n)]
-    s3 = [ClientState(x=x0.copy()) for _ in range(n)]
+    s1 = s3 = np.tile(x0[:, None], (1, n))
     smut = [ClientState(x=x0.copy()) for _ in range(n)]
     zero = np.zeros((d, n))
     for _ in range(rounds):
@@ -270,28 +298,32 @@ def test_consensus_sgd_equivalence_with_shared_gradient_draws():
         s1 = round_fedndl1(s1, RoundInputs(eta=eta, W=mixing, grads=grads, noises=zero))
         s3 = round_fedndl3(s3, RoundInputs(eta=eta, W=mixing, grads=grads, noises=zero))
         smut = round_fednmut(smut, RoundInputs(eta=eta, W=mixing, grads=grads, noises=zero, mu=0.0))
-        a, b, c = stack_states(s1), stack_states(s3), stack_states(smut)
-        assert np.max(np.abs(a - b)) <= 1e-10
-        assert np.max(np.abs(a - c)) <= 1e-10
+        assert np.max(np.abs(s1 - s3)) <= 1e-10
+        assert np.max(np.abs(s1 - stack_states(smut))) <= 1e-10
 
 
 class TestInitStates:
     def test_zeros(self):
-        states = init_states(4, 3, "zeros", np.random.default_rng(0))
-        assert consensus_error(stack_states(states)) == 0.0
-        assert np.all(stack_states(states) == 0.0)
+        X = init_states(4, 3, "zeros", np.random.default_rng(0))
+        assert X.shape == (3, 4)
+        assert consensus_error(X) == 0.0
+        assert np.all(X == 0.0)
 
     def test_shared_random_starts_at_consensus(self):
-        states = init_states(5, 7, "shared_random", np.random.default_rng(1))
+        X = init_states(5, 7, "shared_random", np.random.default_rng(1))
         # averaging n identical columns can differ in the last ulp
-        assert consensus_error(stack_states(states)) <= 1e-28
-        assert np.any(states[0].x != 0.0)
-        for s in states[1:]:
-            np.testing.assert_array_equal(s.x, states[0].x)
+        assert consensus_error(X) <= 1e-28
+        assert np.any(X[:, 0] != 0.0)
+        for i in range(1, 5):
+            np.testing.assert_array_equal(X[:, i], X[:, 0])
 
     def test_independent_random_disagrees(self):
-        states = init_states(2, 4, "independent_random", np.random.default_rng(2))
-        assert consensus_error(stack_states(states)) > 0.0
+        X = init_states(2, 4, "independent_random", np.random.default_rng(2))
+        assert consensus_error(X) > 0.0
+        # one draw per client, in client order
+        draws = np.random.default_rng(2)
+        for i in range(2):
+            np.testing.assert_array_equal(X[:, i], draws.standard_normal(4))
 
     def test_hand_computed_consensus_error(self):
         X = np.array([[0.0, 2.0]])
@@ -304,10 +336,10 @@ class TestInitStates:
 
 def test_dimension_mismatch_rejected():
     mixing = build_mixing(TopologySpec(RING, 4))
-    states = init_states(3, 2, "zeros", np.random.default_rng(0))
+    X = init_states(3, 2, "zeros", np.random.default_rng(0))
     inputs = RoundInputs(eta=0.1, W=mixing, grads=np.zeros((2, 3)), noises=np.zeros((2, 3)))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        round_fedndl1(states, inputs)
+        round_fedndl1(X, inputs)
     bad_noise = RoundInputs(
         eta=0.1,
         W=build_mixing(TopologySpec(RING, 3)),
@@ -315,4 +347,4 @@ def test_dimension_mismatch_rejected():
         noises=np.zeros((3, 3)),
     )
     with pytest.raises(ValueError, match="dimension mismatch"):
-        round_fedndl3(states, bad_noise)
+        round_fedndl3(X, bad_noise)

@@ -243,6 +243,15 @@ class TestSweep:
         assert len({r["cell_id"] for r in rows}) == 36
         assert all((tmp_path / r["csv_path"]).exists() for r in rows)
 
+    @pytest.mark.parametrize("mus", [[0.02, 0.02], [0.02, 0.05, 0.0200000001]])
+    def test_colliding_cell_ids_rejected_before_any_cell(self, tmp_path, mus):
+        # cell_id formats mu with :g, so values equal to 6 digits collide
+        template = small_config(algorithm="fednmut", rounds=4, repeats=1)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"share cell_id .*: mu=0\.02 vs 0\.02"):
+            sweep(template, {"mu": mus}, out)
+        assert not out.exists()
+
     def test_mu_axis_sweep(self, tmp_path):
         template = small_config(algorithm="fednmut", rounds=4, repeats=1, noise_variance=0.0)
         rows = sweep(template, {"mu": [0.0, 0.02, 0.05]}, tmp_path)

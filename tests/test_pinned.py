@@ -2,6 +2,7 @@
 
 Every refactor of the round loop either keeps each hash or re-pins it on
 purpose, with the reason and the measured drift recorded in CHANGES.md.
+The FedNMUT hashes are those of the array kernel, round_fednmut_array.
 The schedule decays every 10 rounds, so 40 rounds use four step sizes.
 """
 
@@ -28,11 +29,11 @@ PINNED = {
     ("fedndl3", "ring", 0.005, "shared_random"): "59e859ca01c90689b5a642154ad6cf9c98db572c97965176e69d1038d63dbf6e",
     ("fedndl3", "fully_connected", 0.0, "shared_random"): "4d1533967e846763ea0b49c44e789219d28ffff17c834a988d0e0b30289c2ffc",
     ("fedndl3", "fully_connected", 0.005, "shared_random"): "56a7cce111f2fbb6fb01c9d2755f7d14e6314d77540e019d9a48f9db5b0df43c",
-    ("fednmut", "ring", 0.0, "shared_random"): "88818faa7af27eca98c705b4092a4e612fde1470590bfedd9bd86ca0a6829e24",
-    ("fednmut", "ring", 0.005, "shared_random"): "182e85311b57693f62b179fefe0de0ff4d18d407a5f54886c507ea58c10ffa26",
-    ("fednmut", "fully_connected", 0.0, "shared_random"): "05a177ece7dd4f73a72db9b7d3c1c0f35f08ad94b76202fa0b48477fa2a6d1ef",
-    ("fednmut", "fully_connected", 0.005, "shared_random"): "6024404ef97b96c243258d68746d0fca251860f608200c38cbd675f39d8e12be",
-    ("fednmut", "ring", 0.005, "independent_random"): "b42e9cdbc7743bc5725c557b5004c1c88a44a7c5febd93a2d5af95d761ae6b15",
+    ("fednmut", "ring", 0.0, "shared_random"): "489d1c993269c113fe09ba4497f9ed71ae16411881f5d4dc0f649216e6ae392f",
+    ("fednmut", "ring", 0.005, "shared_random"): "693a593f5624d0dfc5b6e155ceea62e4b6afb243da2e0fdc46727d734f345af2",
+    ("fednmut", "fully_connected", 0.0, "shared_random"): "e8aecc751130580c276a574a9bb2d3f3fdbfe504d98f643f27a02c2df545efca",
+    ("fednmut", "fully_connected", 0.005, "shared_random"): "8e3772455db31ce431a0a82027756cff0d0b9f47098dccaa2cc0751ee8f0be7a",
+    ("fednmut", "ring", 0.005, "independent_random"): "3fd585d3ec13d007fc4c915ae6c109a649a563deb92d86c91db2002da36668d9",
 }
 
 
