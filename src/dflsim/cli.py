@@ -197,17 +197,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _comma_list(value, convert):
-    return [convert(part.strip()) for part in str(value).split(",") if part.strip()]
+def _comma_list(flag: str, value, convert) -> list:
+    values = [convert(part.strip()) for part in str(value).split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"--{flag} needs at least one value, got {value!r}")
+    return values
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     opts = resolve_options(args)
     axes = {}
-    algorithms = _comma_list(opts["algorithm"], str)
-    topologies = _comma_list(opts["topology"], str)
-    noise_vars = _comma_list(opts["noise_var"], float)
-    mus = _comma_list(opts["mu"], float)
+    algorithms = _comma_list("algorithm", opts["algorithm"], str)
+    topologies = _comma_list("topology", opts["topology"], str)
+    noise_vars = _comma_list("noise-var", opts["noise_var"], float)
+    mus = _comma_list("mu", opts["mu"], float)
     for name in topologies:
         if name not in TOPOLOGY_NAMES:
             raise ValueError(f"unknown topology {name!r}, expected one of {sorted(TOPOLOGY_NAMES)}")

@@ -115,6 +115,8 @@ class RunConfig:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if self.noise_variance < 0:
             raise ValueError(f"noise variance must be >= 0, got {self.noise_variance}")
+        if not 0.0 <= self.mu < 1.0:
+            raise ValueError(f"mu must be in [0, 1), got {self.mu}")
         if self.m < self.n:
             raise ValueError(f"need at least one sample per client: m={self.m} < n={self.n}")
 
@@ -247,11 +249,13 @@ def run_averaged(
     dataset: Dataset | None = None,
     shards: list[Shard] | None = None,
     mixing: MixingMatrix | None = None,
+    smoothness: float | None = None,
 ) -> AveragedResult:
     """Mean and sample standard deviation per round across repeats."""
     config.validate()
     dataset, shards, mixing = _shared_problem(config, dataset, shards, mixing)
-    smoothness = estimate_smoothness(dataset, shards, config.lam)
+    if smoothness is None:
+        smoothness = estimate_smoothness(dataset, shards, config.lam)
     per_repeat = [
         run_detailed(config, r, dataset, shards, mixing, smoothness).metrics
         for r in range(config.repeats)
@@ -372,8 +376,11 @@ def sweep(template: RunConfig, axes: dict, out_dir) -> list[dict]:
     """Run the cartesian product of the requested axes, one CSV per cell.
 
     Writes manifest.csv listing every cell and returns the manifest rows.
-    Cells share the same immutable dataset; nothing else is shared.
-    Colliding cell_ids are rejected before any cell runs.
+    Cells share the same immutable dataset, its partition and one
+    smoothness estimate: n and lam are not sweep axes, so every cell has
+    the same (dataset, shards, lam). Every cell config is validated, and
+    cells with another n or a colliding cell_id are rejected, before the
+    output directory is made.
     """
     import os
 
@@ -381,6 +388,12 @@ def sweep(template: RunConfig, axes: dict, out_dir) -> list[dict]:
     cells: dict[str, RunConfig] = {}
     for values in _axis_values(template, axes):
         config = replace(template, **dict(zip(SWEEP_AXES, values)))
+        config.validate()
+        if config.n != template.n:
+            raise ValueError(
+                f"sweep topology {config.topology.kind!r} has n={config.n}, the template "
+                f"has n={template.n}; n is not a sweep axis"
+            )
         cid = cell_id(config)
         if cid in cells:
             clash = [f"{k}={getattr(cells[cid], k)!r} vs {getattr(config, k)!r}" for k in axes]
@@ -388,10 +401,11 @@ def sweep(template: RunConfig, axes: dict, out_dir) -> list[dict]:
         cells[cid] = config
     os.makedirs(out_dir, exist_ok=True)
     dataset = generate(template.m, template.d, template.label_noise_variance, template.master_seed)
+    shards = partition_iid(dataset, template.n)
+    smoothness = estimate_smoothness(dataset, shards, template.lam)
     manifest_rows = []
     for cid, config in cells.items():
-        shards = partition_iid(dataset, config.n)
-        avg = run_averaged(config, dataset=dataset, shards=shards)
+        avg = run_averaged(config, dataset=dataset, shards=shards, smoothness=smoothness)
         csv_name = cid + ".csv"
         write_cell_csv(os.path.join(out_dir, csv_name), avg)
         manifest_rows.append(

@@ -49,6 +49,13 @@ def test_sweep_comma_lists(tmp_path):
         assert (tmp_path / cell_csv).exists()
 
 
+@pytest.mark.parametrize("flag", ["--algorithm", "--topology", "--noise-var", "--mu"])
+def test_sweep_empty_comma_list_rejected(tmp_path, flag):
+    with pytest.raises(ValueError, match=f"{flag} needs at least one value"):
+        main(["sweep", flag, ",", *TINY, "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def test_rate_on_existing_csv(tmp_path, capsys):
     path = tmp_path / "cell.csv"
     rounds = np.arange(-1, 299)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dflsim import harness
 from dflsim.harness import (
     DegenerateSeriesError,
     LrSchedule,
@@ -162,6 +163,15 @@ class TestRunAveraged:
         assert np.all(avg.loss_mean <= losses.max(axis=0) + 1e-15)
         assert np.all(avg.loss_mean >= losses.min(axis=0) - 1e-15)
 
+    @pytest.mark.parametrize("mu", [-0.1, 1.0, 1.5])
+    def test_mu_outside_unit_interval_rejected_before_setup(self, monkeypatch, mu):
+        def no_setup(*args):
+            raise AssertionError("set-up ran before validation")
+
+        monkeypatch.setattr(harness, "generate", no_setup)
+        with pytest.raises(ValueError, match=r"mu must be in \[0, 1\)"):
+            run_averaged(small_config(algorithm="fednmut", mu=mu))
+
 
 class TestRateFit:
     def test_inverse_sqrt_series(self):
@@ -251,6 +261,37 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"share cell_id .*: mu=0\.02 vs 0\.02"):
             sweep(template, {"mu": mus}, out)
         assert not out.exists()
+
+    def test_bad_mu_cell_rejected_before_output_dir(self, tmp_path):
+        template = small_config(algorithm="fednmut", rounds=4, repeats=1)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"mu must be in \[0, 1\), got 1"):
+            sweep(template, {"mu": [0.02, 1.0]}, out)
+        assert not out.exists()
+
+    def test_topology_with_other_n_rejected(self, tmp_path):
+        template = small_config(rounds=4, repeats=1)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="n is not a sweep axis"):
+            sweep(template, {"topology": [RING, TopologySpec(FULLY_CONNECTED, 8)]}, out)
+        assert not out.exists()
+
+    def test_one_smoothness_estimate_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        real = harness.estimate_smoothness
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate_smoothness", counting)
+        template = small_config(rounds=3, repeats=2)
+        axes = {"algorithm": ["fedndl1", "fednmut"], "topology": [RING, FULLY_CONNECTED]}
+        rows = sweep(template, axes, tmp_path)
+        assert len(rows) == 4
+        assert len(calls) == 1
+        # positional (dataset, shards, lam), the signature tracers key on
+        assert all(len(args) == 3 and not kwargs for args, kwargs in calls)
 
     def test_mu_axis_sweep(self, tmp_path):
         template = small_config(algorithm="fednmut", rounds=4, repeats=1, noise_variance=0.0)

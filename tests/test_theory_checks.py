@@ -47,14 +47,20 @@ class TestSmoothness:
         ds = tiny_dataset([[1.0, 0.0]], [0.0])
         assert estimate_smoothness(ds, [Shard(0, 0, 1)], 0.5) == pytest.approx(3.0)
 
-    def test_power_iteration_matches_dense(self):
-        # d > 512 takes the matrix-free path; dense eigensolve is the oracle
-        ds = generate(80, 600, 0.0, seed=3)
-        shard = Shard(0, 0, 80)
-        via_power = estimate_smoothness(ds, [shard], 0.0)
-        gram = 2.0 * ds.features.T @ ds.features / 80
-        via_dense = float(np.linalg.eigvalsh(gram)[-1])
-        assert via_power == pytest.approx(via_dense, rel=1e-5)
+    @pytest.mark.parametrize("rows, d", [(80, 600), (600, 700), (700, 600), (600, 600)])
+    def test_matches_dense_oracle(self, rows, d):
+        # smaller side 80 is solved densely; 600 takes Lanczos on F F^T,
+        # F^T F and, for the square shard, F^T F
+        ds = generate(rows, d, 0.0, seed=3)
+        value = estimate_smoothness(ds, [Shard(0, 0, rows)], 0.0)
+        gram = 2.0 * ds.features.T @ ds.features / rows
+        oracle = float(np.linalg.eigvalsh(gram)[-1])
+        assert value == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("rows, d", [(3, 5), (600, 700)])
+    def test_all_zero_features_give_ridge_term(self, rows, d):
+        ds = tiny_dataset(np.zeros((rows, d)), np.zeros(rows))
+        assert estimate_smoothness(ds, [Shard(0, 0, rows)], 0.25) == 2 * 0.25
 
 
 class TestSigmaSq:
