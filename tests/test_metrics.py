@@ -5,8 +5,14 @@ import pytest
 
 from dflsim.data import generate, partition_iid
 from dflsim.harness import LrSchedule, RunConfig, run_single
-from dflsim.metrics import consensus_error, mean_iterate, measure
-from dflsim.objective import full_local_gradient, ridge_optimum
+from dflsim.metrics import consensus_error, local_losses, mean_iterate, measure
+from dflsim.objective import (
+    full_local_gradient,
+    global_gradient,
+    global_loss,
+    local_loss,
+    ridge_optimum,
+)
 from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
 
 
@@ -98,3 +104,18 @@ def test_noise_free_fedndl3_loss_monotone_after_burn_in():
     losses = [r.loss for r in rows]
     for a, b in zip(losses[6:], losses[7:]):
         assert b <= a + 1e-12
+
+
+@pytest.mark.parametrize("m", [2000, 2001])
+def test_fused_measure_is_bit_identical_to_objective_calls(m):
+    ds = generate(m, 200, 0.05, seed=11)
+    shards = partition_iid(ds, 16)
+    X = np.random.default_rng(6).standard_normal((200, 16))
+    row = measure(X, ds, 1e-4, t=3, eta=0.1, shards=shards)
+    xbar = mean_iterate(X)
+    grad = global_gradient(xbar, ds, 1e-4)
+    local = [local_loss(X[:, i], s, ds, 1e-4) for i, s in enumerate(shards)]
+    assert row.loss == global_loss(xbar, ds, 1e-4)
+    assert row.grad_norm_sq == float(grad @ grad)
+    assert row.loss_local_avg == float(np.mean(local))
+    assert local_losses(X, ds, 1e-4, shards).tolist() == local
