@@ -43,6 +43,7 @@ from .objective import (
     global_loss,
     local_loss,
     ridge_optimum,
+    sample_batches,
     stochastic_gradient,
 )
 from .theory_checks import (
@@ -106,6 +107,7 @@ __all__ = [
     "run_averaged",
     "run_detailed",
     "run_single",
+    "sample_batches",
     "sample_noise",
     "spectral_contraction",
     "stack_states",

@@ -1,10 +1,14 @@
 """Seeded zero-mean Gaussian channel noise with keyed random streams.
 
-Every (repeat, round, client, purpose) tuple maps to its own independent
-pseudorandom stream derived from the master seed, so a simulation is
-bit-reproducible no matter how clients are scheduled, and no two logical
-tasks ever share a stream. The variance knob is the per-coordinate
-variance of the noise vector, so E||delta||^2 = d * variance.
+Every (master seed, repeat, round, client, purpose) key maps to its own
+independent pseudorandom stream, so a simulation is bit-reproducible no
+matter how clients are scheduled, and no two logical tasks ever share a
+stream. The harness uses stream layout 2: one stream per (repeat, round,
+purpose), keyed with client 0, draws one block for all clients, row i
+for client i (sample_noise with shape (n, d); sample_batches in
+objective). The initial point has its own key, (seed, 0, 0, 0,
+PURPOSE_INIT). The variance knob is the per-coordinate variance of the
+noise, so E||delta||^2 = d * variance.
 """
 
 from __future__ import annotations
@@ -55,14 +59,15 @@ def derive_stream(key: StreamKey) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def sample_noise(stream: np.random.Generator, d: int, variance: float) -> np.ndarray:
-    """One noise vector with i.i.d. N(0, variance) entries.
+def sample_noise(
+    stream: np.random.Generator, shape: int | tuple[int, ...], variance: float
+) -> np.ndarray:
+    """An array of the given shape with i.i.d. N(0, variance) entries.
 
-    Variance zero returns the exact zero vector without consuming the
-    stream.
+    Variance zero returns exact zeros without consuming the stream.
     """
     if variance < 0:
         raise ValueError(f"variance must be >= 0, got {variance}")
     if variance == 0.0:
-        return np.zeros(d)
-    return stream.normal(0.0, math.sqrt(variance), size=d)
+        return np.zeros(shape)
+    return stream.normal(0.0, math.sqrt(variance), size=shape)

@@ -1,10 +1,13 @@
 """Experiment driver: single runs, seed-averaged repeats, sweeps, CSV output.
 
 A run is fully determined by its config and master seed. Random streams
-are keyed by (repeat, round, client, purpose), never shared, so results
-do not depend on scheduling and re-runs are byte-identical. Metrics row
-t records the state after round t's update; a leading row at t = -1
-records the common initial state.
+follow stream layout 2: each round derives at most two, one per purpose,
+keyed by (repeat, round, purpose), and each draws one block whose row i
+belongs to client i: an n x d channel-noise block (none at noise 0) and
+the minibatch keys of sample_batches (none when every client takes its
+whole shard). Results do not depend on scheduling and re-runs are
+byte-identical. Metrics row t records the state after round t's update;
+a leading row at t = -1 records the common initial state.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .channel import (
 )
 from .data import Dataset, Shard, generate, partition_iid
 from .metrics import RoundMetrics, measure
-from .objective import ObjectiveConfig, stochastic_gradient
+from .objective import ObjectiveConfig, sample_batches, stochastic_gradient
 from .theory_checks import estimate_smoothness
 from .topology import FULLY_CONNECTED, MixingMatrix, TopologySpec, build_mixing
 
@@ -117,6 +120,10 @@ class RunConfig:
             raise ValueError(f"noise variance must be >= 0, got {self.noise_variance}")
         if not 0.0 <= self.mu < 1.0:
             raise ValueError(f"mu must be in [0, 1), got {self.mu}")
+        if self.lam < 0:
+            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.m < self.n:
             raise ValueError(f"need at least one sample per client: m={self.m} < n={self.n}")
 
@@ -201,25 +208,26 @@ def run_detailed(
 
     rows = [measure(X, dataset, config.lam, -1, eta_at(config.lr, 0), shards)]
     bias_sq: list[float] = []
+    sizes = [shard.size for shard in shards]
+    sampling = config.batch_size < max(sizes)
 
-    def stream(t: int, i: int, purpose: int) -> np.random.Generator:
-        return derive_stream(StreamKey(seed, repeat_index, t, i, purpose))
+    def stream(t: int, purpose: int) -> np.random.Generator:
+        return derive_stream(StreamKey(seed, repeat_index, t, 0, purpose))
 
     for t in range(config.rounds):
         eta = eta_at(config.lr, t)
         if config.noise_variance == 0.0:
             noises = np.zeros((d, n))
         else:
-            noises = np.column_stack(
-                [
-                    sample_noise(stream(t, i, PURPOSE_CHANNEL_NOISE), d, config.noise_variance)
-                    for i in range(n)
-                ]
-            )
+            noises = sample_noise(
+                stream(t, PURPOSE_CHANNEL_NOISE), (n, d), config.noise_variance
+            ).T
+        picks = [None] * n
+        if sampling:
+            picks = sample_batches(stream(t, PURPOSE_DATA_BATCH), sizes, config.batch_size)
 
-        def grad(i: int, x: np.ndarray, t: int = t) -> np.ndarray:
-            batch = stream(t, i, PURPOSE_DATA_BATCH)
-            return stochastic_gradient(x, shards[i], dataset, obj_cfg, batch)
+        def grad(i: int, x: np.ndarray, picks: list = picks) -> np.ndarray:
+            return stochastic_gradient(x, shards[i], dataset, obj_cfg, picks[i])
 
         grads = None
         if config.algorithm != "fedndl2":
@@ -358,17 +366,15 @@ def _axis_values(template: RunConfig, axes: dict) -> list[tuple]:
             raise ValueError(f"unknown sweep axis {key!r}, expected subset of {SWEEP_AXES}")
     pools = []
     for key in SWEEP_AXES:
-        if key not in axes:
-            pools.append([getattr(template, key)])
-        elif key == "topology":
-            pools.append(
-                [
-                    v if isinstance(v, TopologySpec) else TopologySpec(v, template.topology.n)
-                    for v in axes[key]
-                ]
-            )
-        else:
-            pools.append(list(axes[key]))
+        pool = list(axes.get(key, [getattr(template, key)]))
+        if not pool:
+            raise ValueError(f"sweep axis {key!r} has no values")
+        if key == "topology":
+            pool = [
+                v if isinstance(v, TopologySpec) else TopologySpec(v, template.topology.n)
+                for v in pool
+            ]
+        pools.append(pool)
     return list(itertools.product(*pools))
 
 

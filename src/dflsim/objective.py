@@ -6,9 +6,12 @@ so gradients carry a factor 2:
     f_i(x) = (1/|S_i|) sum_{s in S_i} (<x, a_s> - y_s)^2 + lam * ||x||^2
     grad   = (2/|B|) sum_{s in B} (<x, a_s> - y_s) a_s + 2 * lam * x
 
-Batches are drawn uniformly without replacement from the client's shard;
-a batch covering the whole shard skips sampling entirely and does not
-consume the random stream.
+Batches are drawn uniformly without replacement from each client's shard
+by one routine, sample_batches, for all clients of a round at once: row i
+of one uniform block ranks client i's shard rows, and the batch is the
+first batch_size of them. A batch covering the whole shard takes the
+shard in order; when every shard is covered, sample_batches draws nothing
+from the random stream.
 """
 
 from __future__ import annotations
@@ -60,21 +63,40 @@ def global_gradient(x: np.ndarray, dataset: Dataset, lam: float) -> np.ndarray:
     return full_local_gradient(x, Shard(client=-1, start=0, stop=dataset.m), dataset, lam)
 
 
+def sample_batches(
+    rng: np.random.Generator, sizes: list[int], batch_size: int
+) -> list[np.ndarray | None]:
+    """Minibatch row offsets for shards of the given sizes, one entry per shard.
+
+    One rng.random((len(sizes), max(sizes))) block is drawn, the padding
+    past each shard's size sorts last, and a shard's batch is the first
+    batch_size entries of its row's argsort: a uniform subset without
+    replacement. A shard with size <= batch_size gets None (the whole
+    shard, in order); when every shard does, rng is left untouched.
+    """
+    width = max(sizes)
+    if width <= batch_size:
+        return [None] * len(sizes)
+    keys = rng.random((len(sizes), width))
+    keys[np.arange(width) >= np.asarray(sizes)[:, None]] = 2.0
+    order = np.argsort(keys, axis=1)[:, :batch_size]
+    return [order[i] if batch_size < size else None for i, size in enumerate(sizes)]
+
+
 def stochastic_gradient(
     x: np.ndarray,
     shard: Shard,
     dataset: Dataset,
     config: ObjectiveConfig,
-    rng: np.random.Generator,
+    picks: np.ndarray | None,
 ) -> np.ndarray:
-    """Minibatch gradient, unbiased for the full-shard gradient.
+    """Minibatch gradient over the shard rows at offsets picks, or the whole shard for None.
 
-    The batch size is capped at the shard size; at the cap the whole
-    shard is used in order and rng is left untouched.
+    With picks from sample_batches it is unbiased for the full-shard
+    gradient.
     """
     feats, labels = _shard_view(shard, dataset)
-    if config.batch_size < shard.size:
-        picks = rng.choice(shard.size, size=config.batch_size, replace=False)
+    if picks is not None:
         feats = feats[picks]
         labels = labels[picks]
     residual = feats @ x - labels

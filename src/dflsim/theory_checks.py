@@ -23,7 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Shard
-from .objective import ObjectiveConfig, full_local_gradient, stochastic_gradient
+from .objective import (
+    ObjectiveConfig,
+    full_local_gradient,
+    sample_batches,
+    stochastic_gradient,
+)
 
 # Largest smaller-side k whose k x k Gram is solved densely. A 512^2
 # Gram is 2 MiB; larger ones (with LAPACK's copy and the BLAS packing
@@ -162,7 +167,8 @@ def estimate_sigma_sq(
                 continue  # full batch has zero sampling variance
             acc = 0.0
             for _ in range(draws):
-                g = stochastic_gradient(x, shard, dataset, config, rng)
+                picks = sample_batches(rng, [shard.size], config.batch_size)[0]
+                g = stochastic_gradient(x, shard, dataset, config, picks)
                 diff = g - mean_grad
                 acc += float(diff @ diff)
             worst = max(worst, acc / draws)

@@ -8,6 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dflsim import harness
+from dflsim.channel import (
+    PURPOSE_CHANNEL_NOISE,
+    PURPOSE_DATA_BATCH,
+    PURPOSE_INIT,
+    StreamKey,
+    derive_stream,
+)
 from dflsim.harness import (
     DegenerateSeriesError,
     LrSchedule,
@@ -21,6 +28,7 @@ from dflsim.harness import (
     run_single,
     sweep,
 )
+from dflsim.objective import stochastic_gradient
 from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -172,6 +180,69 @@ class TestRunAveraged:
         with pytest.raises(ValueError, match=r"mu must be in \[0, 1\)"):
             run_averaged(small_config(algorithm="fednmut", mu=mu))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("lam", -1.0, "lam must be >= 0"), ("batch_size", 0, "batch_size must be >= 1")],
+    )
+    def test_bad_lam_or_batch_size_rejected_before_setup(self, monkeypatch, field, value, message):
+        def no_setup(*args):
+            raise AssertionError("set-up ran before validation")
+
+        monkeypatch.setattr(harness, "generate", no_setup)
+        with pytest.raises(ValueError, match=message):
+            run_averaged(small_config(**{field: value}))
+
+
+class TestStreams:
+    """Stream layout 2: at most one stream per (repeat, round, purpose)."""
+
+    def keys_of_run(self, monkeypatch, **overrides):
+        keys = []
+
+        def recording(key):
+            keys.append(key)
+            return derive_stream(key)
+
+        monkeypatch.setattr(harness, "derive_stream", recording)
+        run_detailed(small_config(**overrides), 1)
+        return keys
+
+    def test_one_stream_per_round_and_purpose(self, monkeypatch):
+        keys = self.keys_of_run(monkeypatch, algorithm="fednmut", rounds=5)
+        assert keys[0] == StreamKey(5, 0, 0, 0, PURPOSE_INIT)
+        assert sorted((k.round, k.purpose) for k in keys[1:]) == [
+            (t, p) for t in range(5) for p in sorted((PURPOSE_DATA_BATCH, PURPOSE_CHANNEL_NOISE))
+        ]
+        assert {(k.repeat, k.client) for k in keys[1:]} == {(1, 0)}
+
+    def test_all_capped_round_derives_no_batch_stream(self, monkeypatch):
+        # 80 rows over 4 clients: 20 per shard, all at or under the batch size
+        keys = self.keys_of_run(monkeypatch, batch_size=20, noise_variance=0.0)
+        assert [k.purpose for k in keys] == [PURPOSE_INIT]
+
+    def test_ragged_shards_with_mixed_cap(self, monkeypatch):
+        # 2001 rows over 16 clients: client 0 has 126 rows and samples 125,
+        # the other fifteen have 125 and take the whole shard
+        calls = []
+
+        def recording(x, shard, dataset, config, picks):
+            calls.append((shard.client, picks))
+            return stochastic_gradient(x, shard, dataset, config, picks)
+
+        monkeypatch.setattr(harness, "stochastic_gradient", recording)
+        config = small_config(
+            topology=TopologySpec(RING, 16), m=2001, batch_size=125, rounds=3, repeats=1
+        )
+        result = run_detailed(config, 0)
+        assert all(np.isfinite(m.loss) for m in result.metrics)
+        assert len(calls) == 3 * 16
+        for client, picks in calls:
+            if client == 0:
+                assert picks.size == 125 and np.unique(picks).size == 125
+                assert picks.min() >= 0 and picks.max() < 126
+            else:
+                assert picks is None
+
 
 class TestRateFit:
     def test_inverse_sqrt_series(self):
@@ -260,6 +331,17 @@ class TestSweep:
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=r"share cell_id .*: mu=0\.02 vs 0\.02"):
             sweep(template, {"mu": mus}, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis", ["algorithm", "topology", "noise_variance", "mu"])
+    def test_empty_axis_rejected_before_output_dir(self, tmp_path, monkeypatch, axis):
+        def no_setup(*args):
+            raise AssertionError("set-up ran before validation")
+
+        monkeypatch.setattr(harness, "generate", no_setup)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"sweep axis '{axis}' has no values"):
+            sweep(small_config(), {axis: []}, out)
         assert not out.exists()
 
     def test_bad_mu_cell_rejected_before_output_dir(self, tmp_path):

@@ -11,6 +11,7 @@ from dflsim.objective import (
     global_loss,
     local_loss,
     ridge_optimum,
+    sample_batches,
     stochastic_gradient,
 )
 
@@ -27,6 +28,11 @@ def tiny_dataset(features, labels):
 
 def whole(dataset):
     return Shard(client=0, start=0, stop=dataset.m)
+
+
+def draw_gradient(x, shard, dataset, config, rng):
+    picks = sample_batches(rng, [shard.size], config.batch_size)[0]
+    return stochastic_gradient(x, shard, dataset, config, picks)
 
 
 def finite_difference_gradient(x, shard, dataset, lam, step=1e-5):
@@ -84,7 +90,7 @@ class TestGlobalLoss:
 class TestStochasticGradient:
     def test_single_sample_hand_value(self):
         ds = tiny_dataset([[1.0, 0.0]], [3.0])
-        g = stochastic_gradient(
+        g = draw_gradient(
             np.zeros(2), whole(ds), ds, ObjectiveConfig(lam=0.0, batch_size=1),
             np.random.default_rng(0),
         )
@@ -93,7 +99,7 @@ class TestStochasticGradient:
     def test_zero_data_leaves_regularizer(self):
         ds = tiny_dataset([[0.0, 0.0, 0.0]], [0.0])
         x = np.array([1.5, -2.0, 0.25])
-        g = stochastic_gradient(
+        g = draw_gradient(
             x, whole(ds), ds, ObjectiveConfig(lam=0.5, batch_size=1), np.random.default_rng(0)
         )
         np.testing.assert_array_equal(g, x)
@@ -113,9 +119,8 @@ class TestStochasticGradient:
         shard = whole(ds)
         rng = np.random.default_rng(5)
         state_before = rng.bit_generator.state
-        g = stochastic_gradient(
-            np.ones(4), shard, ds, ObjectiveConfig(lam=0.0, batch_size=99), rng
-        )
+        assert sample_batches(rng, [16, 9, 16], 16) == [None, None, None]
+        g = draw_gradient(np.ones(4), shard, ds, ObjectiveConfig(lam=0.0, batch_size=99), rng)
         assert rng.bit_generator.state == state_before
         np.testing.assert_array_equal(g, full_local_gradient(np.ones(4), shard, ds, 0.0))
 
@@ -127,11 +132,42 @@ class TestStochasticGradient:
         cfg = ObjectiveConfig(lam=1e-3, batch_size=8)
         rng = np.random.default_rng(77)
         draws = np.stack(
-            [stochastic_gradient(x, shard, ds, cfg, rng) for _ in range(2000)]
+            [draw_gradient(x, shard, ds, cfg, rng) for _ in range(2000)]
         )
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         gap = np.abs(draws.mean(axis=0) - full_local_gradient(x, shard, ds, 1e-3))
         assert np.all(gap <= 4.0 * se)
+
+
+class TestSampleBatches:
+    def test_rows_inside_shard_without_duplicates(self):
+        ds = generate(2001, 3, 0.0, seed=1)
+        shards = partition_iid(ds, 16)
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            picks = sample_batches(rng, [s.size for s in shards], 32)
+            for shard, p in zip(shards, picks):
+                rows = np.arange(shard.start, shard.stop)[p]
+                assert rows.size == 32 and np.unique(rows).size == 32
+                assert shard.start <= rows.min() and rows.max() < shard.stop
+
+    def test_inclusion_frequency_is_batch_over_size(self):
+        sizes, b, draws = [13, 12, 12], 5, 20000
+        rng = np.random.default_rng(21)
+        counts = [np.zeros(size) for size in sizes]
+        for _ in range(draws):
+            for c, p in zip(counts, sample_batches(rng, sizes, b)):
+                c[p] += 1
+        for size, c in zip(sizes, counts):
+            p = b / size
+            se = np.sqrt(p * (1 - p) / draws)
+            assert np.all(np.abs(c / draws - p) <= 4.0 * se)
+
+    def test_mixed_cap_takes_capped_shards_whole(self):
+        picks = sample_batches(np.random.default_rng(3), [126] + [125] * 15, 125)
+        assert picks[0].size == 125 and np.unique(picks[0]).size == 125
+        assert picks[0].max() < 126
+        assert picks[1:] == [None] * 15
 
 
 class TestSmoothnessAndConvexity:

@@ -2,7 +2,9 @@
 
 Every refactor of the round loop either keeps each hash or re-pins it on
 purpose, with the reason and the measured drift recorded in CHANGES.md.
-The FedNMUT hashes are those of the array kernel, round_fednmut_array.
+The FedNMUT hashes are those of the array kernel, round_fednmut_array;
+all hashes are those of stream layout 2 (one stream per repeat, round and
+purpose; see dflsim.harness).
 The schedule decays every 10 rounds, so 40 rounds use four step sizes.
 """
 
@@ -17,23 +19,23 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 # (algorithm, topology, noise variance, x0 mode) -> SHA-256 of the cell CSV
 PINNED = {
-    ("fedndl1", "ring", 0.0, "shared_random"): "ad2de9d8c6a2e19cd4b0f3626dde006eb5e0fff0774eba422299b38ce9770f61",
-    ("fedndl1", "ring", 0.005, "shared_random"): "42c749b039a0c662931e6aaa424094b03297da8e34578d53c03466d3275290a0",
-    ("fedndl1", "fully_connected", 0.0, "shared_random"): "e86f50b44e7a3fbd67ca4b486a98e282e384b62c9c25ff1d4787e464a0fe7804",
-    ("fedndl1", "fully_connected", 0.005, "shared_random"): "63be57fd2c60e287d7fe338741a3de95f9331cc496a0406bfcd21858a6d4fea6",
-    ("fedndl2", "ring", 0.0, "shared_random"): "1f1ec11b864b1023dde870cd5ba4d37e84d267024ab83027fae11892823b047e",
-    ("fedndl2", "ring", 0.005, "shared_random"): "78a37df992ec4427fbf9c90731c701b72d244486b3147d4800e9d5bc6762de17",
-    ("fedndl2", "fully_connected", 0.0, "shared_random"): "54a1dfe5297ff039747e87f07176ce6c84f805b5e06fcde093a0ba32788a50db",
-    ("fedndl2", "fully_connected", 0.005, "shared_random"): "1c7b30df77f30242d316ba37defdd3c5594d67040a195ca2c21222de6cf4bcf2",
-    ("fedndl3", "ring", 0.0, "shared_random"): "057973ccc3c2d129218e143f188c476af62a0157c8e321ca152ddc3c1c434e8a",
-    ("fedndl3", "ring", 0.005, "shared_random"): "59e859ca01c90689b5a642154ad6cf9c98db572c97965176e69d1038d63dbf6e",
-    ("fedndl3", "fully_connected", 0.0, "shared_random"): "4d1533967e846763ea0b49c44e789219d28ffff17c834a988d0e0b30289c2ffc",
-    ("fedndl3", "fully_connected", 0.005, "shared_random"): "56a7cce111f2fbb6fb01c9d2755f7d14e6314d77540e019d9a48f9db5b0df43c",
-    ("fednmut", "ring", 0.0, "shared_random"): "489d1c993269c113fe09ba4497f9ed71ae16411881f5d4dc0f649216e6ae392f",
-    ("fednmut", "ring", 0.005, "shared_random"): "693a593f5624d0dfc5b6e155ceea62e4b6afb243da2e0fdc46727d734f345af2",
-    ("fednmut", "fully_connected", 0.0, "shared_random"): "e8aecc751130580c276a574a9bb2d3f3fdbfe504d98f643f27a02c2df545efca",
-    ("fednmut", "fully_connected", 0.005, "shared_random"): "8e3772455db31ce431a0a82027756cff0d0b9f47098dccaa2cc0751ee8f0be7a",
-    ("fednmut", "ring", 0.005, "independent_random"): "3fd585d3ec13d007fc4c915ae6c109a649a563deb92d86c91db2002da36668d9",
+    ("fedndl1", "ring", 0.0, "shared_random"): "8549f86588733747a88d092ad363807657eb971b473c02ee05f3c061b7d1e531",
+    ("fedndl1", "ring", 0.005, "shared_random"): "c1468c4227e899446554be66eb662d2884aa9ffd4b5d90f64f09a8e1d73d6b45",
+    ("fedndl1", "fully_connected", 0.0, "shared_random"): "936fc983a5672ffdd77ee57919f67889f42afbf52a4130fbd199419d86ee3481",
+    ("fedndl1", "fully_connected", 0.005, "shared_random"): "e29212a75b58e5ff46e9b0a1277da82fa245f9dbb6cb129948b6cf5b5cfaba9b",
+    ("fedndl2", "ring", 0.0, "shared_random"): "854e0a2aaeceba389eecb58d6fe65e7c5494c85506bd15971f2cb374f9b0ab98",
+    ("fedndl2", "ring", 0.005, "shared_random"): "aafd80f20dc35b4e54e5952b0330ec0be551d0520d32d84bcd0b5a42cd25317d",
+    ("fedndl2", "fully_connected", 0.0, "shared_random"): "0496b5e7e83afbd2c71b2d5f9b3ea6f8d38ef8279cc082749fdc7f3516bb42da",
+    ("fedndl2", "fully_connected", 0.005, "shared_random"): "3d90b0f04157acdd26276b584acbfb3058a7bd0d51fe6e884b7ee21d6b0ff769",
+    ("fedndl3", "ring", 0.0, "shared_random"): "eb4d38cea1ddd928c365f2ee7b77c87a3fc0c105d19475a81a6c3a7c840ad5ae",
+    ("fedndl3", "ring", 0.005, "shared_random"): "6e361aa0ab7a8465374662c48434b1c4a78582dc149b5123429c2a24a6e70815",
+    ("fedndl3", "fully_connected", 0.0, "shared_random"): "7a6efd6be64034af2077c87f21f4f0f88363b01d35e1a2102b9150d6153b89d3",
+    ("fedndl3", "fully_connected", 0.005, "shared_random"): "8763ab455ada6879a0e10096212ac4cca30a2a6793c4f9e5fc1214afdae19674",
+    ("fednmut", "ring", 0.0, "shared_random"): "74757c9d81d7c6e7301f138d862f07d5331b2c107ad17b13fc7b4c722585375e",
+    ("fednmut", "ring", 0.005, "shared_random"): "f890c574157f0caf3b76895e451a77511f081a5b1a3d4c3cfdde17df4d2ebc76",
+    ("fednmut", "fully_connected", 0.0, "shared_random"): "57fa2ec0da8d051931295ce07c02f163dcedaf03322e86effed4d28ead3233f3",
+    ("fednmut", "fully_connected", 0.005, "shared_random"): "b9c1a045ea673d950e628e3048857fad9885a0078428c37c5811f5965d5379ee",
+    ("fednmut", "ring", 0.005, "independent_random"): "5fc32022b0b1f7a602ccc001f9ba0f35ec48d9f008f9bed3686a931b7929c43b",
 }
 
 
