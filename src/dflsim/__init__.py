@@ -35,7 +35,7 @@ from .harness import (
     run_single,
     sweep,
 )
-from .metrics import RoundMetrics, consensus_error, mean_iterate, measure
+from .metrics import RoundMetrics, consensus_error, mean_iterate, measure, measure_block
 from .objective import (
     ObjectiveConfig,
     full_local_gradient,
@@ -94,6 +94,7 @@ __all__ = [
     "local_loss",
     "mean_iterate",
     "measure",
+    "measure_block",
     "neighbors",
     "partition_iid",
     "rate_fit",

@@ -8,6 +8,14 @@ the minibatch keys of sample_batches (none when every client takes its
 whole shard). Results do not depend on scheduling and re-runs are
 byte-identical. Metrics row t records the state after round t's update;
 a leading row at t = -1 records the common initial state.
+
+Metrics never feed back into the trajectory, so run_detailed copies each
+recorded state into a block of METRICS_BLOCK states and evaluates the
+block with one measure_block call (looked up here, as
+dflsim.harness.measure_block) when it is full. The last block is padded
+to full width with copies of the final state and the pad rows are
+dropped: a narrower product could take another BLAS kernel, and a row's
+bits would then depend on where the run ends.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .channel import (
     sample_noise,
 )
 from .data import Dataset, Shard, generate, partition_iid
-from .metrics import RoundMetrics, measure
+from .metrics import RoundMetrics, measure_block
 from .objective import ObjectiveConfig, sample_batches, stochastic_gradient
 from .theory_checks import estimate_smoothness
 from .topology import FULLY_CONNECTED, MixingMatrix, TopologySpec, build_mixing
@@ -57,6 +65,10 @@ CSV_COLUMNS = (
 )
 
 SWEEP_AXES = ("algorithm", "topology", "noise_variance", "mu")
+
+# States per measure_block call. The last block of a run is padded to this
+# width, so a row's bits do not depend on where the run ends.
+METRICS_BLOCK = 8
 
 
 class DegenerateSeriesError(ValueError):
@@ -112,6 +124,16 @@ class RunConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
         if self.x0_mode not in X0_MODES:
             raise ValueError(f"unknown x0 mode {self.x0_mode!r}, expected one of {X0_MODES}")
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
+        if self.label_noise_variance < 0:
+            raise ValueError(
+                f"label_noise_variance must be >= 0, got {self.label_noise_variance}"
+            )
+        # derive_stream keys on the seed modulo 2**64, and generate on the
+        # seed itself: only this range gives one seed per stream set.
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.repeats < 1:
@@ -206,7 +228,25 @@ def run_detailed(
     # FedNMUT's last broadcasts and Deltas, zero before the first round
     y_tilde = delta = np.zeros((d, n))
 
-    rows = [measure(X, dataset, config.lam, -1, eta_at(config.lr, 0), shards)]
+    rows: list[RoundMetrics] = []
+    block = np.empty((METRICS_BLOCK, n, d))
+    stamps: list[tuple[int, float]] = []
+
+    def record(X: np.ndarray, t: int, eta: float) -> None:
+        block[len(stamps)] = X.T
+        stamps.append((t, eta))
+        if len(stamps) == METRICS_BLOCK:
+            flush()
+
+    def flush() -> None:
+        # pad a partial block with its last state, so every product has one shape
+        block[len(stamps) :] = block[len(stamps) - 1]
+        values = zip(*measure_block(block, dataset, config.lam, shards))
+        for (t, eta), (loss, cons, gns, local) in zip(stamps, values):
+            rows.append(RoundMetrics(t, eta, float(loss), float(cons), float(gns), float(local)))
+        stamps.clear()
+
+    record(X, -1, eta_at(config.lr, 0))
     bias_sq: list[float] = []
     sizes = [shard.size for shard in shards]
     sampling = config.batch_size < max(sizes)
@@ -243,7 +283,9 @@ def run_detailed(
         else:
             X, y_tilde, delta, bias = round_fednmut_array(X, y_tilde, delta, inputs)
             bias_sq.append(float((bias * bias).sum() / n))
-        rows.append(measure(X, dataset, config.lam, t, eta, shards))
+        record(X, t, eta)
+    if stamps:
+        flush()
     return RunResult(metrics=rows, bias_sq=bias_sq)
 
 

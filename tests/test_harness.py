@@ -1,6 +1,7 @@
 """Schedules, runs, averaging, rate fit, sweeps."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from dflsim.harness import (
     run_single,
     sweep,
 )
+from dflsim.data import generate, partition_iid
+from dflsim.metrics import measure, measure_block
 from dflsim.objective import stochastic_gradient
 from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec
 
@@ -149,6 +152,48 @@ class TestRunSingle:
             run_single(small_config(x0_mode="hot"), 0)
 
 
+class TestBlockMetrics:
+    """Rows are evaluated in padded blocks of METRICS_BLOCK states."""
+
+    @pytest.mark.parametrize("m, n", [(2000, 16), (2001, 16), (1280, 64)])
+    def test_rows_match_per_state_measure(self, monkeypatch, m, n):
+        states = []
+
+        def recording(S, *args):
+            states.extend(S.copy())
+            return measure_block(S, *args)
+
+        monkeypatch.setattr(harness, "measure_block", recording)
+        config = small_config(
+            algorithm="fednmut", topology=TopologySpec(RING, n), d=20, m=m, rounds=11
+        )
+        rows = run_detailed(config, 0).metrics
+        assert len(states) == 16  # 12 rows padded to two blocks of 8
+        dataset = generate(m, 20, config.label_noise_variance, config.master_seed)
+        shards = partition_iid(dataset, n)
+        for t, (row, state) in enumerate(zip(rows, states), start=-1):
+            X = state.T.copy()  # C-ordered d x n, as the harness holds it
+            ref = measure(X, dataset, config.lam, t, eta_at(config.lr, max(t, 0)), shards)
+            assert (row.round, row.eta) == (ref.round, ref.eta)
+            assert row.consensus_error == ref.consensus_error
+            np.testing.assert_allclose(
+                [row.loss, row.grad_norm_sq, row.loss_local_avg],
+                [ref.loss, ref.grad_norm_sq, ref.loss_local_avg],
+                rtol=1e-13,
+                atol=0,
+            )
+
+    @pytest.mark.parametrize("rounds", [1, 7, 8, 9])
+    def test_row_bits_do_not_depend_on_run_length(self, rounds):
+        config = small_config(
+            algorithm="fednmut", topology=TopologySpec(RING, 16), d=200, m=2001, repeats=1
+        )
+        full = run_detailed(replace(config, rounds=20), 0).metrics
+        short = run_detailed(replace(config, rounds=rounds), 0).metrics
+        assert [m.round for m in short] == list(range(-1, rounds))
+        assert short == full[: rounds + 1]
+
+
 class TestRunAveraged:
     def test_single_repeat_mean_is_run_std_zero(self):
         config = small_config(repeats=1, rounds=10)
@@ -191,6 +236,27 @@ class TestRunAveraged:
         monkeypatch.setattr(harness, "generate", no_setup)
         with pytest.raises(ValueError, match=message):
             run_averaged(small_config(**{field: value}))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("d", 0, "d must be >= 1, got 0"),
+            ("label_noise_variance", -0.1, "label_noise_variance must be >= 0"),
+            ("master_seed", -1, r"master_seed must be in \[0, 2\*\*64\), got -1"),
+            ("master_seed", 2**64 + 5, r"master_seed must be in \[0, 2\*\*64\)"),
+        ],
+    )
+    def test_bad_dim_noise_or_seed_rejected_before_setup(self, monkeypatch, field, value, message):
+        def no_setup(*args):
+            raise AssertionError("set-up ran before validation")
+
+        monkeypatch.setattr(harness, "generate", no_setup)
+        with pytest.raises(ValueError, match=message):
+            run_averaged(small_config(**{field: value}))
+
+    def test_largest_seed_accepted(self):
+        rows = run_single(small_config(master_seed=2**64 - 1, rounds=2), 0)
+        assert len(rows) == 3
 
 
 class TestStreams:
@@ -342,6 +408,15 @@ class TestSweep:
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=f"sweep axis '{axis}' has no values"):
             sweep(small_config(), {axis: []}, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value, message", [("d", 0, "d must be >= 1"), ("master_seed", -1, "master_seed")]
+    )
+    def test_bad_template_rejected_before_output_dir(self, tmp_path, field, value, message):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            sweep(small_config(**{field: value}), {"mu": [0.02, 0.05]}, out)
         assert not out.exists()
 
     def test_bad_mu_cell_rejected_before_output_dir(self, tmp_path):

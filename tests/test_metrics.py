@@ -5,7 +5,13 @@ import pytest
 
 from dflsim.data import generate, partition_iid
 from dflsim.harness import LrSchedule, RunConfig, run_single
-from dflsim.metrics import consensus_error, local_losses, mean_iterate, measure
+from dflsim.metrics import (
+    consensus_error,
+    local_losses,
+    mean_iterate,
+    measure,
+    measure_block,
+)
 from dflsim.objective import (
     full_local_gradient,
     global_gradient,
@@ -119,3 +125,28 @@ def test_fused_measure_is_bit_identical_to_objective_calls(m):
     assert row.grad_norm_sq == float(grad @ grad)
     assert row.loss_local_avg == float(np.mean(local))
     assert local_losses(X, ds, 1e-4, shards).tolist() == local
+
+
+@pytest.mark.parametrize("m, d, n", [(2000, 200, 16), (2001, 200, 16), (1280, 40, 64)])
+def test_block_matches_per_state_measure(m, d, n):
+    ds = generate(m, d, 0.05, seed=12)
+    shards = partition_iid(ds, n)
+    S = np.random.default_rng(7).standard_normal((8, n, d))
+    block = np.array(measure_block(S, ds, 1e-4, shards)).T
+    for values, state in zip(block, S):
+        row = measure(state.T.copy(), ds, 1e-4, t=0, eta=0.1, shards=shards)
+        expected = [row.loss, row.consensus_error, row.grad_norm_sq, row.loss_local_avg]
+        np.testing.assert_allclose(values, expected, rtol=1e-13, atol=0)
+        # the block averages along the client axis exactly as measure does
+        # on a C-ordered d x n state, the layout the harness keeps
+        assert values[1] == row.consensus_error
+
+
+def test_block_of_identical_states_gives_identical_rows():
+    ds = generate(2001, 50, 0.05, seed=13)
+    shards = partition_iid(ds, 16)
+    state = np.tile(np.random.default_rng(8).standard_normal(50), (16, 1))
+    for column in measure_block(np.tile(state, (8, 1, 1)), ds, 1e-4, shards):
+        assert np.all(column == column[0])
+    # a consensus state has an exact zero consensus error, as in measure
+    assert measure_block(state[None], ds, 1e-4, shards)[1][0] == 0.0

@@ -4,7 +4,8 @@ Every refactor of the round loop either keeps each hash or re-pins it on
 purpose, with the reason and the measured drift recorded in CHANGES.md.
 The FedNMUT hashes are those of the array kernel, round_fednmut_array;
 all hashes are those of stream layout 2 (one stream per repeat, round and
-purpose; see dflsim.harness).
+purpose; see dflsim.harness) with the metrics evaluated in padded blocks
+of eight states (dflsim.metrics.measure_block).
 The schedule decays every 10 rounds, so 40 rounds use four step sizes.
 """
 
@@ -19,23 +20,23 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 # (algorithm, topology, noise variance, x0 mode) -> SHA-256 of the cell CSV
 PINNED = {
-    ("fedndl1", "ring", 0.0, "shared_random"): "8549f86588733747a88d092ad363807657eb971b473c02ee05f3c061b7d1e531",
-    ("fedndl1", "ring", 0.005, "shared_random"): "c1468c4227e899446554be66eb662d2884aa9ffd4b5d90f64f09a8e1d73d6b45",
-    ("fedndl1", "fully_connected", 0.0, "shared_random"): "936fc983a5672ffdd77ee57919f67889f42afbf52a4130fbd199419d86ee3481",
-    ("fedndl1", "fully_connected", 0.005, "shared_random"): "e29212a75b58e5ff46e9b0a1277da82fa245f9dbb6cb129948b6cf5b5cfaba9b",
-    ("fedndl2", "ring", 0.0, "shared_random"): "854e0a2aaeceba389eecb58d6fe65e7c5494c85506bd15971f2cb374f9b0ab98",
-    ("fedndl2", "ring", 0.005, "shared_random"): "aafd80f20dc35b4e54e5952b0330ec0be551d0520d32d84bcd0b5a42cd25317d",
-    ("fedndl2", "fully_connected", 0.0, "shared_random"): "0496b5e7e83afbd2c71b2d5f9b3ea6f8d38ef8279cc082749fdc7f3516bb42da",
-    ("fedndl2", "fully_connected", 0.005, "shared_random"): "3d90b0f04157acdd26276b584acbfb3058a7bd0d51fe6e884b7ee21d6b0ff769",
-    ("fedndl3", "ring", 0.0, "shared_random"): "eb4d38cea1ddd928c365f2ee7b77c87a3fc0c105d19475a81a6c3a7c840ad5ae",
-    ("fedndl3", "ring", 0.005, "shared_random"): "6e361aa0ab7a8465374662c48434b1c4a78582dc149b5123429c2a24a6e70815",
-    ("fedndl3", "fully_connected", 0.0, "shared_random"): "7a6efd6be64034af2077c87f21f4f0f88363b01d35e1a2102b9150d6153b89d3",
-    ("fedndl3", "fully_connected", 0.005, "shared_random"): "8763ab455ada6879a0e10096212ac4cca30a2a6793c4f9e5fc1214afdae19674",
-    ("fednmut", "ring", 0.0, "shared_random"): "74757c9d81d7c6e7301f138d862f07d5331b2c107ad17b13fc7b4c722585375e",
-    ("fednmut", "ring", 0.005, "shared_random"): "f890c574157f0caf3b76895e451a77511f081a5b1a3d4c3cfdde17df4d2ebc76",
-    ("fednmut", "fully_connected", 0.0, "shared_random"): "57fa2ec0da8d051931295ce07c02f163dcedaf03322e86effed4d28ead3233f3",
-    ("fednmut", "fully_connected", 0.005, "shared_random"): "b9c1a045ea673d950e628e3048857fad9885a0078428c37c5811f5965d5379ee",
-    ("fednmut", "ring", 0.005, "independent_random"): "5fc32022b0b1f7a602ccc001f9ba0f35ec48d9f008f9bed3686a931b7929c43b",
+    ("fedndl1", "ring", 0.0, "shared_random"): "5dab4730fa52308f66719b3cfcc46250b5f47ca2eef370041eb190db8b36cb8c",
+    ("fedndl1", "ring", 0.005, "shared_random"): "ba91f00979bd55ecec9d2f1affd12acc4b16624df515c57aaa11e786c9d8abb6",
+    ("fedndl1", "fully_connected", 0.0, "shared_random"): "a6c5e5b4d22c457bb9964ac8a02d0b94783eeb89cf2a153646a15753f9770975",
+    ("fedndl1", "fully_connected", 0.005, "shared_random"): "7e242d549f5562c56727cde3eeb6e7dfb71bc662d14291910e9c71a32111155c",
+    ("fedndl2", "ring", 0.0, "shared_random"): "0999ba2376f0b437b136c7f6f05b898ce64df1122fa0c56a4cefdc22263e0a8e",
+    ("fedndl2", "ring", 0.005, "shared_random"): "129918e3e0c63ef728c8774c3dd07ce317d999f3509a1fd5a6e7d76af917288d",
+    ("fedndl2", "fully_connected", 0.0, "shared_random"): "314bc980aee2ee333191fd615df90c49747abb1a826112e60aaf42ec11eae094",
+    ("fedndl2", "fully_connected", 0.005, "shared_random"): "29f58fe3104c1d3f9c2c099a0ef80dae202727c3260174746716d19f5ad511d0",
+    ("fedndl3", "ring", 0.0, "shared_random"): "ec2bd1c7cd433539e64240e010654e13374fcf80ddd16b6c35b027208eabb231",
+    ("fedndl3", "ring", 0.005, "shared_random"): "7b94275df2964f68886a75bd578d2ef38beafbd3876cb2dd8a1145142deeaf5c",
+    ("fedndl3", "fully_connected", 0.0, "shared_random"): "dd0318403a9f2713e29fedfa421e0cfc92fec495521030f61b0ace31c8aade7a",
+    ("fedndl3", "fully_connected", 0.005, "shared_random"): "cf59eaf0df816574e0ee115a896a9b5540b73c273df449edc02c154a775acde2",
+    ("fednmut", "ring", 0.0, "shared_random"): "24c962ae598a2131a50ea846630f1dcf3c5c8c6b62146fb7f58e7e96465f01f5",
+    ("fednmut", "ring", 0.005, "shared_random"): "713119bf28676a8f7664523669b57caf0822a5891cd7d5ba0cf9f016a96b5410",
+    ("fednmut", "fully_connected", 0.0, "shared_random"): "d84b632db18748fd552c1c342eeaed434f30a572f0e8635f02a6daeb2c32aae0",
+    ("fednmut", "fully_connected", 0.005, "shared_random"): "e33d2488770dd151cab0fb1110060b96a7fae2615bf66121cee0f7cfb605cb9e",
+    ("fednmut", "ring", 0.005, "independent_random"): "80dc8da31474a21015e6b037d994944833d94e31c4e5a39a096395c7d0dd1079",
 }
 
 
