@@ -262,6 +262,22 @@ def _read_csv_column(path: str, column: str) -> np.ndarray:
 
 
 def _verify_battery(opts: dict) -> list[dict]:
+    # The tracking run's config is built first, so a bad seed fails before
+    # any check runs; its step size is set once L is known.
+    config = RunConfig(
+        algorithm="fednmut",
+        topology=TopologySpec(FULLY_CONNECTED, 16),
+        d=50,
+        m=800,
+        rounds=300,
+        mu=0.02,
+        noise_variance=0.0,
+        lam=1e-4,
+        batch_size=32,
+        repeats=1,
+        master_seed=opts["seed"],
+    )
+    config.validate()
     checks: list[dict] = []
 
     def record(name: str, passed: bool, detail: str) -> None:
@@ -299,28 +315,13 @@ def _verify_battery(opts: dict) -> list[dict]:
 
     # Small noise-free tracking run checked against the worst-case bound
     # and the expected decay of the running average.
-    topo = TopologySpec(FULLY_CONNECTED, 16)
-    dataset = generate(800, 50, 0.05, opts["seed"])
-    shards = partition_iid(dataset, 16)
-    mixing = build_mixing(topo)
-    lam = 1e-4
+    dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
+    shards = partition_iid(dataset, config.n)
+    mixing = build_mixing(config.topology)
+    lam = config.lam
     L = estimate_smoothness(dataset, shards, lam)
     eta = min(1.0 / (4.0 * L), mixing.rho / (7.0 * L)) / 2.0
-    rounds = 300
-    config = RunConfig(
-        algorithm="fednmut",
-        topology=topo,
-        d=50,
-        m=800,
-        rounds=rounds,
-        lr=LrSchedule(eta0=eta, gamma=1.0, decay_interval=1),
-        mu=0.02,
-        noise_variance=0.0,
-        lam=lam,
-        batch_size=32,
-        repeats=1,
-        master_seed=opts["seed"],
-    )
+    config.lr = LrSchedule(eta0=eta, gamma=1.0, decay_interval=1)
     result = run_detailed(config, 0, dataset=dataset, shards=shards, mixing=mixing, smoothness=L)
     grad_series = np.array([m.grad_norm_sq for m in result.metrics])[:-1]
     empirical = float(grad_series.mean())
@@ -337,7 +338,7 @@ def _verify_battery(opts: dict) -> list[dict]:
         B_bar_sq=float(np.mean(result.bias_sq)),
         f0_gap=global_loss(init, dataset, lam) - f_star,
     )
-    bound = evaluate_theorem_bound(consts, mixing.rho, config.mu, eta, 16, rounds)
+    bound = evaluate_theorem_bound(consts, mixing.rho, config.mu, eta, 16, config.rounds)
     record("bound-sanity", empirical <= bound, f"empirical={empirical:.6g} bound={bound:.6g}")
 
     slope = rate_fit(grad_series)

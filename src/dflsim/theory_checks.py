@@ -2,14 +2,14 @@
 
 The estimators here turn the analysis constants into measurable
 quantities: smoothness L, gradient-noise variance sigma^2, client
-heterogeneity zeta^2. L is exact to rounding: per shard, the largest
-eigenvalue of the Gram on the shard's smaller side k = min(rows, d),
-solved densely up to k = 512 and by Lanczos above, which stops once
-its residual bound puts an exact eigenvalue within 1e-12 relative of
-the estimate. The sigma^2 and zeta^2 values are maxima over sampled
-points, so they are estimated lower envelopes of the assumed uniform
-bounds, and the worst-case bound evaluation built on them is a sanity
-check rather than a certificate.
+heterogeneity zeta^2. L is exact to rounding: per shard, the Gram on
+the shard's smaller side k = min(rows, d) is formed once, and its
+largest eigenvalue is solved densely up to k = 512 and by Lanczos on
+that Gram above, which stops once its residual bound puts an exact
+eigenvalue within 1e-12 relative of the estimate. The sigma^2 and
+zeta^2 values are maxima over sampled points, so they are estimated
+lower envelopes of the assumed uniform bounds, and the worst-case bound
+evaluation built on them is a sanity check rather than a certificate.
 
 Also here: a Monte-Carlo check that the tracking bias stays zero-mean
 under channel noise, and the contraction check for gossip matrices.
@@ -30,13 +30,19 @@ from .objective import (
     stochastic_gradient,
 )
 
-# Largest smaller-side k whose k x k Gram is solved densely. A 512^2
-# Gram is 2 MiB; larger ones (with LAPACK's copy and the BLAS packing
-# buffers) show up in a paper-scale run's peak RSS, so Lanczos, which
-# needs only O(k * steps) memory, takes over above this size.
+# Largest smaller-side k whose k x k Gram is solved densely. Every shard's
+# Gram is formed once and only one is alive at a time; k^2 <= rows * d, so
+# it is never larger than the shard. A dense eigensolve adds LAPACK's copy
+# and workspace on top of it, which shows up in a paper-scale run's peak
+# RSS (+5.5% at k = 625), so above this size Lanczos runs on the Gram
+# instead and adds only its basis, O(k * steps).
 _DENSE_EIG_MAX_DIM = 512
 # Lanczos stops once the Ritz residual is below this fraction of theta.
 _LANCZOS_TOL = 1e-12
+# Lanczos steps between tridiagonal eigensolves, and rows added to the
+# basis array each time it fills up.
+_LANCZOS_CHECK_EVERY = 8
+_LANCZOS_BASIS_CHUNK = 64
 
 
 class PreconditionViolated(ValueError):
@@ -87,33 +93,46 @@ def _lanczos_lambda_max(apply, k: int) -> float:
     """Largest eigenvalue of the symmetric PSD operator `apply` on R^k.
 
     Lanczos with full reorthogonalization (classical Gram-Schmidt, run
-    twice), from a fixed random start, for at most k steps. It stops when
-    the Ritz pair (theta, y) has residual ||A y - theta y|| = beta |s_last|
+    twice), from a fixed random start, for at most k steps. Every
+    _LANCZOS_CHECK_EVERY steps, at step k and on a Krylov breakdown
+    (beta == 0) it solves the tridiagonal T, and it stops when the Ritz
+    pair (theta, y) has residual ||A y - theta y|| = beta |s_last|
     <= _LANCZOS_TOL * theta, where s_last is the last entry of theta's
-    eigenvector of the tridiagonal T. That residual places an exact
-    eigenvalue of A within the same distance of theta. Memory is one
-    k-vector per step; no k x k matrix is formed.
+    eigenvector of T. That residual places an exact eigenvalue of A
+    within the same distance of theta. A breakdown always stops it: the
+    Krylov space is then invariant, so theta is an exact eigenvalue and
+    the next step would divide by zero. The basis lives in one array
+    grown by _LANCZOS_BASIS_CHUNK rows, so it holds at most a chunk more
+    than the steps taken, and never more than k rows.
     """
     q = np.random.default_rng(0).standard_normal(k)
     q /= np.linalg.norm(q)
-    basis = q[None, :]
+    basis = np.empty((min(k, _LANCZOS_BASIS_CHUNK), k))
+    basis[0] = q
     alphas: list[float] = []
     betas: list[float] = []
     theta = 0.0
-    for _ in range(k):
+    for step in range(1, k + 1):
         w = apply(q)
         alphas.append(float(q @ w))
+        done = basis[:step]
         for _ in range(2):
-            w -= basis.T @ (basis @ w)
+            w -= done.T @ (done @ w)
         beta = float(np.linalg.norm(w))
-        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        evals, evecs = np.linalg.eigh(tri)
-        theta = float(evals[-1])
-        if beta * abs(evecs[-1, -1]) <= _LANCZOS_TOL * theta:
+        if beta == 0.0 or step % _LANCZOS_CHECK_EVERY == 0 or step == k:
+            tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            evals, evecs = np.linalg.eigh(tri)
+            theta = float(evals[-1])
+            if beta == 0.0 or beta * abs(evecs[-1, -1]) <= _LANCZOS_TOL * theta:
+                break
+        if step == k:
             break
         betas.append(beta)
         q = w / beta
-        basis = np.vstack([basis, q])
+        if step == basis.shape[0]:
+            grow = min(_LANCZOS_BASIS_CHUNK, k - step)
+            basis = np.concatenate([basis, np.empty((grow, k))])
+        basis[step] = q
     return theta
 
 
@@ -121,27 +140,30 @@ def _gram_lambda_max(feats: np.ndarray, m: int) -> float:
     """Largest eigenvalue of 2 F^T F / m, computed on the smaller side of F.
 
     F^T F (d x d) and F F^T (rows x rows) share their nonzero spectrum,
-    so the work is set by k = min(rows, d): F F^T when rows < d, else
-    F^T F (a square shard keeps F^T F). Up to k = _DENSE_EIG_MAX_DIM the
-    k x k Gram is solved densely; above it, Lanczos runs on the same
-    Gram as the matrix-free product v -> F (F^T v), or F^T (F v). Both
-    paths are exact to rounding; an all-zero shard gives 0.
+    so the work is set by k = min(rows, d): the k x k Gram G is F F^T
+    when rows < d, else F^T F (a square shard keeps F^T F). G is formed
+    once; it is no larger than F and stays cache-resident at paper scale
+    (k = 625, 3 MiB). Up to k = _DENSE_EIG_MAX_DIM it is solved densely;
+    above it, Lanczos runs on v -> G v. Both paths are exact to
+    rounding; an all-zero shard gives 0.
     """
     rows, d = feats.shape
     side = feats if rows < d else feats.T  # k x max(rows, d)
     k = side.shape[0]
     if k <= _DENSE_EIG_MAX_DIM:
         return float(np.linalg.eigvalsh(2.0 * (side @ side.T) / m)[-1])
-    return 2.0 * _lanczos_lambda_max(lambda v: side @ (side.T @ v), k) / m
+    gram = side @ side.T
+    return 2.0 * _lanczos_lambda_max(lambda v: gram @ v, k) / m
 
 
 def estimate_smoothness(dataset: Dataset, shards: list[Shard], lam: float) -> float:
     """Smoothness constant L = max over shards of lambda_max(2 F^T F / m) + 2 lam.
 
-    Each shard's lambda_max is exact to rounding: a dense eigensolve of
-    the Gram on the shard's smaller side up to 512, Lanczos above (see
-    _gram_lambda_max). The value depends on (dataset, shards, lam) only,
-    so callers running several configs on one problem compute it once.
+    Each shard's lambda_max is exact to rounding: the Gram on the shard's
+    smaller side is formed once and solved densely up to 512, by Lanczos
+    above (see _gram_lambda_max); only one shard's Gram is alive at a
+    time. The value depends on (dataset, shards, lam) only, so callers
+    running several configs on one problem compute it once.
     """
     worst = 0.0
     for shard in shards:

@@ -140,3 +140,13 @@ def test_verify_writes_report_and_passes(tmp_path, capsys):
     assert {c["name"] for c in summary["checks"]} >= {
         "mixing[ring]", "contraction[torus]", "bias-zero-mean", "bound-sanity", "rate-slope",
     }
+
+
+def test_verify_rejects_bad_seed_before_any_check(tmp_path, monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran before the seed was validated")
+
+    monkeypatch.setattr("dflsim.cli.build_mixing", no_check)
+    with pytest.raises(ValueError, match="master_seed"):
+        main(["verify", "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()

@@ -49,18 +49,50 @@ class TestSmoothness:
 
     @pytest.mark.parametrize("rows, d", [(80, 600), (600, 700), (700, 600), (600, 600)])
     def test_matches_dense_oracle(self, rows, d):
-        # smaller side 80 is solved densely; 600 takes Lanczos on F F^T,
-        # F^T F and, for the square shard, F^T F
+        # the smaller-side Gram is formed in every case; at k = 80 it is
+        # solved densely, at k = 600 by Lanczos on F F^T, F^T F and, for
+        # the square shard, F^T F
         ds = generate(rows, d, 0.0, seed=3)
         value = estimate_smoothness(ds, [Shard(0, 0, rows)], 0.0)
         gram = 2.0 * ds.features.T @ ds.features / rows
         oracle = float(np.linalg.eigvalsh(gram)[-1])
         assert value == pytest.approx(oracle, rel=1e-10)
 
+    def test_paper_shard_matches_dense_oracle(self):
+        # one shard of the paper's scale: 10000 rows over 16 clients, d=2000
+        rows, d = 625, 2000
+        ds = generate(rows, d, 0.05, seed=7)
+        value = estimate_smoothness(ds, [Shard(0, 0, rows)], 1e-4)
+        oracle = float(np.linalg.eigvalsh(2.0 * ds.features @ ds.features.T / rows)[-1])
+        assert value == pytest.approx(oracle + 2e-4, rel=1e-12)
+
+    @pytest.mark.parametrize("rows, d", [(125, 200), (128, 200), (200, 128), (512, 700)])
+    def test_dense_path_is_bit_equal_to_eigvalsh(self, rows, d):
+        # k <= 512 (desk k=125, wide k=128) keeps its exact dense formula
+        ds = generate(rows, d, 0.05, seed=5)
+        lam = 1e-4
+        side = ds.features if rows < d else ds.features.T
+        expected = float(np.linalg.eigvalsh(2.0 * (side @ side.T) / rows)[-1]) + 2.0 * lam
+        assert estimate_smoothness(ds, [Shard(0, 0, rows)], lam) == expected
+
+    def test_lanczos_breakdown_matches_dense_oracle(self):
+        # rank-2 features: the Krylov space of the 600 x 600 Gram closes
+        # after three steps; the steps after it run on rounding-level beta
+        # and must neither divide by zero nor lose the top eigenvalue
+        rng = np.random.default_rng(4)
+        feats = rng.standard_normal((600, 2)) @ rng.standard_normal((2, 700))
+        ds = tiny_dataset(feats, np.zeros(600))
+        with np.errstate(divide="raise", invalid="raise"):
+            value = estimate_smoothness(ds, [Shard(0, 0, 600)], 0.0)
+        oracle = float(np.linalg.eigvalsh(2.0 * feats @ feats.T / 600)[-1])
+        assert value == pytest.approx(oracle, rel=1e-10)
+
     @pytest.mark.parametrize("rows, d", [(3, 5), (600, 700)])
     def test_all_zero_features_give_ridge_term(self, rows, d):
         ds = tiny_dataset(np.zeros((rows, d)), np.zeros(rows))
-        assert estimate_smoothness(ds, [Shard(0, 0, rows)], 0.25) == 2 * 0.25
+        with np.errstate(divide="raise", invalid="raise"):
+            value = estimate_smoothness(ds, [Shard(0, 0, rows)], 0.25)
+        assert value == 2 * 0.25
 
 
 class TestSigmaSq:
