@@ -20,7 +20,7 @@ from .algorithms import (
     round_fednmut_matrix,
     stack_states,
 )
-from .channel import NoiseSpec, StreamKey, derive_stream, sample_noise
+from .channel import StreamKey, derive_stream, sample_noise
 from .data import Dataset, Shard, generate, partition_iid
 from .harness import (
     ALGORITHMS,
@@ -66,7 +66,6 @@ __all__ = [
     "LrSchedule",
     "MixingMatrix",
     "NetworkState",
-    "NoiseSpec",
     "ObjectiveConfig",
     "RoundInputs",
     "RoundMetrics",

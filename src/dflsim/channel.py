@@ -26,18 +26,6 @@ _SEED_MASK = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Per-coordinate channel noise variance plus the master seed."""
-
-    variance: float
-    master_seed: int
-
-    def __post_init__(self) -> None:
-        if self.variance < 0:
-            raise ValueError(f"variance must be >= 0, got {self.variance}")
-
-
-@dataclass(frozen=True)
 class StreamKey:
     master_seed: int
     repeat: int

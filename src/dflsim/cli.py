@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,72 +42,66 @@ X0_NAMES = {"zeros": "zeros", "shared": "shared_random", "independent": "indepen
 PAPER_SCALE_D = 2000
 PAPER_SCALE_M = 10000
 
-_FLAG_SPECS = [
-    # (config-file key, dest, type)
-    ("algorithm", "algorithm", str),
-    ("topology", "topology", str),
-    ("clients", "clients", int),
-    ("dim", "dim", int),
-    ("samples", "samples", int),
-    ("rounds", "rounds", int),
-    ("noise-var", "noise_var", float),
-    ("mu", "mu", float),
-    ("lambda", "lam", float),
-    ("batch-size", "batch_size", int),
-    ("lr0", "lr0", float),
-    ("lr-gamma", "lr_gamma", float),
-    ("lr-interval", "lr_interval", int),
-    ("repeats", "repeats", int),
-    ("seed", "seed", int),
-    ("x0", "x0", str),
-    ("out", "out", str),
-    ("paper-scale", "paper_scale", bool),
-]
 
-_DEFAULTS = {
-    "algorithm": "fednmut",
-    "topology": "full",
-    "clients": 16,
-    "dim": 200,
-    "samples": 2000,
-    "rounds": 500,
-    "noise_var": 0.0,
-    "mu": 0.02,
-    "lam": 1e-4,
-    "batch_size": 32,
-    "lr0": 0.2,
-    "lr_gamma": 0.9,
-    "lr_interval": 10,
-    "repeats": 3,
-    "seed": 1,
-    "x0": "shared",
-    "out": "dflsim_out",
-    "paper_scale": False,
-}
+class Option(NamedTuple):
+    """One command line option; its flag name is also its config-file key."""
+
+    flag: str
+    type: Callable
+    default: object
+    help: str
+    axis: str = ""  # RunConfig field it sets when it is a sweep axis
+    dest: str = ""  # resolve_options key, when not the flag with "-" as "_"
+    choices: tuple | None = None
+
+    @property
+    def name(self) -> str:
+        return self.dest or self.flag.replace("-", "_")
+
+
+def _topology_kind(name: str) -> str:
+    if name not in TOPOLOGY_NAMES:
+        raise ValueError(f"unknown topology {name!r}, expected one of {sorted(TOPOLOGY_NAMES)}")
+    return TOPOLOGY_NAMES[name]
+
+
+# Sweep axes stay text until config_from_options or cmd_sweep splits them,
+# so argparse and the config file both accept a comma list.
+OPTIONS = (
+    Option("algorithm", str, "fednmut", "update rule: " + "|".join(ALGORITHMS), axis="algorithm"),
+    Option("topology", _topology_kind, "full", "gossip graph: " + "|".join(TOPOLOGY_NAMES),
+           axis="topology"),
+    Option("clients", int, 16, "number of clients n"),
+    Option("dim", int, 200, "model dimension d"),
+    Option("samples", int, 2000, "total samples m"),
+    Option("rounds", int, 500, "rounds per repeat"),
+    Option("noise-var", float, 0.0, "per-coordinate channel noise variance",
+           axis="noise_variance"),
+    Option("mu", float, 0.02, "tracking scaling factor", axis="mu"),
+    Option("lambda", float, 1e-4, "ridge penalty", dest="lam"),
+    Option("batch-size", int, 32, "minibatch size per client"),
+    Option("lr0", float, 0.2, "initial step size"),
+    Option("lr-gamma", float, 0.9, "step-size decay factor"),
+    Option("lr-interval", int, 10, "rounds between step-size decays"),
+    Option("repeats", int, 3, "independent repeats averaged per cell"),
+    Option("seed", int, 1, "master seed"),
+    Option("x0", str, "shared", "initial point", choices=tuple(sorted(X0_NAMES))),
+    Option("out", str, "dflsim_out", "output directory"),
+    Option("paper-scale", bool, False, f"use d={PAPER_SCALE_D}, m={PAPER_SCALE_M}"),
+)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     # Defaults stay None so config-file values can fill unset flags.
     p.add_argument("--config", help="flat key = value config file; flags override it")
-    p.add_argument("--algorithm", help="fedndl1|fedndl2|fedndl3|fednmut (sweep: comma list)")
-    p.add_argument("--topology", help="ring|torus|full (sweep: comma list)")
-    p.add_argument("--clients", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--noise-var", dest="noise_var", help="per-coordinate channel noise variance")
-    p.add_argument("--mu", help="tracking scaling factor (sweep: comma list)")
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr0", type=float)
-    p.add_argument("--lr-gamma", dest="lr_gamma", type=float)
-    p.add_argument("--lr-interval", dest="lr_interval", type=int)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--x0", choices=sorted(X0_NAMES))
-    p.add_argument("--out")
-    p.add_argument("--paper-scale", dest="paper_scale", action="store_const", const=True,
-                   help=f"use d={PAPER_SCALE_D}, m={PAPER_SCALE_M}")
+    for opt in OPTIONS:
+        if opt.type is bool:
+            kwargs = {"action": "store_const", "const": True}
+        else:
+            kwargs = {"type": str if opt.axis else opt.type, "choices": opt.choices}
+        sweep_note = " (sweep: comma list)" if opt.axis else ""
+        p.add_argument(f"--{opt.flag}", dest=opt.name,
+                       help=f"{opt.help}{sweep_note} (default: {opt.default})", **kwargs)
 
 
 def _parse_bool(text: str) -> bool:
@@ -118,11 +113,28 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse(where: str, text: str, opt: Option):
+    """One value of opt; a bad one raises ValueError naming where it came from."""
+    try:
+        value = (_parse_bool if opt.type is bool else opt.type)(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if opt.choices and value not in opt.choices:
+        raise ValueError(f"{where}: expected one of {list(opt.choices)}, got {text!r}")
+    return value
+
+
+def _comma_list(where: str, value, opt: Option) -> list:
+    values = [_parse(where, part.strip(), opt) for part in str(value).split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"{where} needs at least one value, got {value!r}")
+    return values
+
+
 def read_config_file(path: str) -> dict:
     """Flat key = value pairs, one per line, # starts a comment."""
     values = {}
-    key_types = {key: typ for key, _, typ in _FLAG_SPECS}
-    key_dest = {key: dest for key, dest, _ in _FLAG_SPECS}
+    by_key = {opt.flag: opt for opt in OPTIONS}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -133,52 +145,65 @@ def read_config_file(path: str) -> dict:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in key_types:
+            if key not in by_key:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            typ = key_types[key]
-            values[key_dest[key]] = _parse_bool(value) if typ is bool else typ(value)
+            opt = by_key[key]
+            where = f"{path}:{lineno}: {key}"
+            if opt.axis:
+                _comma_list(where, value, opt)  # checked here, kept as text
+            else:
+                value = _parse(where, value, opt)
+            values[opt.name] = value
     return values
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file values over defaults."""
-    merged = dict(_DEFAULTS)
+    merged = {opt.name: opt.default for opt in OPTIONS}
     if getattr(args, "config", None):
         merged.update(read_config_file(args.config))
-    for _, dest, _ in _FLAG_SPECS:
-        cli_value = getattr(args, dest, None)
+    for opt in OPTIONS:
+        cli_value = getattr(args, opt.name, None)
         if cli_value is not None:
-            merged[dest] = cli_value
+            merged[opt.name] = cli_value
     if merged["paper_scale"]:
         merged["dim"] = PAPER_SCALE_D
         merged["samples"] = PAPER_SCALE_M
     return merged
 
 
-def _topology_spec(name: str, n: int) -> TopologySpec:
-    name = name.strip()
-    if name not in TOPOLOGY_NAMES:
-        raise ValueError(f"unknown topology {name!r}, expected one of {sorted(TOPOLOGY_NAMES)}")
-    return TopologySpec(TOPOLOGY_NAMES[name], n)
+def _sweep_axes(opts: dict) -> dict:
+    """Each sweep axis's values, converted, keyed by its RunConfig field."""
+    return {
+        opt.axis: _comma_list(f"--{opt.flag}", opts[opt.name], opt) for opt in OPTIONS if opt.axis
+    }
 
 
-def config_from_options(opts: dict) -> RunConfig:
-    algorithm = str(opts["algorithm"]).strip()
+def _template(opts: dict, axes: dict) -> RunConfig:
+    """The RunConfig of opts, with each sweep axis at its first value."""
+    first = {field: values[0] for field, values in axes.items()}
     return RunConfig(
-        algorithm=algorithm,
-        topology=_topology_spec(str(opts["topology"]), opts["clients"]),
+        topology=TopologySpec(first.pop("topology"), opts["clients"]),
         d=opts["dim"],
         m=opts["samples"],
         rounds=opts["rounds"],
         lr=LrSchedule(eta0=opts["lr0"], gamma=opts["lr_gamma"], decay_interval=opts["lr_interval"]),
-        mu=float(opts["mu"]),
-        noise_variance=float(opts["noise_var"]),
         lam=opts["lam"],
         batch_size=opts["batch_size"],
         repeats=opts["repeats"],
         master_seed=opts["seed"],
         x0_mode=X0_NAMES[opts["x0"]],
+        **first,
     )
+
+
+def config_from_options(opts: dict) -> RunConfig:
+    """The RunConfig of opts for run and rate, where each sweep axis holds one value."""
+    axes = _sweep_axes(opts)
+    for opt in OPTIONS:
+        if opt.axis and len(axes[opt.axis]) > 1:
+            raise ValueError(f"--{opt.flag} takes one value outside sweep, got {opts[opt.name]!r}")
+    return _template(opts, axes)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -197,41 +222,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _comma_list(flag: str, value, convert) -> list:
-    values = [convert(part.strip()) for part in str(value).split(",") if part.strip()]
-    if not values:
-        raise ValueError(f"--{flag} needs at least one value, got {value!r}")
-    return values
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     opts = resolve_options(args)
-    axes = {}
-    algorithms = _comma_list("algorithm", opts["algorithm"], str)
-    topologies = _comma_list("topology", opts["topology"], str)
-    noise_vars = _comma_list("noise-var", opts["noise_var"], float)
-    mus = _comma_list("mu", opts["mu"], float)
-    for name in topologies:
-        if name not in TOPOLOGY_NAMES:
-            raise ValueError(f"unknown topology {name!r}, expected one of {sorted(TOPOLOGY_NAMES)}")
-    if len(algorithms) > 1:
-        axes["algorithm"] = algorithms
-    if len(topologies) > 1:
-        axes["topology"] = [TOPOLOGY_NAMES[t] for t in topologies]
-    if len(noise_vars) > 1:
-        axes["noise_variance"] = noise_vars
-    if len(mus) > 1:
-        axes["mu"] = mus
-    base = dict(opts)
-    base["algorithm"] = algorithms[0]
-    base["topology"] = topologies[0]
-    base["noise_var"] = noise_vars[0]
-    base["mu"] = mus[0]
-    template = config_from_options(base)
-    for algorithm in algorithms:
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-    rows = sweep(template, axes, opts["out"])
+    axes = _sweep_axes(opts)
+    template = _template(opts, axes)
+    rows = sweep(template, {k: v for k, v in axes.items() if len(v) > 1}, opts["out"])
     print(f"wrote {len(rows)} cells + manifest.csv under {opts['out']}")
     return 0
 

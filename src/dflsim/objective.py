@@ -22,16 +22,13 @@ import numpy as np
 
 from .data import Dataset, Shard
 
-DEFAULT_LAMBDA = 1e-4
-DEFAULT_BATCH_SIZE = 32
-
 _MAX_SOLVE_DIM = 4096
 
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    lam: float = DEFAULT_LAMBDA
-    batch_size: int = DEFAULT_BATCH_SIZE
+    lam: float
+    batch_size: int
 
     def __post_init__(self) -> None:
         if self.lam < 0:

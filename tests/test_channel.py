@@ -6,7 +6,6 @@ import pytest
 from dflsim.channel import (
     PURPOSE_CHANNEL_NOISE,
     PURPOSE_DATA_BATCH,
-    NoiseSpec,
     StreamKey,
     derive_stream,
     sample_noise,
@@ -63,8 +62,6 @@ def test_sample_moments(variance, band):
 def test_negative_variance_rejected():
     with pytest.raises(ValueError):
         sample_noise(derive_stream(key()), 3, -1e-9)
-    with pytest.raises(ValueError):
-        NoiseSpec(variance=-0.1, master_seed=1)
 
 
 def test_negative_master_seed_wraps_to_unsigned():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dflsim.cli import (
+    OPTIONS,
     PAPER_SCALE_D,
     PAPER_SCALE_M,
     build_parser,
@@ -15,6 +16,7 @@ from dflsim.cli import (
     read_config_file,
     resolve_options,
 )
+from dflsim.harness import RunConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -49,10 +51,31 @@ def test_sweep_comma_lists(tmp_path):
         assert (tmp_path / cell_csv).exists()
 
 
+def test_sweep_config_file_comma_lists_match_flags(tmp_path):
+    cfg = tmp_path / "axes.cfg"
+    cfg.write_text("noise-var = 0,0.005\nmu = 0.01,0.02\n", encoding="utf-8")
+    assert main(["sweep", "--config", str(cfg), *TINY, "--out", str(tmp_path / "file")]) == 0
+    assert main(["sweep", "--noise-var", "0,0.005", "--mu", "0.01,0.02", *TINY,
+                 "--out", str(tmp_path / "flags")]) == 0
+    from_file = (tmp_path / "file" / "manifest.csv").read_text(encoding="utf-8")
+    assert from_file == (tmp_path / "flags" / "manifest.csv").read_text(encoding="utf-8")
+    assert len(from_file.splitlines()) == 5  # header + 4 cells
+
+
 @pytest.mark.parametrize("flag", ["--algorithm", "--topology", "--noise-var", "--mu"])
 def test_sweep_empty_comma_list_rejected(tmp_path, flag):
     with pytest.raises(ValueError, match=f"{flag} needs at least one value"):
         main(["sweep", flag, ",", *TINY, "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--algorithm", "fedndl1,fedx", "unknown algorithm 'fedx'"),
+    ("--topology", "ring,star", "unknown topology 'star'"),
+])
+def test_sweep_unknown_axis_value_rejected(tmp_path, flag, value, message):
+    with pytest.raises(ValueError, match=message):
+        main(["sweep", flag, value, *TINY, "--out", str(tmp_path / "out")])
     assert not (tmp_path / "out").exists()
 
 
@@ -91,7 +114,7 @@ def test_config_file_and_override(tmp_path):
         "algorithm": "fedndl1",
         "topology": "torus",
         "clients": 9,
-        "noise_var": 0.01,
+        "noise_var": "0.01",  # sweep axes stay text until config_from_options
         "lr_gamma": 0.8,
         "paper_scale": False,
     }
@@ -100,10 +123,10 @@ def test_config_file_and_override(tmp_path):
     opts = resolve_options(args)
     assert opts["algorithm"] == "fednmut"  # CLI wins
     assert opts["topology"] == "torus"  # file fills the rest
-    assert opts["noise_var"] == 0.01
     assert opts["rounds"] == 500  # default
     config = config_from_options(opts)
     assert config.topology.kind == "torus" and config.n == 9
+    assert config.noise_variance == 0.01
 
 
 def test_config_file_rejects_unknown_key(tmp_path):
@@ -111,6 +134,80 @@ def test_config_file_rejects_unknown_key(tmp_path):
     cfg.write_text("learning_rate = 0.1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unknown key"):
         read_config_file(str(cfg))
+
+
+@pytest.mark.parametrize(
+    "config_line, flags, names",
+    [
+        ("clients = abc", [], r"bad\.cfg:2: clients: invalid literal"),
+        ("paper-scale = maybe", [], r"bad\.cfg:2: paper-scale: not a boolean"),
+        ("mu = abc", [], r"bad\.cfg:2: mu: could not convert"),
+        ("x0 = origin", [], r"bad\.cfg:2: x0: expected one of"),
+        (None, ["--mu", "abc"], r"--mu: could not convert"),
+        (None, ["--noise-var", "0,0.005"], r"--noise-var takes one value outside sweep"),
+        (None, ["--topology", "star"], r"--topology: unknown topology 'star'"),
+    ],
+    ids=["file-int", "file-bool", "file-axis", "file-choice", "flag-float", "flag-list",
+         "flag-topology"],
+)
+def test_bad_value_names_its_option_before_any_setup(tmp_path, monkeypatch, config_line,
+                                                      flags, names):
+    def no_run(*args, **kwargs):
+        raise AssertionError("set-up started before the options were checked")
+
+    monkeypatch.setattr("dflsim.cli.run_averaged", no_run)
+    argv = ["run", *flags, "--out", str(tmp_path / "out")]
+    if config_line is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# options\n{config_line}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    with pytest.raises(ValueError, match=names):
+        main(argv)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    assert config_from_options(resolve_options(build_parser().parse_args(["run"]))) == RunConfig()
+
+
+# One non-default value per option, as a flag and as a config-file value.
+SAMPLE_VALUES = {
+    "algorithm": "fedndl2", "topology": "torus", "clients": "9", "dim": "7",
+    "samples": "90", "rounds": "11", "noise-var": "0.003", "mu": "0.05",
+    "lambda": "0.002", "batch-size": "6", "lr0": "0.07", "lr-gamma": "0.5",
+    "lr-interval": "4", "repeats": "2", "seed": "5", "x0": "independent",
+    "out": "elsewhere", "paper-scale": "true",
+}
+
+
+def test_sample_values_cover_every_option():
+    assert sorted(SAMPLE_VALUES) == sorted(opt.flag for opt in OPTIONS)
+
+
+@pytest.mark.parametrize("opt", OPTIONS, ids=lambda opt: opt.flag)
+def test_flag_and_config_line_resolve_alike(tmp_path, opt):
+    value = SAMPLE_VALUES[opt.flag]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{opt.flag} = {value}\n", encoding="utf-8")
+    flag_argv = [f"--{opt.flag}"] if opt.type is bool else [f"--{opt.flag}", value]
+    parser = build_parser()
+    by_flag = resolve_options(parser.parse_args(["run", *flag_argv]))
+    by_file = resolve_options(parser.parse_args(["run", "--config", str(cfg)]))
+    defaults = resolve_options(parser.parse_args(["run"]))
+    assert by_flag == by_file != defaults
+    assert config_from_options(by_flag) == config_from_options(by_file)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify", "rate"])
+def test_help_names_every_option(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    for opt in OPTIONS:
+        assert f"--{opt.flag}" in text
+        assert f"(default: {opt.default})" in text
+    assert text.count("(sweep: comma list)") == 4
 
 
 def test_paper_scale_sets_dimensions():
