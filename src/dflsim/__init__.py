@@ -32,7 +32,6 @@ from .harness import (
     rate_fit,
     run_averaged,
     run_detailed,
-    run_single,
     sweep,
 )
 from .metrics import RoundMetrics, consensus_error, mean_iterate, measure, measure_block
@@ -106,7 +105,6 @@ __all__ = [
     "round_fednmut_matrix",
     "run_averaged",
     "run_detailed",
-    "run_single",
     "sample_batches",
     "sample_noise",
     "spectral_contraction",

@@ -91,10 +91,9 @@ OPTIONS = (
 )
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_flags(p: argparse.ArgumentParser, options: tuple[Option, ...]) -> None:
     # Defaults stay None so config-file values can fill unset flags.
-    p.add_argument("--config", help="flat key = value config file; flags override it")
-    for opt in OPTIONS:
+    for opt in options:
         if opt.type is bool:
             kwargs = {"action": "store_const", "const": True}
         else:
@@ -159,17 +158,20 @@ def read_config_file(path: str) -> dict:
 
 def resolve_options(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file values over defaults."""
-    merged = {opt.name: opt.default for opt in OPTIONS}
-    if getattr(args, "config", None):
-        merged.update(read_config_file(args.config))
+    given = read_config_file(args.config) if getattr(args, "config", None) else {}
     for opt in OPTIONS:
         cli_value = getattr(args, opt.name, None)
         if cli_value is not None:
-            merged[opt.name] = cli_value
-    if merged["paper_scale"]:
-        merged["dim"] = PAPER_SCALE_D
-        merged["samples"] = PAPER_SCALE_M
-    return merged
+            given[opt.name] = cli_value
+    if given.get("paper_scale"):
+        clash = [key for key in ("dim", "samples") if key in given]
+        if clash:
+            raise ValueError(
+                f"paper-scale sets dim={PAPER_SCALE_D} and samples={PAPER_SCALE_M}; "
+                f"it cannot be combined with {' or '.join(clash)}"
+            )
+        given.update(dim=PAPER_SCALE_D, samples=PAPER_SCALE_M)
+    return {**{opt.name: opt.default for opt in OPTIONS}, **given}
 
 
 def _sweep_axes(opts: dict) -> dict:
@@ -198,7 +200,7 @@ def _template(opts: dict, axes: dict) -> RunConfig:
 
 
 def config_from_options(opts: dict) -> RunConfig:
-    """The RunConfig of opts for run and rate, where each sweep axis holds one value."""
+    """The RunConfig of opts for run, where each sweep axis holds one value."""
     axes = _sweep_axes(opts)
     for opt in OPTIONS:
         if opt.axis and len(axes[opt.axis]) > 1:
@@ -232,16 +234,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    opts = resolve_options(args)
-    if args.csv:
-        series = _read_csv_column(args.csv, "grad_norm_sq_mean")
-    else:
-        config = config_from_options(opts)
-        avg = run_averaged(config)
-        series = avg.grad_norm_sq_mean
+    series = _read_csv_column(args.csv, "grad_norm_sq_mean")
     # Drop the trailing row so entry k is the state entering round k.
     try:
-        slope = rate_fit(np.asarray(series)[:-1])
+        slope = rate_fit(series[:-1])
     except DegenerateSeriesError:
         print("slope: undefined (exact convergence, series is zero)")
         return 0
@@ -252,33 +248,23 @@ def cmd_rate(args: argparse.Namespace) -> int:
 def _read_csv_column(path: str, column: str) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
+        if column not in header:
+            raise ValueError(f"{path}: no {column!r} column in header {header}")
         idx = header.index(column)
         return np.array([float(line.strip().split(",")[idx]) for line in fh if line.strip()])
 
 
-def _verify_battery(opts: dict) -> list[dict]:
+def _verify_battery(seed: int) -> list[dict]:
     # The tracking run's config is built first, so a bad seed fails before
     # any check runs; its step size is set once L is known.
-    config = RunConfig(
-        algorithm="fednmut",
-        topology=TopologySpec(FULLY_CONNECTED, 16),
-        d=50,
-        m=800,
-        rounds=300,
-        mu=0.02,
-        noise_variance=0.0,
-        lam=1e-4,
-        batch_size=32,
-        repeats=1,
-        master_seed=opts["seed"],
-    )
+    config = RunConfig(d=50, m=800, rounds=300, repeats=1, master_seed=seed)
     config.validate()
     checks: list[dict] = []
 
     def record(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    n = 16
+    n, d = config.n, config.d
     expected_rho = {"ring": 0.0989187008424176, "torus": 0.64, "fully_connected": 1.0}
     for kind in (RING, TORUS, FULLY_CONNECTED):
         mixing = build_mixing(TopologySpec(kind, n))
@@ -300,7 +286,7 @@ def _verify_battery(opts: dict) -> list[dict]:
         )
 
     bias = check_bias_zero_mean(
-        mu=0.02, per_coord_variance=0.005, n=16, d=4, T=100, trials=4000, seed=11
+        mu=0.02, per_coord_variance=0.005, n=n, d=4, T=100, trials=4000, seed=11
     )
     record(
         "bias-zero-mean",
@@ -310,8 +296,8 @@ def _verify_battery(opts: dict) -> list[dict]:
 
     # Small noise-free tracking run checked against the worst-case bound
     # and the expected decay of the running average.
-    dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
-    shards = partition_iid(dataset, config.n)
+    dataset = generate(config.m, d, config.label_noise_variance, seed)
+    shards = partition_iid(dataset, n)
     mixing = build_mixing(config.topology)
     lam = config.lam
     L = estimate_smoothness(dataset, shards, lam)
@@ -322,18 +308,20 @@ def _verify_battery(opts: dict) -> list[dict]:
     empirical = float(grad_series.mean())
 
     x_star, f_star = ridge_optimum(dataset, lam)
-    init = derive_stream(StreamKey(config.master_seed, 0, 0, 0, PURPOSE_INIT)).standard_normal(50)
+    init = derive_stream(StreamKey(seed, 0, 0, 0, PURPOSE_INIT)).standard_normal(d)
     rng = np.random.default_rng(1234)
-    x_samples = [init, x_star, rng.standard_normal(50)]
+    x_samples = [init, x_star, rng.standard_normal(d)]
     consts = ConstantsEstimate(
         L=L,
-        sigma_sq=estimate_sigma_sq(x_samples, shards, dataset, ObjectiveConfig(lam, 32), rng),
+        sigma_sq=estimate_sigma_sq(
+            x_samples, shards, dataset, ObjectiveConfig(lam, config.batch_size), rng
+        ),
         zeta_sq=estimate_zeta_sq(x_samples, shards, dataset, lam),
-        D_sq_total=50 * config.noise_variance,
+        D_sq_total=d * config.noise_variance,
         B_bar_sq=float(np.mean(result.bias_sq)),
         f0_gap=global_loss(init, dataset, lam) - f_star,
     )
-    bound = evaluate_theorem_bound(consts, mixing.rho, config.mu, eta, 16, config.rounds)
+    bound = evaluate_theorem_bound(consts, mixing.rho, config.mu, eta, n, config.rounds)
     record("bound-sanity", empirical <= bound, f"empirical={empirical:.6g} bound={bound:.6g}")
 
     slope = rate_fit(grad_series)
@@ -343,7 +331,7 @@ def _verify_battery(opts: dict) -> list[dict]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     opts = resolve_options(args)
-    checks = _verify_battery(opts)
+    checks = _verify_battery(opts["seed"])
     os.makedirs(opts["out"], exist_ok=True)
     lines = []
     for check in checks:
@@ -368,17 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate decentralized learning over noisy channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, extra_csv in (
-        ("run", cmd_run, False),
-        ("sweep", cmd_sweep, False),
-        ("verify", cmd_verify, False),
-        ("rate", cmd_rate, True),
-    ):
+    for name, handler in (("run", cmd_run), ("sweep", cmd_sweep)):
         p = sub.add_parser(name)
-        _add_common_flags(p)
-        if extra_csv:
-            p.add_argument("--csv", help="fit an existing per-cell CSV instead of running")
+        p.add_argument("--config", help="flat key = value config file; flags override it")
+        _add_flags(p, OPTIONS)
         p.set_defaults(handler=handler)
+    p = sub.add_parser("verify")
+    _add_flags(p, tuple(opt for opt in OPTIONS if opt.flag in ("seed", "out")))
+    p.set_defaults(handler=cmd_verify)
+    p = sub.add_parser("rate")
+    p.add_argument("--csv", required=True, help="per-cell CSV written by run or sweep")
+    p.set_defaults(handler=cmd_rate)
     return parser
 
 

@@ -289,11 +289,6 @@ def run_detailed(
     return RunResult(metrics=rows, bias_sq=bias_sq)
 
 
-def run_single(config: RunConfig, repeat_index: int) -> list[RoundMetrics]:
-    """Per-round metrics of one run (see run_detailed for the full result)."""
-    return run_detailed(config, repeat_index).metrics
-
-
 def run_averaged(
     config: RunConfig,
     dataset: Dataset | None = None,
@@ -411,11 +406,8 @@ def _axis_values(template: RunConfig, axes: dict) -> list[tuple]:
         pool = list(axes.get(key, [getattr(template, key)]))
         if not pool:
             raise ValueError(f"sweep axis {key!r} has no values")
-        if key == "topology":
-            pool = [
-                v if isinstance(v, TopologySpec) else TopologySpec(v, template.topology.n)
-                for v in pool
-            ]
+        if key == "topology" and key in axes:
+            pool = [TopologySpec(kind, template.n) for kind in pool]
         pools.append(pool)
     return list(itertools.product(*pools))
 
@@ -426,9 +418,9 @@ def sweep(template: RunConfig, axes: dict, out_dir) -> list[dict]:
     Writes manifest.csv listing every cell and returns the manifest rows.
     Cells share the same immutable dataset, its partition and one
     smoothness estimate: n and lam are not sweep axes, so every cell has
-    the same (dataset, shards, lam). Every cell config is validated, and
-    cells with another n or a colliding cell_id are rejected, before the
-    output directory is made.
+    the same (dataset, shards, lam); the topology axis takes kinds, built
+    at the template's n. Every cell config is validated, and cells with a
+    colliding cell_id are rejected, before the output directory is made.
     """
     import os
 
@@ -437,11 +429,6 @@ def sweep(template: RunConfig, axes: dict, out_dir) -> list[dict]:
     for values in _axis_values(template, axes):
         config = replace(template, **dict(zip(SWEEP_AXES, values)))
         config.validate()
-        if config.n != template.n:
-            raise ValueError(
-                f"sweep topology {config.topology.kind!r} has n={config.n}, the template "
-                f"has n={template.n}; n is not a sweep axis"
-            )
         cid = cell_id(config)
         if cid in cells:
             clash = [f"{k}={getattr(cells[cid], k)!r} vs {getattr(config, k)!r}" for k in axes]

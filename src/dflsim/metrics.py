@@ -44,7 +44,7 @@ class RoundMetrics:
     loss: float
     consensus_error: float
     grad_norm_sq: float
-    loss_local_avg: float | None = None
+    loss_local_avg: float
 
 
 def mean_iterate(X: np.ndarray) -> np.ndarray:
@@ -117,22 +117,19 @@ def measure(
     lam: float,
     t: int,
     eta: float,
-    shards: list[Shard] | None = None,
+    shards: list[Shard],
 ) -> RoundMetrics:
     """Evaluate one round's metrics at the mean iterate; deterministic."""
     xbar = mean_iterate(X)
     residual = dataset.features @ xbar - dataset.labels
     grad = (2.0 / dataset.m) * (dataset.features.T @ residual) + 2.0 * lam * xbar
-    local_avg = None
-    if shards is not None:
-        local_avg = float(local_losses(X, dataset, lam, shards).mean())
     return RoundMetrics(
         round=t,
         eta=eta,
         loss=float(residual @ residual / dataset.m + lam * (xbar @ xbar)),
         consensus_error=consensus_error(X, xbar),
         grad_norm_sq=float(grad @ grad),
-        loss_local_avg=local_avg,
+        loss_local_avg=float(local_losses(X, dataset, lam, shards).mean()),
     )
 
 

@@ -43,6 +43,8 @@ _LANCZOS_TOL = 1e-12
 # basis array each time it fills up.
 _LANCZOS_CHECK_EVERY = 8
 _LANCZOS_BASIS_CHUNK = 64
+# Rows of each random X that check_contraction draws.
+_CONTRACTION_DIM = 8
 
 
 class PreconditionViolated(ValueError):
@@ -271,13 +273,10 @@ def evaluate_theorem_bound(
     eta: float,
     n: int,
     T: int,
-    noise_schedule=None,
 ) -> float:
     """Worst-case upper bound on (1/T) sum_t ||grad f(xbar_t)||^2.
 
-    noise_schedule gives the per-client noise energy E||delta||^2 per
-    round: None uses consts.D_sq_total for every round, a scalar is held
-    constant, and a length-T array is summed as given. Raises
+    Every round and client has the noise energy consts.D_sq_total. Raises
     PreconditionViolated when the step size or scaling factor leaves the
     regime the bound is proved for.
     """
@@ -299,10 +298,7 @@ def evaluate_theorem_bound(
             "mu/(1-mu) <= rho/42", f"mu/(1-mu)={mu / (1.0 - mu):.4g} > {rho / 42.0:.4g}"
         )
 
-    if noise_schedule is None:
-        noise_schedule = consts.D_sq_total
-    schedule = np.broadcast_to(np.asarray(noise_schedule, dtype=float), (T,))
-    noise_sum = n * float(schedule.sum())  # sum over rounds and clients of D^2_{t,i}
+    noise_sum = n * T * consts.D_sq_total  # sum over rounds and clients of D^2_{t,i}
 
     inv_tail = 1.0 / (2.0 * n * L * eta)
     term_init = 2.0 * consts.f0_gap / (eta * T)
@@ -322,7 +318,6 @@ def check_contraction(
     rho: float,
     trials: int,
     seed: int,
-    d: int = 8,
 ) -> ContractionReport:
     """Check ||(X - Xbar) W||_F^2 <= (1 - rho + 1e-9) ||X - Xbar||_F^2 on random X."""
     w = np.asarray(getattr(mixing, "weights", mixing), dtype=float)
@@ -331,7 +326,7 @@ def check_contraction(
     allowed = 1.0 - rho + 1e-9
     max_ratio = 0.0
     for _ in range(trials):
-        X = rng.standard_normal((d, n))
+        X = rng.standard_normal((_CONTRACTION_DIM, n))
         dev = X - X.mean(axis=1, keepdims=True)
         denom = float((dev * dev).sum())
         if denom == 0.0:

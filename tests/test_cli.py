@@ -2,6 +2,9 @@
 
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from dflsim.cli import (
     read_config_file,
     resolve_options,
 )
-from dflsim.harness import RunConfig
+from dflsim.harness import RunConfig, rate_fit, run_averaged
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -95,6 +98,32 @@ def test_rate_on_existing_csv(tmp_path, capsys):
     assert slope == pytest.approx(-0.5, abs=1e-3)
 
 
+def test_rate_names_a_missing_column(tmp_path):
+    path = tmp_path / "cell.csv"
+    path.write_text("round,eta,loss_mean\n-1,0.1,1\n", encoding="utf-8")
+    missing = rf"{re.escape(str(path))}: no 'grad_norm_sq_mean' column"
+    with pytest.raises(ValueError, match=missing):
+        main(["rate", "--csv", str(path)])
+
+
+def test_rate_of_run_csv_equals_fit_of_run(tmp_path, monkeypatch, capsys):
+    argv = ["--algorithm", "fednmut", "--topology", "ring", "--noise-var", "0.01", *TINY,
+            "--rounds", "60", "--out", str(tmp_path)]
+    assert main(["run", *argv]) == 0
+    config = config_from_options(resolve_options(build_parser().parse_args(["run", *argv])))
+    fits = []
+
+    def recording_fit(series):
+        fits.append(rate_fit(series))
+        return fits[-1]
+
+    monkeypatch.setattr("dflsim.cli.rate_fit", recording_fit)
+    capsys.readouterr()
+    assert main(["rate", "--csv", str(tmp_path / "fednmut_ring_var0.01_mu0.02.csv")]) == 0
+    assert fits == [rate_fit(run_averaged(config).grad_norm_sq_mean[:-1])]
+    assert capsys.readouterr().out == f"slope: {fits[0]:.4f}\n"
+
+
 def test_config_file_and_override(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -146,9 +175,14 @@ def test_config_file_rejects_unknown_key(tmp_path):
         (None, ["--mu", "abc"], r"--mu: could not convert"),
         (None, ["--noise-var", "0,0.005"], r"--noise-var takes one value outside sweep"),
         (None, ["--topology", "star"], r"--topology: unknown topology 'star'"),
+        (None, ["--paper-scale", "--dim", "50", "--samples", "300"],
+         r"paper-scale sets dim=2000 and samples=10000; .* with dim or samples"),
+        ("paper-scale = true", ["--samples", "300"], r"paper-scale .* with samples"),
+        ("dim = 50", ["--paper-scale"], r"paper-scale .* with dim"),
     ],
     ids=["file-int", "file-bool", "file-axis", "file-choice", "flag-float", "flag-list",
-         "flag-topology"],
+         "flag-topology", "flag-paper-scale-dim", "file-paper-scale-samples",
+         "file-dim-flag-paper-scale"],
 )
 def test_bad_value_names_its_option_before_any_setup(tmp_path, monkeypatch, config_line,
                                                       flags, names):
@@ -198,16 +232,52 @@ def test_flag_and_config_line_resolve_alike(tmp_path, opt):
     assert config_from_options(by_flag) == config_from_options(by_file)
 
 
+RUN_FLAGS = {f"--{opt.flag}" for opt in OPTIONS} | {"--config"}
+FLAGS_TAKEN = {"run": RUN_FLAGS, "sweep": RUN_FLAGS, "verify": {"--seed", "--out"},
+               "rate": {"--csv"}}
+
+
 @pytest.mark.parametrize("command", ["run", "sweep", "verify", "rate"])
 def test_help_names_every_option(capsys, command):
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--help"])
     assert exit_info.value.code == 0
     text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", text)) == FLAGS_TAKEN[command] | {"--help"}
     for opt in OPTIONS:
-        assert f"--{opt.flag}" in text
-        assert f"(default: {opt.default})" in text
-    assert text.count("(sweep: comma list)") == 4
+        if f"--{opt.flag}" in FLAGS_TAKEN[command]:
+            assert f"(default: {opt.default})" in text
+    assert text.count("(sweep: comma list)") == (4 if command in ("run", "sweep") else 0)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["verify", "--rounds", "5"], "--rounds"),
+    (["verify", "--seed", "1", "--clients", "4", "--mu", "0.5"], "--clients 4 --mu 0.5"),
+    (["verify", "--config", "exp.cfg"], "--config"),
+    (["rate", "--csv", "cell.csv", "--mu", "7"], "--mu"),
+    (["rate"], "--csv"),
+], ids=["verify-rounds", "verify-several", "verify-config", "rate-mu", "rate-no-csv"])
+def test_flag_not_taken_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)  # where a command that ran would write dflsim_out
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert named in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```bash\n(.*?)```", readme, flags=re.DOTALL)
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("dflsim ")
+    ]
+    assert {argv[0] for argv in commands} == {"run", "sweep", "verify", "rate"}
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_paper_scale_sets_dimensions():

@@ -26,7 +26,6 @@ from dflsim.harness import (
     rate_fit,
     run_averaged,
     run_detailed,
-    run_single,
     sweep,
 )
 from dflsim.data import generate, partition_iid
@@ -92,25 +91,25 @@ class TestRunSingle:
     @pytest.mark.parametrize("algorithm", ["fedndl1", "fedndl2", "fedndl3", "fednmut"])
     def test_deterministic_per_repeat(self, algorithm):
         config = small_config(algorithm=algorithm, rounds=12)
-        a = run_single(config, 0)
-        b = run_single(config, 0)
+        a = run_detailed(config, 0).metrics
+        b = run_detailed(config, 0).metrics
         assert [(m.round, m.eta, m.loss, m.consensus_error, m.grad_norm_sq) for m in a] == [
             (m.round, m.eta, m.loss, m.consensus_error, m.grad_norm_sq) for m in b
         ]
 
     def test_repeats_differ_through_streams(self):
         config = small_config(rounds=12)
-        a = run_single(config, 0)
-        b = run_single(config, 1)
+        a = run_detailed(config, 0).metrics
+        b = run_detailed(config, 1).metrics
         assert a[0].loss == b[0].loss  # shared initial point
         assert a[-1].loss != b[-1].loss
 
     def test_single_round_yields_init_plus_one_row(self):
-        rows = run_single(small_config(rounds=1), 0)
+        rows = run_detailed(small_config(rounds=1), 0).metrics
         assert [m.round for m in rows] == [-1, 0]
 
     def test_rows_cover_all_rounds(self):
-        rows = run_single(small_config(rounds=7), 0)
+        rows = run_detailed(small_config(rounds=7), 0).metrics
         assert [m.round for m in rows] == list(range(-1, 7))
         assert rows[3].eta == eta_at(small_config().lr, 2)
 
@@ -122,8 +121,8 @@ class TestRunSingle:
     def test_single_client_tracking_equals_gradient_gossip(self):
         # n = 1 collapses both rules to plain SGD on the same stream
         base = dict(topology=TopologySpec(FULLY_CONNECTED, 1), rounds=50, noise_variance=0.0, repeats=1)
-        a = run_single(small_config(algorithm="fednmut", mu=0.0, **base), 0)
-        b = run_single(small_config(algorithm="fedndl3", **base), 0)
+        a = run_detailed(small_config(algorithm="fednmut", mu=0.0, **base), 0).metrics
+        b = run_detailed(small_config(algorithm="fedndl3", **base), 0).metrics
         for ra, rb in zip(a, b):
             assert abs(ra.loss - rb.loss) <= 1e-10 * max(1.0, abs(rb.loss))
 
@@ -137,19 +136,19 @@ class TestRunSingle:
             repeats=1,
             x0_mode="shared_random",
         )
-        a = run_single(small_config(algorithm="fedndl1", **base), 0)
-        b = run_single(small_config(algorithm="fedndl3", **base), 0)
+        a = run_detailed(small_config(algorithm="fedndl1", **base), 0).metrics
+        b = run_detailed(small_config(algorithm="fedndl3", **base), 0).metrics
         for ra, rb in zip(a, b):
             assert abs(ra.loss - rb.loss) <= 1e-10 * max(1.0, abs(rb.loss))
             assert abs(ra.grad_norm_sq - rb.grad_norm_sq) <= 1e-8 * max(1.0, rb.grad_norm_sq)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="algorithm"):
-            run_single(small_config(algorithm="sgd"), 0)
+            run_detailed(small_config(algorithm="sgd"), 0)
         with pytest.raises(ValueError, match="rounds"):
-            run_single(small_config(rounds=0), 0)
+            run_detailed(small_config(rounds=0), 0)
         with pytest.raises(ValueError, match="x0"):
-            run_single(small_config(x0_mode="hot"), 0)
+            run_detailed(small_config(x0_mode="hot"), 0)
 
 
 class TestBlockMetrics:
@@ -198,7 +197,7 @@ class TestRunAveraged:
     def test_single_repeat_mean_is_run_std_zero(self):
         config = small_config(repeats=1, rounds=10)
         avg = run_averaged(config)
-        single = run_single(config, 0)
+        single = run_detailed(config, 0).metrics
         np.testing.assert_array_equal(avg.loss_mean, [m.loss for m in single])
         assert np.all(avg.loss_std == 0.0)
 
@@ -255,7 +254,7 @@ class TestRunAveraged:
             run_averaged(small_config(**{field: value}))
 
     def test_largest_seed_accepted(self):
-        rows = run_single(small_config(master_seed=2**64 - 1, rounds=2), 0)
+        rows = run_detailed(small_config(master_seed=2**64 - 1, rounds=2), 0).metrics
         assert len(rows) == 3
 
 
@@ -429,7 +428,7 @@ class TestSweep:
     def test_topology_with_other_n_rejected(self, tmp_path):
         template = small_config(rounds=4, repeats=1)
         out = tmp_path / "out"
-        with pytest.raises(ValueError, match="n is not a sweep axis"):
+        with pytest.raises(ValueError, match="unknown topology kind TopologySpec"):
             sweep(template, {"topology": [RING, TopologySpec(FULLY_CONNECTED, 8)]}, out)
         assert not out.exists()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dflsim.data import generate, partition_iid
-from dflsim.harness import LrSchedule, RunConfig, run_single
+from dflsim.harness import LrSchedule, RunConfig, run_detailed
 from dflsim.metrics import (
     consensus_error,
     local_losses,
@@ -75,9 +75,8 @@ def test_measure_at_ridge_optimum_consensus():
 
 def test_measure_zero_point_loss_is_mean_square_labels():
     ds = generate(100, 5, 0.05, seed=7)
-    row = measure(np.zeros((5, 4)), ds, 0.0, t=0, eta=0.1)
+    row = measure(np.zeros((5, 4)), ds, 0.0, t=0, eta=0.1, shards=partition_iid(ds, 4))
     np.testing.assert_allclose(row.loss, float(np.mean(ds.labels**2)), rtol=1e-12)
-    assert row.loss_local_avg is None
 
 
 def test_grad_norm_matches_average_of_client_gradients():
@@ -106,7 +105,7 @@ def test_noise_free_fedndl3_loss_monotone_after_burn_in():
         repeats=1,
         master_seed=11,
     )
-    rows = run_single(config, 0)
+    rows = run_detailed(config, 0).metrics
     losses = [r.loss for r in rows]
     for a, b in zip(losses[6:], losses[7:]):
         assert b <= a + 1e-12

@@ -197,14 +197,6 @@ class TestTheoremBound:
         high = evaluate_theorem_bound(consts(**bumped), rho=0.5, mu=0.01, eta=0.02, n=8, T=50)
         assert high > low
 
-    def test_noise_schedule_array_matches_constant(self):
-        c = consts(D_sq_total=0.25)
-        const = evaluate_theorem_bound(c, rho=1.0, mu=0.0, eta=0.05, n=4, T=10)
-        scheduled = evaluate_theorem_bound(
-            c, rho=1.0, mu=0.0, eta=0.05, n=4, T=10, noise_schedule=np.full(10, 0.25)
-        )
-        assert const == pytest.approx(scheduled)
-
     def test_step_size_precondition(self):
         with pytest.raises(PreconditionViolated, match=r"min\(1/\(4L\), rho/\(7L\)\)"):
             evaluate_theorem_bound(consts(L=2.0), rho=1.0, mu=0.0, eta=0.2, n=4, T=10)
