@@ -28,6 +28,7 @@ from .harness import (
     LrSchedule,
     RunConfig,
     RunResult,
+    Setup,
     eta_at,
     rate_fit,
     run_averaged,
@@ -70,6 +71,7 @@ __all__ = [
     "RoundMetrics",
     "RunConfig",
     "RunResult",
+    "Setup",
     "Shard",
     "StreamKey",
     "TopologySpec",

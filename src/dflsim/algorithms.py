@@ -57,6 +57,7 @@ from typing import Callable
 
 import numpy as np
 
+from .theory_checks import tracking_condition
 from .topology import MixingMatrix, neighbors
 
 X0_ZEROS = "zeros"
@@ -186,10 +187,10 @@ def round_fednmut(states: list[ClientState], inputs: RoundInputs) -> list[Client
     _check_shapes(X, inputs)
     if inputs.grads is None:
         raise ValueError("round_fednmut needs precomputed gradients")
-    limit = inputs.W.rho / 42.0
-    if inputs.mu > 0 and inputs.mu / (1.0 - inputs.mu) > limit:
+    ratio, limit = tracking_condition(inputs.mu, inputs.W.rho)
+    if ratio > limit:
         warnings.warn(
-            f"mu/(1-mu) = {inputs.mu / (1.0 - inputs.mu):.4g} exceeds rho/42 = {limit:.4g}; "
+            f"mu/(1-mu) = {ratio:.4g} exceeds rho/42 = {limit:.4g}; "
             "outside the guaranteed-convergence regime",
             RuntimeWarning,
             stacklevel=2,

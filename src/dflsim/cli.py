@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -17,11 +18,13 @@ from .harness import (
     DegenerateSeriesError,
     LrSchedule,
     RunConfig,
+    Setup,
     cell_id,
     rate_fit,
     run_averaged,
     run_detailed,
     sweep,
+    sweep_cells,
     write_cell_csv,
 )
 from .objective import ObjectiveConfig, global_loss, ridge_optimum
@@ -33,6 +36,7 @@ from .theory_checks import (
     estimate_smoothness,
     estimate_zeta_sq,
     evaluate_theorem_bound,
+    step_size_cap,
 )
 from .topology import FULLY_CONNECTED, RING, TORUS, TopologySpec, build_mixing
 
@@ -208,33 +212,54 @@ def config_from_options(opts: dict) -> RunConfig:
     return _template(opts, axes)
 
 
+@contextlib.contextmanager
+def _bad_input(args: argparse.Namespace):
+    """Report a bad input as argparse does: one error line, exit status 2.
+
+    Only the reading and checking of inputs run inside it, so an error
+    raised once set-up has started still propagates.
+    """
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        sys.stderr.write(f"dflsim {args.command}: error: {exc}\n")
+        raise SystemExit(2) from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    opts = resolve_options(args)
-    config = config_from_options(opts)
+    with _bad_input(args):
+        opts = resolve_options(args)
+        config = config_from_options(opts)
+        config.validate()
     avg = run_averaged(config)
     os.makedirs(opts["out"], exist_ok=True)
     path = os.path.join(opts["out"], cell_id(config) + ".csv")
     write_cell_csv(path, avg)
     print(f"wrote {path}")
+    col = avg.columns
     print(
-        f"final round {int(avg.rounds[-1])}: loss={avg.loss_mean[-1]:.6g} "
-        f"consensus_error={avg.consensus_error_mean[-1]:.6g} "
-        f"grad_norm_sq={avg.grad_norm_sq_mean[-1]:.6g}"
+        f"final round {int(col['round'][-1])}: loss={col['loss_mean'][-1]:.6g} "
+        f"consensus_error={col['consensus_error_mean'][-1]:.6g} "
+        f"grad_norm_sq={col['grad_norm_sq_mean'][-1]:.6g}"
     )
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = resolve_options(args)
-    axes = _sweep_axes(opts)
-    template = _template(opts, axes)
-    rows = sweep(template, {k: v for k, v in axes.items() if len(v) > 1}, opts["out"])
+    with _bad_input(args):
+        opts = resolve_options(args)
+        axes = _sweep_axes(opts)
+        template = _template(opts, axes)
+        axes = {k: v for k, v in axes.items() if len(v) > 1}
+        sweep_cells(template, axes)
+    rows = sweep(template, axes, opts["out"])
     print(f"wrote {len(rows)} cells + manifest.csv under {opts['out']}")
     return 0
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    series = _read_csv_column(args.csv, "grad_norm_sq_mean")
+    with _bad_input(args):
+        series = _read_csv_column(args.csv, "grad_norm_sq_mean")
     # Drop the trailing row so entry k is the state entering round k.
     try:
         slope = rate_fit(series[:-1])
@@ -254,11 +279,9 @@ def _read_csv_column(path: str, column: str) -> np.ndarray:
         return np.array([float(line.strip().split(",")[idx]) for line in fh if line.strip()])
 
 
-def _verify_battery(seed: int) -> list[dict]:
-    # The tracking run's config is built first, so a bad seed fails before
-    # any check runs; its step size is set once L is known.
-    config = RunConfig(d=50, m=800, rounds=300, repeats=1, master_seed=seed)
-    config.validate()
+def _verify_battery(config: RunConfig) -> list[dict]:
+    """The checks, ending in a noise-free tracking run of config at a step size set from L."""
+    seed = config.master_seed
     checks: list[dict] = []
 
     def record(name: str, passed: bool, detail: str) -> None:
@@ -301,10 +324,10 @@ def _verify_battery(seed: int) -> list[dict]:
     mixing = build_mixing(config.topology)
     lam = config.lam
     L = estimate_smoothness(dataset, shards, lam)
-    eta = min(1.0 / (4.0 * L), mixing.rho / (7.0 * L)) / 2.0
+    eta = step_size_cap(L, mixing.rho) / 2.0
     config.lr = LrSchedule(eta0=eta, gamma=1.0, decay_interval=1)
-    result = run_detailed(config, 0, dataset=dataset, shards=shards, mixing=mixing, smoothness=L)
-    grad_series = np.array([m.grad_norm_sq for m in result.metrics])[:-1]
+    result = run_detailed(config, 0, Setup(dataset, shards, L, mixing))
+    grad_series = result.metrics["grad_norm_sq"][:-1]
     empirical = float(grad_series.mean())
 
     x_star, f_star = ridge_optimum(dataset, lam)
@@ -331,7 +354,11 @@ def _verify_battery(seed: int) -> list[dict]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     opts = resolve_options(args)
-    checks = _verify_battery(opts["seed"])
+    # the tracking run's config is checked first, so a bad seed fails before any check runs
+    with _bad_input(args):
+        config = RunConfig(d=50, m=800, rounds=300, repeats=1, master_seed=opts["seed"])
+        config.validate()
+    checks = _verify_battery(config)
     os.makedirs(opts["out"], exist_ok=True)
     lines = []
     for check in checks:

@@ -9,6 +9,10 @@ whole shard). Results do not depend on scheduling and re-runs are
 byte-identical. Metrics row t records the state after round t's update;
 a leading row at t = -1 records the common initial state.
 
+Results are named arrays: METRICS lists each per-round metric once, and
+the CSV columns, both result types and the averaging derive from it.
+Every run is set up by _setup, which reuses what a given Setup holds.
+
 Metrics never feed back into the trajectory, so run_detailed copies each
 recorded state into a block of METRICS_BLOCK states and evaluates the
 block with one measure_block call (looked up here, as
@@ -21,6 +25,7 @@ bits would then depend on where the run ends.
 from __future__ import annotations
 
 import itertools
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -45,23 +50,24 @@ from .channel import (
     sample_noise,
 )
 from .data import Dataset, Shard, generate, partition_iid
-from .metrics import RoundMetrics, measure_block
+from .metrics import measure_block
 from .objective import ObjectiveConfig, sample_batches, stochastic_gradient
-from .theory_checks import estimate_smoothness
+from .theory_checks import estimate_smoothness, step_size_cap, tracking_condition
 from .topology import FULLY_CONNECTED, MixingMatrix, TopologySpec, build_mixing
 
 ALGORITHMS = ("fedndl1", "fedndl2", "fedndl3", "fednmut")
 
-CSV_COLUMNS = (
-    "round",
-    "eta",
-    "loss_mean",
-    "loss_std",
-    "consensus_error_mean",
-    "consensus_error_std",
-    "grad_norm_sq_mean",
-    "grad_norm_sq_std",
-    "loss_local_avg_mean",
+# Per-round metrics, in measure_block's order, each with the statistics
+# over repeats that the cell CSV carries.
+METRICS = {
+    "loss": ("mean", "std"),
+    "consensus_error": ("mean", "std"),
+    "grad_norm_sq": ("mean", "std"),
+    "loss_local_avg": ("mean",),
+}
+
+CSV_COLUMNS = ("round", "eta") + tuple(
+    f"{name}_{stat}" for name, stats in METRICS.items() for stat in stats
 )
 
 SWEEP_AXES = ("algorithm", "topology", "noise_variance", "mu")
@@ -150,73 +156,67 @@ class RunConfig:
             raise ValueError(f"need at least one sample per client: m={self.m} < n={self.n}")
 
 
+@dataclass(frozen=True)
+class Setup:
+    """What runs of one problem share; mixing=None is built from each config's topology."""
+
+    dataset: Dataset
+    shards: list[Shard]
+    smoothness: float
+    mixing: MixingMatrix | None = None
+
+
 @dataclass
 class RunResult:
-    """Per-round metrics plus, for fednmut, the measured bias energy ||B_t||_F^2 / n."""
+    """Per-state arrays ("round", "eta", each of METRICS), and fednmut's ||B_t||_F^2 / n."""
 
-    metrics: list[RoundMetrics]
+    metrics: dict[str, np.ndarray]
     bias_sq: list[float]
 
 
 @dataclass
 class AveragedResult:
-    """Round-wise mean and sample std across repeats, plus the raw repeats."""
+    """An array per CSV_COLUMNS name, plus each repeat's RunResult.metrics."""
 
     config: RunConfig
-    rounds: np.ndarray
-    eta: np.ndarray
-    loss_mean: np.ndarray
-    loss_std: np.ndarray
-    consensus_error_mean: np.ndarray
-    consensus_error_std: np.ndarray
-    grad_norm_sq_mean: np.ndarray
-    grad_norm_sq_std: np.ndarray
-    loss_local_avg_mean: np.ndarray
-    per_repeat: list[list[RoundMetrics]]
+    columns: dict[str, np.ndarray]
+    per_repeat: list[dict[str, np.ndarray]]
 
 
-def _shared_problem(config: RunConfig, dataset: Dataset | None, shards, mixing):
-    if dataset is None:
+def _setup(config: RunConfig, shared: Setup | None = None) -> Setup:
+    """Validate config, then build whatever part of its set-up shared lacks."""
+    config.validate()
+    if shared is None:
         dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
-    if shards is None:
         shards = partition_iid(dataset, config.n)
-    if mixing is None:
-        mixing = build_mixing(config.topology)
-    return dataset, shards, mixing
+        shared = Setup(dataset, shards, estimate_smoothness(dataset, shards, config.lam))
+    if shared.mixing is None:
+        shared = replace(shared, mixing=build_mixing(config.topology))
+    return shared
 
 
 def _warn_outside_theory(config: RunConfig, mixing: MixingMatrix, smoothness: float) -> None:
-    eta_cap = min(1.0 / (4.0 * smoothness), mixing.rho / (7.0 * smoothness))
+    eta_cap = step_size_cap(smoothness, mixing.rho)
+    ratio, limit = tracking_condition(config.mu, mixing.rho)
+    outside = []
     if config.lr.eta0 > eta_cap:
-        warnings.warn(
-            f"eta0={config.lr.eta0:.4g} exceeds the analyzed step-size cap {eta_cap:.4g}; "
-            "running anyway",
-            RuntimeWarning,
-            stacklevel=3,
+        outside.append(
+            f"eta0={config.lr.eta0:.4g} exceeds the analyzed step-size cap {eta_cap:.4g}"
         )
-    if config.algorithm == "fednmut" and config.mu / (1.0 - config.mu) > mixing.rho / 42.0:
-        warnings.warn(
-            f"mu={config.mu:.4g} violates mu/(1-mu) <= rho/42 for rho={mixing.rho:.4g}; "
-            "running anyway",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    if config.algorithm == "fednmut" and ratio > limit:
+        outside.append(f"mu={config.mu:.4g} violates mu/(1-mu) <= rho/42 for rho={mixing.rho:.4g}")
+    for message in outside:
+        warnings.warn(f"{message}; running anyway", RuntimeWarning, stacklevel=3)
 
 
-def run_detailed(
-    config: RunConfig,
-    repeat_index: int,
-    dataset: Dataset | None = None,
-    shards: list[Shard] | None = None,
-    mixing: MixingMatrix | None = None,
-    smoothness: float | None = None,
-) -> RunResult:
-    """One simulated run, bit-reproducible per (config, repeat_index)."""
-    config.validate()
-    dataset, shards, mixing = _shared_problem(config, dataset, shards, mixing)
-    if smoothness is None:
-        smoothness = estimate_smoothness(dataset, shards, config.lam)
-    _warn_outside_theory(config, mixing, smoothness)
+def run_detailed(config: RunConfig, repeat_index: int, setup: Setup | None = None) -> RunResult:
+    """One simulated run, bit-reproducible per (config, repeat_index).
+
+    A given setup must have been built for config's problem.
+    """
+    setup = _setup(config, setup)
+    dataset, shards, mixing = setup.dataset, setup.shards, setup.mixing
+    _warn_outside_theory(config, mixing, setup.smoothness)
 
     seed = config.master_seed
     n, d = config.n, config.d
@@ -228,25 +228,20 @@ def run_detailed(
     # FedNMUT's last broadcasts and Deltas, zero before the first round
     y_tilde = delta = np.zeros((d, n))
 
-    rows: list[RoundMetrics] = []
+    # row t + 1 of the metrics records the state after round t
+    etas = [eta_at(config.lr, max(t, 0)) for t in range(-1, config.rounds)]
     block = np.empty((METRICS_BLOCK, n, d))
-    stamps: list[tuple[int, float]] = []
+    values: list[tuple[np.ndarray, ...]] = []  # measure_block's output per block
 
-    def record(X: np.ndarray, t: int, eta: float) -> None:
-        block[len(stamps)] = X.T
-        stamps.append((t, eta))
-        if len(stamps) == METRICS_BLOCK:
-            flush()
+    def record(X: np.ndarray, t: int) -> None:
+        k = (t + 1) % METRICS_BLOCK
+        block[k] = X.T
+        if k == METRICS_BLOCK - 1 or t == config.rounds - 1:
+            # pad a partial last block with its last state, so every product has one shape
+            block[k + 1 :] = block[k]
+            values.append(measure_block(block, dataset, config.lam, shards))
 
-    def flush() -> None:
-        # pad a partial block with its last state, so every product has one shape
-        block[len(stamps) :] = block[len(stamps) - 1]
-        values = zip(*measure_block(block, dataset, config.lam, shards))
-        for (t, eta), (loss, cons, gns, local) in zip(stamps, values):
-            rows.append(RoundMetrics(t, eta, float(loss), float(cons), float(gns), float(local)))
-        stamps.clear()
-
-    record(X, -1, eta_at(config.lr, 0))
+    record(X, -1)
     bias_sq: list[float] = []
     sizes = [shard.size for shard in shards]
     sampling = config.batch_size < max(sizes)
@@ -255,7 +250,7 @@ def run_detailed(
         return derive_stream(StreamKey(seed, repeat_index, t, 0, purpose))
 
     for t in range(config.rounds):
-        eta = eta_at(config.lr, t)
+        eta = etas[t + 1]
         if config.noise_variance == 0.0:
             noises = np.zeros((d, n))
         else:
@@ -283,56 +278,27 @@ def run_detailed(
         else:
             X, y_tilde, delta, bias = round_fednmut_array(X, y_tilde, delta, inputs)
             bias_sq.append(float((bias * bias).sum() / n))
-        record(X, t, eta)
-    if stamps:
-        flush()
-    return RunResult(metrics=rows, bias_sq=bias_sq)
+        record(X, t)
+
+    metrics = {"round": np.arange(-1, config.rounds), "eta": np.array(etas)}
+    for name, *parts in zip(METRICS, *values):
+        metrics[name] = np.concatenate(parts)[: len(etas)]
+    return RunResult(metrics=metrics, bias_sq=bias_sq)
 
 
-def run_averaged(
-    config: RunConfig,
-    dataset: Dataset | None = None,
-    shards: list[Shard] | None = None,
-    mixing: MixingMatrix | None = None,
-    smoothness: float | None = None,
-) -> AveragedResult:
-    """Mean and sample standard deviation per round across repeats."""
-    config.validate()
-    dataset, shards, mixing = _shared_problem(config, dataset, shards, mixing)
-    if smoothness is None:
-        smoothness = estimate_smoothness(dataset, shards, config.lam)
-    per_repeat = [
-        run_detailed(config, r, dataset, shards, mixing, smoothness).metrics
-        for r in range(config.repeats)
-    ]
-
-    def grid(attr: str) -> np.ndarray:
-        return np.array([[getattr(m, attr) for m in rep] for rep in per_repeat])
-
-    def spread(vals: np.ndarray) -> np.ndarray:
-        if config.repeats == 1:
-            return np.zeros(vals.shape[1])
-        # exactly equal repeats get an exact zero, not mean-subtraction dust
-        std = vals.std(axis=0, ddof=1)
-        return np.where(np.all(vals == vals[0], axis=0), 0.0, std)
-
-    loss = grid("loss")
-    cons = grid("consensus_error")
-    gns = grid("grad_norm_sq")
-    local = grid("loss_local_avg")
-    return AveragedResult(
-        config=config,
-        rounds=np.array([m.round for m in per_repeat[0]]),
-        eta=np.array([m.eta for m in per_repeat[0]]),
-        loss_mean=loss.mean(axis=0),
-        loss_std=spread(loss),
-        consensus_error_mean=cons.mean(axis=0),
-        consensus_error_std=spread(cons),
-        grad_norm_sq_mean=gns.mean(axis=0),
-        grad_norm_sq_std=spread(gns),
-        loss_local_avg_mean=local.mean(axis=0),
-        per_repeat=per_repeat,
-    )
+def run_averaged(config: RunConfig, setup: Setup | None = None) -> AveragedResult:
+    """Each metric's mean and sample standard deviation per round across repeats."""
+    setup = _setup(config, setup)
+    per_repeat = [run_detailed(config, r, setup).metrics for r in range(config.repeats)]
+    columns = {"round": per_repeat[0]["round"], "eta": per_repeat[0]["eta"]}
+    for name, stats in METRICS.items():
+        vals = np.array([rep[name] for rep in per_repeat])
+        columns[name + "_mean"] = vals.mean(axis=0)
+        if "std" in stats:
+            # exactly equal repeats get an exact zero, not mean-subtraction dust
+            std = vals.std(axis=0, ddof=1) if len(vals) > 1 else 0.0
+            columns[name + "_std"] = np.where(np.all(vals == vals[0], axis=0), 0.0, std)
+    return AveragedResult(config=config, columns=columns, per_repeat=per_repeat)
 
 
 def rate_fit(series) -> float:
@@ -362,27 +328,8 @@ def _fmt(x: float) -> str:
 
 
 def csv_lines(avg: AveragedResult) -> list[str]:
-    lines = [",".join(CSV_COLUMNS)]
-    for k in range(avg.rounds.size):
-        lines.append(
-            ",".join(
-                [str(int(avg.rounds[k]))]
-                + [
-                    _fmt(v)
-                    for v in (
-                        avg.eta[k],
-                        avg.loss_mean[k],
-                        avg.loss_std[k],
-                        avg.consensus_error_mean[k],
-                        avg.consensus_error_std[k],
-                        avg.grad_norm_sq_mean[k],
-                        avg.grad_norm_sq_std[k],
-                        avg.loss_local_avg_mean[k],
-                    )
-                ]
-            )
-        )
-    return lines
+    columns = [avg.columns[name].tolist() for name in CSV_COLUMNS]
+    return [",".join(CSV_COLUMNS)] + [",".join(map(_fmt, row)) for row in zip(*columns)]
 
 
 def write_cell_csv(path, avg: AveragedResult) -> None:
@@ -397,7 +344,13 @@ def cell_id(config: RunConfig) -> str:
     )
 
 
-def _axis_values(template: RunConfig, axes: dict) -> list[tuple]:
+def sweep_cells(template: RunConfig, axes: dict) -> dict[str, RunConfig]:
+    """Every cell config of a sweep, validated and keyed by its cell_id.
+
+    Raises ValueError on a bad axis, an invalid cell or colliding cell_ids.
+    Topology values are kinds, built at the template's n.
+    """
+    template.validate()
     for key in axes:
         if key not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {key!r}, expected subset of {SWEEP_AXES}")
@@ -409,24 +362,8 @@ def _axis_values(template: RunConfig, axes: dict) -> list[tuple]:
         if key == "topology" and key in axes:
             pool = [TopologySpec(kind, template.n) for kind in pool]
         pools.append(pool)
-    return list(itertools.product(*pools))
-
-
-def sweep(template: RunConfig, axes: dict, out_dir) -> list[dict]:
-    """Run the cartesian product of the requested axes, one CSV per cell.
-
-    Writes manifest.csv listing every cell and returns the manifest rows.
-    Cells share the same immutable dataset, its partition and one
-    smoothness estimate: n and lam are not sweep axes, so every cell has
-    the same (dataset, shards, lam); the topology axis takes kinds, built
-    at the template's n. Every cell config is validated, and cells with a
-    colliding cell_id are rejected, before the output directory is made.
-    """
-    import os
-
-    template.validate()
     cells: dict[str, RunConfig] = {}
-    for values in _axis_values(template, axes):
+    for values in itertools.product(*pools):
         config = replace(template, **dict(zip(SWEEP_AXES, values)))
         config.validate()
         cid = cell_id(config)
@@ -434,15 +371,26 @@ def sweep(template: RunConfig, axes: dict, out_dir) -> list[dict]:
             clash = [f"{k}={getattr(cells[cid], k)!r} vs {getattr(config, k)!r}" for k in axes]
             raise ValueError(f"sweep cells share cell_id {cid!r}: {', '.join(clash)}")
         cells[cid] = config
+    return cells
+
+
+def sweep(template: RunConfig, axes: dict, out_dir) -> list[dict]:
+    """Run the cartesian product of the requested axes, one CSV per cell.
+
+    Writes manifest.csv listing every cell and returns the manifest rows.
+    Every cell is checked before the output directory is made. n and lam
+    are not sweep axes, so all cells share one dataset, partition and
+    smoothness estimate; each builds its own mixing.
+    """
+    cells = sweep_cells(template, axes)
     os.makedirs(out_dir, exist_ok=True)
-    dataset = generate(template.m, template.d, template.label_noise_variance, template.master_seed)
-    shards = partition_iid(dataset, template.n)
-    smoothness = estimate_smoothness(dataset, shards, template.lam)
+    shared = None
     manifest_rows = []
     for cid, config in cells.items():
-        avg = run_averaged(config, dataset=dataset, shards=shards, smoothness=smoothness)
+        setup = _setup(config, shared)
+        shared = replace(setup, mixing=None)
         csv_name = cid + ".csv"
-        write_cell_csv(os.path.join(out_dir, csv_name), avg)
+        write_cell_csv(os.path.join(out_dir, csv_name), run_averaged(config, setup))
         manifest_rows.append(
             {
                 "cell_id": cid,
@@ -456,9 +404,8 @@ def sweep(template: RunConfig, axes: dict, out_dir) -> list[dict]:
                 "csv_path": csv_name,
             }
         )
-    header = ("cell_id", "algorithm", "topology", "noise_var", "mu", "seed_list", "csv_path")
-    lines = [",".join(header)]
-    lines += [",".join(row[col] for col in header) for row in manifest_rows]
+    # the header is the rows' keys, so each column is named once
+    lines = [",".join(manifest_rows[0])] + [",".join(row.values()) for row in manifest_rows]
     with open(os.path.join(out_dir, "manifest.csv"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     return manifest_rows

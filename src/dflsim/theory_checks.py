@@ -266,6 +266,16 @@ def check_bias_zero_mean(
     )
 
 
+def step_size_cap(L: float, rho: float) -> float:
+    """min(1/(4L), rho/(7L)): the largest step size the analysis covers."""
+    return min(1.0 / (4.0 * L), rho / (7.0 * L))
+
+
+def tracking_condition(mu: float, rho: float) -> tuple[float, float]:
+    """Both sides of mu/(1-mu) <= rho/42, the analysis's bound on the scaling factor."""
+    return mu / (1.0 - mu), rho / 42.0
+
+
 def evaluate_theorem_bound(
     consts: ConstantsEstimate,
     rho: float,
@@ -283,7 +293,7 @@ def evaluate_theorem_bound(
     L = consts.L
     if L <= 0:
         raise ValueError("smoothness constant must be positive")
-    eta_cap = min(1.0 / (4.0 * L), rho / (7.0 * L))
+    eta_cap = step_size_cap(L, rho)
     if eta > eta_cap:
         raise PreconditionViolated(
             "eta <= min(1/(4L), rho/(7L))", f"eta={eta:.4g} > {eta_cap:.4g}"
@@ -293,10 +303,9 @@ def evaluate_theorem_bound(
             "6 mu^2 / (rho (1-mu)) <= rho/8",
             f"lhs={6.0 * mu * mu / (rho * (1.0 - mu)):.4g} > {rho / 8.0:.4g}",
         )
-    if mu / (1.0 - mu) > rho / 42.0:
-        raise PreconditionViolated(
-            "mu/(1-mu) <= rho/42", f"mu/(1-mu)={mu / (1.0 - mu):.4g} > {rho / 42.0:.4g}"
-        )
+    ratio, limit = tracking_condition(mu, rho)
+    if ratio > limit:
+        raise PreconditionViolated("mu/(1-mu) <= rho/42", f"mu/(1-mu)={ratio:.4g} > {limit:.4g}")
 
     noise_sum = n * T * consts.D_sq_total  # sum over rounds and clients of D^2_{t,i}
 

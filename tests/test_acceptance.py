@@ -25,6 +25,7 @@ from dflsim.data import generate, partition_iid
 from dflsim.harness import (
     LrSchedule,
     RunConfig,
+    Setup,
     rate_fit,
     run_averaged,
     run_detailed,
@@ -90,8 +91,7 @@ def rate_run(desk_problem):
         repeats=1,
         master_seed=SEED,
     )
-    result = run_detailed(config, 0, dataset=dataset, shards=shards, mixing=mixing,
-                          smoothness=smoothness)
+    result = run_detailed(config, 0, Setup(dataset, shards, smoothness, mixing))
     return config, result, mixing, smoothness, eta
 
 
@@ -194,7 +194,8 @@ def test_criterion_5_bias_zero_mean_monte_carlo():
 def test_criterion_6_noise_free_convergence(desk_problem):
     dataset, shards, _, f_star = desk_problem
     start = time.time()
-    mixing = build_mixing(TopologySpec(FULLY_CONNECTED, N))
+    setup = Setup(dataset, shards, estimate_smoothness(dataset, shards, LAM),
+                  build_mixing(TopologySpec(FULLY_CONNECTED, N)))
     finals = {}
     for algorithm in ("fedndl1", "fedndl2", "fedndl3", "fednmut"):
         config = RunConfig(
@@ -211,8 +212,8 @@ def test_criterion_6_noise_free_convergence(desk_problem):
             repeats=3,
             master_seed=SEED,
         )
-        avg = run_averaged(config, dataset=dataset, shards=shards, mixing=mixing)
-        finals[algorithm] = float(avg.loss_mean[-1])
+        avg = run_averaged(config, setup)
+        finals[algorithm] = float(avg.columns["loss_mean"][-1])
     elapsed = time.time() - start
     ratios = {a: v / f_star for a, v in finals.items()}
     passed = all(v <= 1.05 * f_star for v in finals.values()) and elapsed < 120.0
@@ -223,6 +224,7 @@ def test_criterion_6_noise_free_convergence(desk_problem):
 def test_criterion_7_figure_trends(desk_problem):
     dataset, shards, _, _ = desk_problem
     start = time.time()
+    shared = Setup(dataset, shards, estimate_smoothness(dataset, shards, LAM))
 
     def averaged(algorithm, kind):
         config = RunConfig(
@@ -239,20 +241,20 @@ def test_criterion_7_figure_trends(desk_problem):
             repeats=3,
             master_seed=SEED,
         )
-        return run_averaged(config, dataset=dataset, shards=shards)
+        return run_averaged(config, shared)
 
     nmut_ring = averaged("fednmut", RING)
     ndl1_ring = averaged("fedndl1", RING)
     tail = slice(-100, None)
-    nmut_tail = float(np.mean(nmut_ring.loss_mean[tail]))
-    ndl1_tail = float(np.mean(ndl1_ring.loss_mean[tail]))
+    nmut_tail = float(np.mean(nmut_ring.columns["loss_mean"][tail]))
+    ndl1_tail = float(np.mean(ndl1_ring.columns["loss_mean"][tail]))
     loss_ordering = nmut_tail <= ndl1_tail
 
     ce = {
-        kind: float(averaged("fednmut", kind).consensus_error_mean[-1])
+        kind: float(averaged("fednmut", kind).columns["consensus_error_mean"][-1])
         for kind in (FULLY_CONNECTED, TORUS)
     }
-    ce[RING] = float(nmut_ring.consensus_error_mean[-1])
+    ce[RING] = float(nmut_ring.columns["consensus_error_mean"][-1])
     topo_ordering = ce[FULLY_CONNECTED] <= ce[TORUS] <= ce[RING]
 
     elapsed = time.time() - start
@@ -265,7 +267,7 @@ def test_criterion_7_figure_trends(desk_problem):
 
 def test_criterion_8_rate_slope(rate_run):
     _, result, _, _, eta = rate_run
-    series = np.array([m.grad_norm_sq for m in result.metrics])[:-1]
+    series = result.metrics["grad_norm_sq"][:-1]
     slope = rate_fit(series)
     report(8, slope <= -0.3, f"log-log slope {slope:.3f} at constant eta {eta:.3g}")
 
@@ -273,7 +275,7 @@ def test_criterion_8_rate_slope(rate_run):
 def test_criterion_9_bound_sanity(rate_run, desk_problem):
     config, result, mixing, smoothness, eta = rate_run
     dataset, shards, x_star, f_star = desk_problem
-    series = np.array([m.grad_norm_sq for m in result.metrics])[:-1]
+    series = result.metrics["grad_norm_sq"][:-1]
     empirical = float(series.mean())
 
     init = derive_stream(StreamKey(SEED, 0, 0, 0, PURPOSE_INIT)).standard_normal(DESK_D)
@@ -285,7 +287,7 @@ def test_criterion_9_bound_sanity(rate_run, desk_problem):
         zeta_sq=estimate_zeta_sq(samples, shards, dataset, LAM),
         D_sq_total=DESK_D * config.noise_variance,
         B_bar_sq=float(np.mean(result.bias_sq)),
-        f0_gap=result.metrics[0].loss - f_star,
+        f0_gap=result.metrics["loss"][0] - f_star,
     )
     bound = evaluate_theorem_bound(consts, mixing.rho, config.mu, eta, N, config.rounds)
     report(9, empirical <= bound,

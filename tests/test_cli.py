@@ -29,6 +29,16 @@ TINY = [
 ]
 
 
+def assert_exits_2_naming(capsys, argv, pattern):
+    """main(argv) fails as argparse does: exit 2 and one error line on stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"dflsim {argv[0]}: error: ")
+    assert re.search(pattern, lines[0])
+
+
 def test_run_writes_csv(tmp_path, capsys):
     rc = main(["run", "--algorithm", "fedndl3", "--topology", "ring", *TINY,
                "--out", str(tmp_path)])
@@ -66,9 +76,9 @@ def test_sweep_config_file_comma_lists_match_flags(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--algorithm", "--topology", "--noise-var", "--mu"])
-def test_sweep_empty_comma_list_rejected(tmp_path, flag):
-    with pytest.raises(ValueError, match=f"{flag} needs at least one value"):
-        main(["sweep", flag, ",", *TINY, "--out", str(tmp_path / "out")])
+def test_sweep_empty_comma_list_rejected(tmp_path, capsys, flag):
+    assert_exits_2_naming(capsys, ["sweep", flag, ",", *TINY, "--out", str(tmp_path / "out")],
+                          f"{flag} needs at least one value")
     assert not (tmp_path / "out").exists()
 
 
@@ -76,9 +86,9 @@ def test_sweep_empty_comma_list_rejected(tmp_path, flag):
     ("--algorithm", "fedndl1,fedx", "unknown algorithm 'fedx'"),
     ("--topology", "ring,star", "unknown topology 'star'"),
 ])
-def test_sweep_unknown_axis_value_rejected(tmp_path, flag, value, message):
-    with pytest.raises(ValueError, match=message):
-        main(["sweep", flag, value, *TINY, "--out", str(tmp_path / "out")])
+def test_sweep_unknown_axis_value_rejected(tmp_path, capsys, flag, value, message):
+    assert_exits_2_naming(capsys, ["sweep", flag, value, *TINY, "--out", str(tmp_path / "out")],
+                          message)
     assert not (tmp_path / "out").exists()
 
 
@@ -98,12 +108,11 @@ def test_rate_on_existing_csv(tmp_path, capsys):
     assert slope == pytest.approx(-0.5, abs=1e-3)
 
 
-def test_rate_names_a_missing_column(tmp_path):
+def test_rate_names_a_missing_column(tmp_path, capsys):
     path = tmp_path / "cell.csv"
     path.write_text("round,eta,loss_mean\n-1,0.1,1\n", encoding="utf-8")
     missing = rf"{re.escape(str(path))}: no 'grad_norm_sq_mean' column"
-    with pytest.raises(ValueError, match=missing):
-        main(["rate", "--csv", str(path)])
+    assert_exits_2_naming(capsys, ["rate", "--csv", str(path)], missing)
 
 
 def test_rate_of_run_csv_equals_fit_of_run(tmp_path, monkeypatch, capsys):
@@ -120,7 +129,7 @@ def test_rate_of_run_csv_equals_fit_of_run(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("dflsim.cli.rate_fit", recording_fit)
     capsys.readouterr()
     assert main(["rate", "--csv", str(tmp_path / "fednmut_ring_var0.01_mu0.02.csv")]) == 0
-    assert fits == [rate_fit(run_averaged(config).grad_norm_sq_mean[:-1])]
+    assert fits == [rate_fit(run_averaged(config).columns["grad_norm_sq_mean"][:-1])]
     assert capsys.readouterr().out == f"slope: {fits[0]:.4f}\n"
 
 
@@ -184,8 +193,8 @@ def test_config_file_rejects_unknown_key(tmp_path):
          "flag-topology", "flag-paper-scale-dim", "file-paper-scale-samples",
          "file-dim-flag-paper-scale"],
 )
-def test_bad_value_names_its_option_before_any_setup(tmp_path, monkeypatch, config_line,
-                                                      flags, names):
+def test_bad_value_names_its_option_before_any_setup(tmp_path, monkeypatch, capsys,
+                                                      config_line, flags, names):
     def no_run(*args, **kwargs):
         raise AssertionError("set-up started before the options were checked")
 
@@ -195,8 +204,7 @@ def test_bad_value_names_its_option_before_any_setup(tmp_path, monkeypatch, conf
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"# options\n{config_line}\n", encoding="utf-8")
         argv += ["--config", str(cfg)]
-    with pytest.raises(ValueError, match=names):
-        main(argv)
+    assert_exits_2_naming(capsys, argv, names)
     assert not (tmp_path / "out").exists()
 
 
@@ -309,11 +317,38 @@ def test_verify_writes_report_and_passes(tmp_path, capsys):
     }
 
 
-def test_verify_rejects_bad_seed_before_any_check(tmp_path, monkeypatch):
+def test_verify_rejects_bad_seed_before_any_check(tmp_path, monkeypatch, capsys):
     def no_check(*args, **kwargs):
         raise AssertionError("a check ran before the seed was validated")
 
     monkeypatch.setattr("dflsim.cli.build_mixing", no_check)
-    with pytest.raises(ValueError, match="master_seed"):
-        main(["verify", "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert_exits_2_naming(capsys, ["verify", "--seed", "-1", "--out", str(tmp_path / "out")],
+                          "master_seed")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--rounds", "0"], "rounds must be >= 1, got 0"),
+    (["run", "--config", "missing.cfg"], "No such file or directory: 'missing.cfg'"),
+    (["sweep", "--mu", "0.02,1.5"], r"mu must be in \[0, 1\), got 1.5"),
+    (["sweep", "--mu", "0.02,0.0200000001"], "share cell_id"),
+    (["rate", "--csv", "missing.csv"], "No such file or directory: 'missing.csv'"),
+], ids=["run-invalid-config", "run-missing-config", "sweep-invalid-cell",
+        "sweep-cell-collision", "rate-missing-csv"])
+def test_bad_input_exits_2_before_any_setup(tmp_path, monkeypatch, capsys, argv, named):
+    def no_setup(*args, **kwargs):
+        raise AssertionError("set-up started before the inputs were checked")
+
+    monkeypatch.setattr("dflsim.harness.generate", no_setup)
+    monkeypatch.chdir(tmp_path)  # where a command that ran would write dflsim_out
+    assert_exits_2_naming(capsys, argv, named)
+    assert os.listdir(tmp_path) == []
+
+
+def test_value_error_after_setup_propagates(tmp_path, monkeypatch):
+    def failing_run(config):
+        raise ValueError("raised inside the run")
+
+    monkeypatch.setattr("dflsim.cli.run_averaged", failing_run)
+    with pytest.raises(ValueError, match="raised inside the run"):
+        main(["run", *TINY, "--out", str(tmp_path / "out")])

@@ -1,7 +1,9 @@
 """Schedules, runs, averaging, rate fit, sweeps."""
 
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +19,11 @@ from dflsim.channel import (
     derive_stream,
 )
 from dflsim.harness import (
+    CSV_COLUMNS,
     DegenerateSeriesError,
     LrSchedule,
     RunConfig,
+    Setup,
     cell_id,
     csv_lines,
     eta_at,
@@ -31,7 +35,8 @@ from dflsim.harness import (
 from dflsim.data import generate, partition_iid
 from dflsim.metrics import measure, measure_block
 from dflsim.objective import stochastic_gradient
-from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec
+from dflsim.theory_checks import estimate_smoothness
+from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -93,25 +98,24 @@ class TestRunSingle:
         config = small_config(algorithm=algorithm, rounds=12)
         a = run_detailed(config, 0).metrics
         b = run_detailed(config, 0).metrics
-        assert [(m.round, m.eta, m.loss, m.consensus_error, m.grad_norm_sq) for m in a] == [
-            (m.round, m.eta, m.loss, m.consensus_error, m.grad_norm_sq) for m in b
-        ]
+        names = ("round", "eta", "loss", "consensus_error", "grad_norm_sq")
+        assert [a[name].tolist() for name in names] == [b[name].tolist() for name in names]
 
     def test_repeats_differ_through_streams(self):
         config = small_config(rounds=12)
         a = run_detailed(config, 0).metrics
         b = run_detailed(config, 1).metrics
-        assert a[0].loss == b[0].loss  # shared initial point
-        assert a[-1].loss != b[-1].loss
+        assert a["loss"][0] == b["loss"][0]  # shared initial point
+        assert a["loss"][-1] != b["loss"][-1]
 
     def test_single_round_yields_init_plus_one_row(self):
         rows = run_detailed(small_config(rounds=1), 0).metrics
-        assert [m.round for m in rows] == [-1, 0]
+        assert rows["round"].tolist() == [-1, 0]
 
     def test_rows_cover_all_rounds(self):
         rows = run_detailed(small_config(rounds=7), 0).metrics
-        assert [m.round for m in rows] == list(range(-1, 7))
-        assert rows[3].eta == eta_at(small_config().lr, 2)
+        assert rows["round"].tolist() == list(range(-1, 7))
+        assert rows["eta"][3] == eta_at(small_config().lr, 2)
 
     def test_bias_series_only_for_tracking(self):
         assert run_detailed(small_config(rounds=5), 0).bias_sq == []
@@ -123,8 +127,8 @@ class TestRunSingle:
         base = dict(topology=TopologySpec(FULLY_CONNECTED, 1), rounds=50, noise_variance=0.0, repeats=1)
         a = run_detailed(small_config(algorithm="fednmut", mu=0.0, **base), 0).metrics
         b = run_detailed(small_config(algorithm="fedndl3", **base), 0).metrics
-        for ra, rb in zip(a, b):
-            assert abs(ra.loss - rb.loss) <= 1e-10 * max(1.0, abs(rb.loss))
+        for la, lb in zip(a["loss"], b["loss"]):
+            assert abs(la - lb) <= 1e-10 * max(1.0, abs(lb))
 
     def test_fedndl1_equals_fedndl3_at_full_mixing_noise_free(self):
         # from a consensus start with full mixing both rules apply the same
@@ -138,9 +142,9 @@ class TestRunSingle:
         )
         a = run_detailed(small_config(algorithm="fedndl1", **base), 0).metrics
         b = run_detailed(small_config(algorithm="fedndl3", **base), 0).metrics
-        for ra, rb in zip(a, b):
-            assert abs(ra.loss - rb.loss) <= 1e-10 * max(1.0, abs(rb.loss))
-            assert abs(ra.grad_norm_sq - rb.grad_norm_sq) <= 1e-8 * max(1.0, rb.grad_norm_sq)
+        for la, lb, ga, gb in zip(a["loss"], b["loss"], a["grad_norm_sq"], b["grad_norm_sq"]):
+            assert abs(la - lb) <= 1e-10 * max(1.0, abs(lb))
+            assert abs(ga - gb) <= 1e-8 * max(1.0, gb)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="algorithm"):
@@ -170,13 +174,14 @@ class TestBlockMetrics:
         assert len(states) == 16  # 12 rows padded to two blocks of 8
         dataset = generate(m, 20, config.label_noise_variance, config.master_seed)
         shards = partition_iid(dataset, n)
-        for t, (row, state) in enumerate(zip(rows, states), start=-1):
+        for t, state in enumerate(states[: rows["round"].size], start=-1):
+            row = {name: column[t + 1] for name, column in rows.items()}
             X = state.T.copy()  # C-ordered d x n, as the harness holds it
             ref = measure(X, dataset, config.lam, t, eta_at(config.lr, max(t, 0)), shards)
-            assert (row.round, row.eta) == (ref.round, ref.eta)
-            assert row.consensus_error == ref.consensus_error
+            assert (row["round"], row["eta"]) == (ref.round, ref.eta)
+            assert row["consensus_error"] == ref.consensus_error
             np.testing.assert_allclose(
-                [row.loss, row.grad_norm_sq, row.loss_local_avg],
+                [row["loss"], row["grad_norm_sq"], row["loss_local_avg"]],
                 [ref.loss, ref.grad_norm_sq, ref.loss_local_avg],
                 rtol=1e-13,
                 atol=0,
@@ -189,8 +194,10 @@ class TestBlockMetrics:
         )
         full = run_detailed(replace(config, rounds=20), 0).metrics
         short = run_detailed(replace(config, rounds=rounds), 0).metrics
-        assert [m.round for m in short] == list(range(-1, rounds))
-        assert short == full[: rounds + 1]
+        assert short["round"].tolist() == list(range(-1, rounds))
+        assert {k: v.tolist() for k, v in short.items()} == {
+            k: v[: rounds + 1].tolist() for k, v in full.items()
+        }
 
 
 class TestRunAveraged:
@@ -198,22 +205,22 @@ class TestRunAveraged:
         config = small_config(repeats=1, rounds=10)
         avg = run_averaged(config)
         single = run_detailed(config, 0).metrics
-        np.testing.assert_array_equal(avg.loss_mean, [m.loss for m in single])
-        assert np.all(avg.loss_std == 0.0)
+        np.testing.assert_array_equal(avg.columns["loss_mean"], single["loss"])
+        assert np.all(avg.columns["loss_std"] == 0.0)
 
     def test_deterministic_repeats_have_zero_std(self):
         # noise off and full-batch gradients leave nothing repeat-specific
         config = small_config(noise_variance=0.0, batch_size=100, repeats=3, rounds=10)
         avg = run_averaged(config)
-        assert np.all(avg.loss_std == 0.0)
-        assert np.all(avg.consensus_error_std == 0.0)
+        assert np.all(avg.columns["loss_std"] == 0.0)
+        assert np.all(avg.columns["consensus_error_std"] == 0.0)
 
     def test_mean_between_min_and_max(self):
         config = small_config(repeats=3, rounds=15)
         avg = run_averaged(config)
-        losses = np.array([[m.loss for m in rep] for rep in avg.per_repeat])
-        assert np.all(avg.loss_mean <= losses.max(axis=0) + 1e-15)
-        assert np.all(avg.loss_mean >= losses.min(axis=0) - 1e-15)
+        losses = np.array([rep["loss"] for rep in avg.per_repeat])
+        assert np.all(avg.columns["loss_mean"] <= losses.max(axis=0) + 1e-15)
+        assert np.all(avg.columns["loss_mean"] >= losses.min(axis=0) - 1e-15)
 
     @pytest.mark.parametrize("mu", [-0.1, 1.0, 1.5])
     def test_mu_outside_unit_interval_rejected_before_setup(self, monkeypatch, mu):
@@ -253,9 +260,57 @@ class TestRunAveraged:
         with pytest.raises(ValueError, match=message):
             run_averaged(small_config(**{field: value}))
 
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_every_column_is_the_mean_or_std_of_the_repeats(self, repeats):
+        config = small_config(algorithm="fednmut", repeats=repeats, rounds=12)
+        runs = [run_detailed(config, r).metrics for r in range(repeats)]
+        avg = run_averaged(config)
+        written = np.array([line.split(",") for line in csv_lines(avg)[1:]], dtype=float).T
+        for column, values in zip(CSV_COLUMNS, written):
+            name, _, stat = column.rpartition("_")
+            vals = np.array([run[name or column] for run in runs])
+            if stat == "mean":
+                expected = vals.mean(axis=0)
+            elif stat == "std":
+                agree = np.all(vals == vals[0], axis=0)
+                assert agree[0]  # the shared initial point
+                assert repeats == 1 or not agree.all()
+                expected = np.zeros(vals.shape[1])
+                if repeats > 1:
+                    expected[~agree] = vals.std(axis=0, ddof=1)[~agree]
+            else:  # round and eta, the same in every repeat
+                assert np.all(vals == vals[0])
+                expected = vals[0]
+            assert values.tolist() == expected.tolist(), column
+            assert avg.columns[column].tolist() == expected.tolist(), column
+
+    def test_given_setup_is_reused(self, monkeypatch):
+        config = small_config(repeats=2, rounds=5)
+        dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
+        shards = partition_iid(dataset, config.n)
+        setup = Setup(dataset, shards, estimate_smoothness(dataset, shards, config.lam))
+        expected = run_averaged(config).columns
+        mixings = []
+
+        def no_setup(*args):
+            raise AssertionError("a shared part of the set-up was built again")
+
+        def counting(spec):
+            mixings.append(spec)
+            return build_mixing(spec)
+
+        monkeypatch.setattr(harness, "generate", no_setup)
+        monkeypatch.setattr(harness, "estimate_smoothness", no_setup)
+        monkeypatch.setattr(harness, "build_mixing", counting)
+        columns = run_averaged(config, setup).columns
+        assert mixings == [config.topology]  # once per cell, shared by its repeats
+        assert {k: v.tolist() for k, v in columns.items()} == {
+            k: v.tolist() for k, v in expected.items()
+        }
+
     def test_largest_seed_accepted(self):
         rows = run_detailed(small_config(master_seed=2**64 - 1, rounds=2), 0).metrics
-        assert len(rows) == 3
+        assert len(rows["round"]) == 3
 
 
 class TestStreams:
@@ -299,7 +354,7 @@ class TestStreams:
             topology=TopologySpec(RING, 16), m=2001, batch_size=125, rounds=3, repeats=1
         )
         result = run_detailed(config, 0)
-        assert all(np.isfinite(m.loss) for m in result.metrics)
+        assert all(np.isfinite(result.metrics["loss"]))
         assert len(calls) == 3 * 16
         for client, picks in calls:
             if client == 0:
@@ -466,4 +521,13 @@ class TestCsv:
         assert len(lines) == 1 + 5
         first = lines[1].split(",")
         assert first[0] == "-1"
-        assert float(first[2]) == avg.loss_mean[0]  # 17 significant digits round-trip
+        assert float(first[2]) == avg.columns["loss_mean"][0]  # 17 significant digits round-trip
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, flags=re.DOTALL).group(1)
+    assert "rounds=500" in code
+    exec(code.replace("rounds=500", "rounds=20"), {})
+    assert len(capsys.readouterr().out.split()) == 2

@@ -105,8 +105,7 @@ def test_noise_free_fedndl3_loss_monotone_after_burn_in():
         repeats=1,
         master_seed=11,
     )
-    rows = run_detailed(config, 0).metrics
-    losses = [r.loss for r in rows]
+    losses = run_detailed(config, 0).metrics["loss"]
     for a, b in zip(losses[6:], losses[7:]):
         assert b <= a + 1e-12
 
