@@ -29,6 +29,7 @@ from .harness import (
     RunConfig,
     RunResult,
     Setup,
+    bound_sanity,
     eta_at,
     rate_fit,
     run_averaged,
@@ -75,6 +76,7 @@ __all__ = [
     "Shard",
     "StreamKey",
     "TopologySpec",
+    "bound_sanity",
     "build_mixing",
     "check_bias_zero_mean",
     "check_contraction",

@@ -11,33 +11,20 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import PURPOSE_INIT, StreamKey, derive_stream
-from .data import generate, partition_iid
 from .harness import (
     ALGORITHMS,
     DegenerateSeriesError,
     LrSchedule,
     RunConfig,
-    Setup,
+    bound_sanity,
     cell_id,
     rate_fit,
     run_averaged,
-    run_detailed,
     sweep,
     sweep_cells,
     write_cell_csv,
 )
-from .objective import ObjectiveConfig, global_loss, ridge_optimum
-from .theory_checks import (
-    ConstantsEstimate,
-    check_bias_zero_mean,
-    check_contraction,
-    estimate_sigma_sq,
-    estimate_smoothness,
-    estimate_zeta_sq,
-    evaluate_theorem_bound,
-    step_size_cap,
-)
+from .theory_checks import check_bias_zero_mean, check_contraction
 from .topology import FULLY_CONNECTED, RING, TORUS, TopologySpec, build_mixing
 
 TOPOLOGY_NAMES = {"ring": RING, "torus": TORUS, "full": FULLY_CONNECTED}
@@ -216,8 +203,8 @@ def config_from_options(opts: dict) -> RunConfig:
 def _bad_input(args: argparse.Namespace):
     """Report a bad input as argparse does: one error line, exit status 2.
 
-    Only the reading and checking of inputs run inside it, so an error
-    raised once set-up has started still propagates.
+    Only the checking of inputs and the making of --out run inside it, so
+    an error raised once set-up has started still propagates.
     """
     try:
         yield
@@ -231,8 +218,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         opts = resolve_options(args)
         config = config_from_options(opts)
         config.validate()
+        os.makedirs(opts["out"], exist_ok=True)
     avg = run_averaged(config)
-    os.makedirs(opts["out"], exist_ok=True)
     path = os.path.join(opts["out"], cell_id(config) + ".csv")
     write_cell_csv(path, avg)
     print(f"wrote {path}")
@@ -252,6 +239,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         template = _template(opts, axes)
         axes = {k: v for k, v in axes.items() if len(v) > 1}
         sweep_cells(template, axes)
+        os.makedirs(opts["out"], exist_ok=True)
     rows = sweep(template, axes, opts["out"])
     print(f"wrote {len(rows)} cells + manifest.csv under {opts['out']}")
     return 0
@@ -260,12 +248,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_rate(args: argparse.Namespace) -> int:
     with _bad_input(args):
         series = _read_csv_column(args.csv, "grad_norm_sq_mean")
-    # Drop the trailing row so entry k is the state entering round k.
-    try:
-        slope = rate_fit(series[:-1])
-    except DegenerateSeriesError:
-        print("slope: undefined (exact convergence, series is zero)")
-        return 0
+        # Drop the trailing row so entry k is the state entering round k.
+        try:
+            slope = rate_fit(series[:-1])
+        except DegenerateSeriesError:
+            print("slope: undefined (exact convergence, series is zero)")
+            return 0
+        except ValueError as exc:  # a series too short to fit
+            raise ValueError(f"{args.csv}: {exc}") from None
     print(f"slope: {slope:.4f}")
     return 0
 
@@ -281,13 +271,12 @@ def _read_csv_column(path: str, column: str) -> np.ndarray:
 
 def _verify_battery(config: RunConfig) -> list[dict]:
     """The checks, ending in a noise-free tracking run of config at a step size set from L."""
-    seed = config.master_seed
     checks: list[dict] = []
 
     def record(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    n, d = config.n, config.d
+    n = config.n
     expected_rho = {"ring": 0.0989187008424176, "torus": 0.64, "fully_connected": 1.0}
     for kind in (RING, TORUS, FULLY_CONNECTED):
         mixing = build_mixing(TopologySpec(kind, n))
@@ -317,38 +306,10 @@ def _verify_battery(config: RunConfig) -> list[dict]:
         f"max|mean|={bias.max_abs_mean:.3g} max|mean|/se={bias.max_se_ratio:.3g}",
     )
 
-    # Small noise-free tracking run checked against the worst-case bound
-    # and the expected decay of the running average.
-    dataset = generate(config.m, d, config.label_noise_variance, seed)
-    shards = partition_iid(dataset, n)
-    mixing = build_mixing(config.topology)
-    lam = config.lam
-    L = estimate_smoothness(dataset, shards, lam)
-    eta = step_size_cap(L, mixing.rho) / 2.0
-    config.lr = LrSchedule(eta0=eta, gamma=1.0, decay_interval=1)
-    result = run_detailed(config, 0, Setup(dataset, shards, L, mixing))
-    grad_series = result.metrics["grad_norm_sq"][:-1]
-    empirical = float(grad_series.mean())
-
-    x_star, f_star = ridge_optimum(dataset, lam)
-    init = derive_stream(StreamKey(seed, 0, 0, 0, PURPOSE_INIT)).standard_normal(d)
-    rng = np.random.default_rng(1234)
-    x_samples = [init, x_star, rng.standard_normal(d)]
-    consts = ConstantsEstimate(
-        L=L,
-        sigma_sq=estimate_sigma_sq(
-            x_samples, shards, dataset, ObjectiveConfig(lam, config.batch_size), rng
-        ),
-        zeta_sq=estimate_zeta_sq(x_samples, shards, dataset, lam),
-        D_sq_total=d * config.noise_variance,
-        B_bar_sq=float(np.mean(result.bias_sq)),
-        f0_gap=global_loss(init, dataset, lam) - f_star,
-    )
-    bound = evaluate_theorem_bound(consts, mixing.rho, config.mu, eta, n, config.rounds)
-    record("bound-sanity", empirical <= bound, f"empirical={empirical:.6g} bound={bound:.6g}")
-
-    slope = rate_fit(grad_series)
-    record("rate-slope", slope <= -0.3, f"slope={slope:.4f}")
+    sanity = bound_sanity(config)
+    detail = f"empirical={sanity.empirical:.6g} bound={sanity.bound:.6g}"
+    record("bound-sanity", sanity.empirical <= sanity.bound, detail)
+    record("rate-slope", sanity.slope <= -0.3, f"slope={sanity.slope:.4f}")
     return checks
 
 
@@ -358,8 +319,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with _bad_input(args):
         config = RunConfig(d=50, m=800, rounds=300, repeats=1, master_seed=opts["seed"])
         config.validate()
+        os.makedirs(opts["out"], exist_ok=True)
     checks = _verify_battery(config)
-    os.makedirs(opts["out"], exist_ok=True)
     lines = []
     for check in checks:
         status = "PASS" if check["passed"] else "FAIL"

@@ -12,6 +12,7 @@ a leading row at t = -1 records the common initial state.
 Results are named arrays: METRICS lists each per-round metric once, and
 the CSV columns, both result types and the averaging derive from it.
 Every run is set up by _setup, which reuses what a given Setup holds.
+bound_sanity checks one run against the convergence theorem's bound.
 
 Metrics never feed back into the trajectory, so run_detailed copies each
 recorded state into a block of METRICS_BLOCK states and evaluates the
@@ -51,8 +52,16 @@ from .channel import (
 )
 from .data import Dataset, Shard, generate, partition_iid
 from .metrics import measure_block
-from .objective import ObjectiveConfig, sample_batches, stochastic_gradient
-from .theory_checks import estimate_smoothness, step_size_cap, tracking_condition
+from .objective import ObjectiveConfig, ridge_optimum, sample_batches, stochastic_gradient
+from .theory_checks import (
+    ConstantsEstimate,
+    estimate_sigma_sq,
+    estimate_smoothness,
+    estimate_zeta_sq,
+    evaluate_theorem_bound,
+    step_size_cap,
+    tracking_condition,
+)
 from .topology import FULLY_CONNECTED, MixingMatrix, TopologySpec, build_mixing
 
 ALGORITHMS = ("fedndl1", "fedndl2", "fedndl3", "fednmut")
@@ -321,6 +330,49 @@ def rate_fit(series) -> float:
         raise DegenerateSeriesError("exact convergence: running averages are zero, slope undefined")
     slope, _ = np.polyfit(np.log(ts[keep]), np.log(averages[keep]), 1)
     return float(slope)
+
+
+@dataclass(frozen=True)
+class BoundSanity:
+    """A run at constant step eta: mean squared gradient norm, its bound, rate_fit slope."""
+
+    eta: float
+    empirical: float
+    bound: float
+    slope: float
+
+
+def bound_sanity(config: RunConfig, setup: Setup | None = None) -> BoundSanity:
+    """Run repeat 0 of config at half the step-size cap and check it against the theorem.
+
+    sigma^2 and zeta^2 are estimated at the initial point, x* and one
+    draw of default_rng(1234); B_bar^2 is the run's mean ||B_t||_F^2 / n,
+    so config should be a FedNMUT run.
+    """
+    setup = _setup(config, setup)
+    dataset, shards, L, rho = setup.dataset, setup.shards, setup.smoothness, setup.mixing.rho
+    eta = step_size_cap(L, rho) / 2.0
+    config = replace(config, lr=LrSchedule(eta0=eta, gamma=1.0, decay_interval=1))
+    result = run_detailed(config, 0, setup)
+    # entry k is the state entering round k
+    grad_series = result.metrics["grad_norm_sq"][:-1]
+
+    d, lam = config.d, config.lam
+    x_star, f_star = ridge_optimum(dataset, lam)
+    init = derive_stream(StreamKey(config.master_seed, 0, 0, 0, PURPOSE_INIT)).standard_normal(d)
+    rng = np.random.default_rng(1234)
+    x_samples = [init, x_star, rng.standard_normal(d)]
+    objective = ObjectiveConfig(lam, config.batch_size)
+    consts = ConstantsEstimate(
+        L=L,
+        sigma_sq=estimate_sigma_sq(x_samples, shards, dataset, objective, rng),
+        zeta_sq=estimate_zeta_sq(x_samples, shards, dataset, lam),
+        D_sq_total=d * config.noise_variance,
+        B_bar_sq=float(np.mean(result.bias_sq)),
+        f0_gap=result.metrics["loss"][0] - f_star,
+    )
+    bound = evaluate_theorem_bound(consts, rho, config.mu, eta, config.n, config.rounds)
+    return BoundSanity(eta, float(grad_series.mean()), float(bound), rate_fit(grad_series))
 
 
 def _fmt(x: float) -> str:

@@ -20,31 +20,15 @@ from dflsim.algorithms import (
     round_fednmut_matrix,
     stack_states,
 )
-from dflsim.channel import PURPOSE_INIT, StreamKey, derive_stream
 from dflsim.data import generate, partition_iid
-from dflsim.harness import (
-    LrSchedule,
-    RunConfig,
-    Setup,
-    rate_fit,
-    run_averaged,
-    run_detailed,
-    sweep,
-)
+from dflsim.harness import LrSchedule, RunConfig, Setup, bound_sanity, run_averaged, sweep
 from dflsim.objective import (
     ObjectiveConfig,
     full_local_gradient,
     local_loss,
     ridge_optimum,
 )
-from dflsim.theory_checks import (
-    ConstantsEstimate,
-    check_bias_zero_mean,
-    estimate_sigma_sq,
-    estimate_smoothness,
-    estimate_zeta_sq,
-    evaluate_theorem_bound,
-)
+from dflsim.theory_checks import check_bias_zero_mean, estimate_smoothness
 from dflsim.topology import FULLY_CONNECTED, RING, TORUS, TopologySpec, build_mixing
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -71,28 +55,21 @@ def desk_problem():
 
 
 @pytest.fixture(scope="module")
-def rate_run(desk_problem):
-    """Criterion-8 configuration, shared with criterion 9."""
-    dataset, shards, _, _ = desk_problem
-    mixing = build_mixing(TopologySpec(FULLY_CONNECTED, N))
-    smoothness = estimate_smoothness(dataset, shards, LAM)
-    eta = min(1.0 / (4.0 * smoothness), mixing.rho / (7.0 * smoothness)) / 2.0
+def sanity():
+    """Criterion-8 run at half the step-size cap and its bound, shared with criterion 9."""
     config = RunConfig(
         algorithm="fednmut",
         topology=TopologySpec(FULLY_CONNECTED, N),
         d=DESK_D,
         m=DESK_M,
         rounds=2000,
-        lr=LrSchedule(eta0=eta, gamma=1.0, decay_interval=1),
         mu=0.02,
         noise_variance=0.0,
         lam=LAM,
         batch_size=32,
-        repeats=1,
         master_seed=SEED,
     )
-    result = run_detailed(config, 0, Setup(dataset, shards, smoothness, mixing))
-    return config, result, mixing, smoothness, eta
+    return bound_sanity(config)
 
 
 def test_criterion_1_mixing_matrix_suite():
@@ -265,33 +242,14 @@ def test_criterion_7_figure_trends(desk_problem):
            f"torus {ce[TORUS]:.3g} <= ring {ce[RING]:.3g}; {elapsed:.0f}s")
 
 
-def test_criterion_8_rate_slope(rate_run):
-    _, result, _, _, eta = rate_run
-    series = result.metrics["grad_norm_sq"][:-1]
-    slope = rate_fit(series)
-    report(8, slope <= -0.3, f"log-log slope {slope:.3f} at constant eta {eta:.3g}")
+def test_criterion_8_rate_slope(sanity):
+    report(8, sanity.slope <= -0.3,
+           f"log-log slope {sanity.slope:.3f} at constant eta {sanity.eta:.3g}")
 
 
-def test_criterion_9_bound_sanity(rate_run, desk_problem):
-    config, result, mixing, smoothness, eta = rate_run
-    dataset, shards, x_star, f_star = desk_problem
-    series = result.metrics["grad_norm_sq"][:-1]
-    empirical = float(series.mean())
-
-    init = derive_stream(StreamKey(SEED, 0, 0, 0, PURPOSE_INIT)).standard_normal(DESK_D)
-    rng = np.random.default_rng(1234)
-    samples = [init, x_star, rng.standard_normal(DESK_D)]
-    consts = ConstantsEstimate(
-        L=smoothness,
-        sigma_sq=estimate_sigma_sq(samples, shards, dataset, ObjectiveConfig(LAM, 32), rng),
-        zeta_sq=estimate_zeta_sq(samples, shards, dataset, LAM),
-        D_sq_total=DESK_D * config.noise_variance,
-        B_bar_sq=float(np.mean(result.bias_sq)),
-        f0_gap=result.metrics["loss"][0] - f_star,
-    )
-    bound = evaluate_theorem_bound(consts, mixing.rho, config.mu, eta, N, config.rounds)
-    report(9, empirical <= bound,
-           f"mean squared gradient norm {empirical:.4g} <= bound {bound:.4g}")
+def test_criterion_9_bound_sanity(sanity):
+    report(9, sanity.empirical <= sanity.bound,
+           f"mean squared gradient norm {sanity.empirical:.4g} <= bound {sanity.bound:.4g}")
 
 
 def test_criterion_10_sweep_determinism(tmp_path):

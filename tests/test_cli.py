@@ -1,5 +1,6 @@
 """Command line surface: flags, config file, subcommands."""
 
+import hashlib
 import json
 import os
 import re
@@ -113,6 +114,13 @@ def test_rate_names_a_missing_column(tmp_path, capsys):
     path.write_text("round,eta,loss_mean\n-1,0.1,1\n", encoding="utf-8")
     missing = rf"{re.escape(str(path))}: no 'grad_norm_sq_mean' column"
     assert_exits_2_naming(capsys, ["rate", "--csv", str(path)], missing)
+
+
+def test_rate_names_a_series_too_short_to_fit(tmp_path, capsys):
+    assert main(["run", *TINY, "--out", str(tmp_path)]) == 0  # 10 rounds
+    [path] = tmp_path.glob("*.csv")
+    assert_exits_2_naming(capsys, ["rate", "--csv", str(path)],
+                          rf"{re.escape(str(path))}: need a series of at least 50 rounds, got 10")
 
 
 def test_rate_of_run_csv_equals_fit_of_run(tmp_path, monkeypatch, capsys):
@@ -315,6 +323,13 @@ def test_verify_writes_report_and_passes(tmp_path, capsys):
     assert {c["name"] for c in summary["checks"]} >= {
         "mixing[ring]", "contraction[torus]", "bias-zero-mean", "bound-sanity", "rate-slope",
     }
+    # the bytes of both files, pinned so a refactor of the checks cannot change them
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("verify_report.txt", "verify_summary.json")}
+    assert digests == {
+        "verify_report.txt": "efc4172eb473d171ff0ded80533b791e134886d476a23b760687614caa054a13",
+        "verify_summary.json": "eba3fe1448fc13aa01b23b2266ee6fbe8673354ed64d39a8bbffbeed994b2e5f",
+    }
 
 
 def test_verify_rejects_bad_seed_before_any_check(tmp_path, monkeypatch, capsys):
@@ -333,13 +348,18 @@ def test_verify_rejects_bad_seed_before_any_check(tmp_path, monkeypatch, capsys)
     (["sweep", "--mu", "0.02,1.5"], r"mu must be in \[0, 1\), got 1.5"),
     (["sweep", "--mu", "0.02,0.0200000001"], "share cell_id"),
     (["rate", "--csv", "missing.csv"], "No such file or directory: 'missing.csv'"),
+    (["run", "--out", os.devnull], "File exists"),
+    (["sweep", "--out", os.devnull], "File exists"),
+    (["verify", "--out", os.devnull], "File exists"),
 ], ids=["run-invalid-config", "run-missing-config", "sweep-invalid-cell",
-        "sweep-cell-collision", "rate-missing-csv"])
+        "sweep-cell-collision", "rate-missing-csv", "run-out-file", "sweep-out-file",
+        "verify-out-file"])
 def test_bad_input_exits_2_before_any_setup(tmp_path, monkeypatch, capsys, argv, named):
     def no_setup(*args, **kwargs):
         raise AssertionError("set-up started before the inputs were checked")
 
     monkeypatch.setattr("dflsim.harness.generate", no_setup)
+    monkeypatch.setattr("dflsim.cli.build_mixing", no_setup)  # verify's first check
     monkeypatch.chdir(tmp_path)  # where a command that ran would write dflsim_out
     assert_exits_2_naming(capsys, argv, named)
     assert os.listdir(tmp_path) == []

@@ -24,6 +24,7 @@ from dflsim.harness import (
     LrSchedule,
     RunConfig,
     Setup,
+    bound_sanity,
     cell_id,
     csv_lines,
     eta_at,
@@ -286,10 +287,12 @@ class TestRunAveraged:
 
     def test_given_setup_is_reused(self, monkeypatch):
         config = small_config(repeats=2, rounds=5)
+        tracked = replace(config, algorithm="fednmut", rounds=60)  # rate_fit needs 50 rounds
         dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
         shards = partition_iid(dataset, config.n)
         setup = Setup(dataset, shards, estimate_smoothness(dataset, shards, config.lam))
         expected = run_averaged(config).columns
+        expected_sanity = bound_sanity(tracked)
         mixings = []
 
         def no_setup(*args):
@@ -303,7 +306,8 @@ class TestRunAveraged:
         monkeypatch.setattr(harness, "estimate_smoothness", no_setup)
         monkeypatch.setattr(harness, "build_mixing", counting)
         columns = run_averaged(config, setup).columns
-        assert mixings == [config.topology]  # once per cell, shared by its repeats
+        assert bound_sanity(tracked, setup) == expected_sanity
+        assert mixings == [config.topology, tracked.topology]  # once per call, shared by repeats
         assert {k: v.tolist() for k, v in columns.items()} == {
             k: v.tolist() for k, v in expected.items()
         }
