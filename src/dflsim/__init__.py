@@ -38,9 +38,6 @@ from .harness import (
 )
 from .metrics import RoundMetrics, consensus_error, mean_iterate, measure, measure_block
 from .objective import (
-    ObjectiveConfig,
-    full_local_gradient,
-    global_gradient,
     global_loss,
     local_loss,
     ridge_optimum,
@@ -67,7 +64,6 @@ __all__ = [
     "LrSchedule",
     "MixingMatrix",
     "NetworkState",
-    "ObjectiveConfig",
     "RoundInputs",
     "RoundMetrics",
     "RunConfig",
@@ -87,9 +83,7 @@ __all__ = [
     "estimate_zeta_sq",
     "eta_at",
     "evaluate_theorem_bound",
-    "full_local_gradient",
     "generate",
-    "global_gradient",
     "global_loss",
     "init_network_state",
     "init_states",

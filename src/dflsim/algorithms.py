@@ -1,9 +1,10 @@
 """One synchronous round of each decentralized update rule.
 
-With X the d x n matrix of client parameter columns, G the matching
-stochastic gradients, delta the channel noise (one draw per sender per
-round, seen identically by every receiver), W the mixing matrix applied
-across columns, and eta the step size:
+With X the d x n matrix of client parameter columns, G = grads(X) the
+matching stochastic gradients (every rule calls grads once per round),
+delta the channel noise (one draw per sender per round, seen identically
+by every receiver), W the mixing matrix applied across columns, and eta
+the step size:
 
     FedNDL1   X' = (X - eta G + delta) W          (step, then noisy gossip)
     FedNDL2   Xh = (X + delta) W;  X' = Xh - eta G(Xh)
@@ -97,13 +98,14 @@ class NetworkState:
 class RoundInputs:
     """Everything one synchronous round consumes.
 
-    grads and noises hold one column per client; grads is None for
-    FedNDL2, which evaluates gradients mid-round through a callback.
+    grads(Z) maps a d x n point to the d x n matrix of every client's
+    stochastic gradient there; a rule calls it exactly once per round.
+    noises holds one column per client. Only the FedNMUT rules read mu.
     """
 
     eta: float
     W: MixingMatrix
-    grads: np.ndarray | None
+    grads: Callable[[np.ndarray], np.ndarray]
     noises: np.ndarray
     mu: float = 0.0
 
@@ -125,40 +127,33 @@ def _check_shapes(X: np.ndarray, inputs: RoundInputs) -> None:
         raise ValueError(f"dimension mismatch: {n} clients vs mixing matrix {inputs.W.weights.shape}")
     if inputs.noises.shape != X.shape:
         raise ValueError(f"dimension mismatch: noises {inputs.noises.shape} vs states {X.shape}")
-    if inputs.grads is not None and inputs.grads.shape != X.shape:
-        raise ValueError(f"dimension mismatch: grads {inputs.grads.shape} vs states {X.shape}")
+
+
+def _gradients(Z: np.ndarray, inputs: RoundInputs) -> np.ndarray:
+    """The round's one grads call, at the d x n point Z."""
+    G = inputs.grads(Z)
+    if G.shape != Z.shape:
+        raise ValueError(f"dimension mismatch: grads {G.shape} vs states {Z.shape}")
+    return G
 
 
 def round_fedndl1(X: np.ndarray, inputs: RoundInputs) -> np.ndarray:
     """Local SGD half-step, then gossip of noisy parameters."""
     _check_shapes(X, inputs)
-    if inputs.grads is None:
-        raise ValueError("round_fedndl1 needs precomputed gradients")
-    return (X - inputs.eta * inputs.grads + inputs.noises) @ inputs.W.weights
+    return (X - inputs.eta * _gradients(X, inputs) + inputs.noises) @ inputs.W.weights
 
 
-def round_fedndl2(
-    X: np.ndarray,
-    inputs: RoundInputs,
-    grad_fn: Callable[[int, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Gossip noisy parameters first, then step with gradients at the gossiped point.
-
-    grad_fn(i, x) returns client i's stochastic gradient at x; it is
-    called exactly once per client per round.
-    """
+def round_fedndl2(X: np.ndarray, inputs: RoundInputs) -> np.ndarray:
+    """Gossip noisy parameters first, then step with gradients at the gossiped point."""
     _check_shapes(X, inputs)
     half = (X + inputs.noises) @ inputs.W.weights
-    grads = np.column_stack([grad_fn(i, half[:, i]) for i in range(X.shape[1])])
-    return half - inputs.eta * grads
+    return half - inputs.eta * _gradients(half, inputs)
 
 
 def round_fedndl3(X: np.ndarray, inputs: RoundInputs) -> np.ndarray:
     """Gossip the noisy gradients, then take the mixed step."""
     _check_shapes(X, inputs)
-    if inputs.grads is None:
-        raise ValueError("round_fedndl3 needs precomputed gradients")
-    return X - inputs.eta * ((inputs.grads + inputs.noises) @ inputs.W.weights)
+    return X - inputs.eta * ((_gradients(X, inputs) + inputs.noises) @ inputs.W.weights)
 
 
 def _warmed(states: list[ClientState], W: MixingMatrix) -> list[ClientState]:
@@ -185,8 +180,7 @@ def round_fednmut(states: list[ClientState], inputs: RoundInputs) -> list[Client
     """Noisy model update tracking round, computed client by client (test oracle)."""
     X = stack_states(states)
     _check_shapes(X, inputs)
-    if inputs.grads is None:
-        raise ValueError("round_fednmut needs precomputed gradients")
+    G = _gradients(X, inputs)
     ratio, limit = tracking_condition(inputs.mu, inputs.W.rho)
     if ratio > limit:
         warnings.warn(
@@ -211,7 +205,7 @@ def round_fednmut(states: list[ClientState], inputs: RoundInputs) -> list[Client
             diff = (x_hat_j - s.x) / inputs.eta
             gossip += w[i, j] * diff
             correction += w[i, j] * (yt - diff)
-        deltas[:, i] = inputs.grads[:, i] - gossip
+        deltas[:, i] = G[:, i] - gossip
         y_i = deltas[:, i] + inputs.mu * (correction - s.delta_prev)
         y_tilde[:, i] = y_i + inputs.noises[:, i]
 
@@ -238,11 +232,10 @@ def round_fednmut_array(
     delta, B), with B the d x n correction that mu scales this round.
     """
     _check_shapes(X, inputs)
-    if inputs.grads is None:
-        raise ValueError("round_fednmut_array needs precomputed gradients")
+    G = _gradients(X, inputs)
     w = inputs.W.weights
     gossip = (X @ w - X) / inputs.eta
-    delta = inputs.grads - gossip
+    delta = G - gossip
     bias = y_tilde_prev @ w - gossip - delta_prev
     y_tilde = delta + inputs.mu * bias + inputs.noises
     return X - inputs.eta * y_tilde, y_tilde, delta, bias
@@ -268,19 +261,18 @@ def round_fednmut_matrix(netstate: NetworkState, inputs: RoundInputs) -> Network
     by 0.9 every 10 rounds, and by about 5e-2 from independent starts.
     """
     _check_shapes(netstate.X, inputs)
-    if inputs.grads is None:
-        raise ValueError("round_fednmut_matrix needs precomputed gradients")
+    G = _gradients(netstate.X, inputs)
     w = inputs.W.weights
     n = netstate.X.shape[1]
     eta_b = netstate.eta_prev if netstate.eta_prev is not None else inputs.eta
     two_w_minus_i = 2.0 * w - np.eye(n)
     B = -((netstate.X - netstate.X_prev) @ two_w_minus_i) / eta_b - netstate.G_prev
-    new_X = netstate.X @ w - inputs.eta * (inputs.grads + inputs.mu * B + inputs.noises)
+    new_X = netstate.X @ w - inputs.eta * (G + inputs.mu * B + inputs.noises)
     return NetworkState(
         X=new_X,
         B=B,
         X_prev=netstate.X.copy(),
-        G_prev=inputs.grads.copy(),
+        G_prev=G.copy(),
         eta_prev=inputs.eta,
     )
 

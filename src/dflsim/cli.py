@@ -254,7 +254,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
         except DegenerateSeriesError:
             print("slope: undefined (exact convergence, series is zero)")
             return 0
-        except ValueError as exc:  # a series too short to fit
+        except ValueError as exc:  # a series too short to fit, or not finite
             raise ValueError(f"{args.csv}: {exc}") from None
     print(f"slope: {slope:.4f}")
     return 0
@@ -265,8 +265,18 @@ def _read_csv_column(path: str, column: str) -> np.ndarray:
         header = fh.readline().strip().split(",")
         if column not in header:
             raise ValueError(f"{path}: no {column!r} column in header {header}")
-        idx = header.index(column)
-        return np.array([float(line.strip().split(",")[idx]) for line in fh if line.strip()])
+        idx, values = header.index(column), []
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.strip().split(",")
+            if fields == [""]:
+                continue
+            if len(fields) != len(header):
+                raise ValueError(f"{path}:{lineno}: {len(fields)} fields, header has {len(header)}")
+            try:
+                values.append(float(fields[idx]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        return np.array(values)
 
 
 def _verify_battery(config: RunConfig) -> list[dict]:

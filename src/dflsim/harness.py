@@ -52,7 +52,7 @@ from .channel import (
 )
 from .data import Dataset, Shard, generate, partition_iid
 from .metrics import measure_block
-from .objective import ObjectiveConfig, ridge_optimum, sample_batches, stochastic_gradient
+from .objective import ridge_optimum, sample_batches, stochastic_gradient
 from .theory_checks import (
     ConstantsEstimate,
     estimate_sigma_sq,
@@ -228,8 +228,7 @@ def run_detailed(config: RunConfig, repeat_index: int, setup: Setup | None = Non
     _warn_outside_theory(config, mixing, setup.smoothness)
 
     seed = config.master_seed
-    n, d = config.n, config.d
-    obj_cfg = ObjectiveConfig(lam=config.lam, batch_size=config.batch_size)
+    n, d, lam = config.n, config.d, config.lam
     # The initial point is shared across repeats; repeats differ through
     # batch sampling and channel noise only.
     init_stream = derive_stream(StreamKey(seed, 0, 0, 0, PURPOSE_INIT))
@@ -248,7 +247,7 @@ def run_detailed(config: RunConfig, repeat_index: int, setup: Setup | None = Non
         if k == METRICS_BLOCK - 1 or t == config.rounds - 1:
             # pad a partial last block with its last state, so every product has one shape
             block[k + 1 :] = block[k]
-            values.append(measure_block(block, dataset, config.lam, shards))
+            values.append(measure_block(block, dataset, lam, shards))
 
     record(X, -1)
     bias_sq: list[float] = []
@@ -270,18 +269,15 @@ def run_detailed(config: RunConfig, repeat_index: int, setup: Setup | None = Non
         if sampling:
             picks = sample_batches(stream(t, PURPOSE_DATA_BATCH), sizes, config.batch_size)
 
-        def grad(i: int, x: np.ndarray, picks: list = picks) -> np.ndarray:
-            return stochastic_gradient(x, shards[i], dataset, obj_cfg, picks[i])
+        def grads(Z: np.ndarray, picks: list = picks) -> np.ndarray:
+            cols = zip(Z.T, shards, picks)  # Z.T[i] is Z[:, i]
+            return np.column_stack([stochastic_gradient(z, s, dataset, lam, p) for z, s, p in cols])
 
-        grads = None
-        if config.algorithm != "fedndl2":
-            grads = np.column_stack([grad(i, X[:, i]) for i in range(n)])
-        mu = config.mu if config.algorithm == "fednmut" else 0.0
-        inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises, mu=mu)
+        inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises, mu=config.mu)
         if config.algorithm == "fedndl1":
             X = round_fedndl1(X, inputs)
         elif config.algorithm == "fedndl2":
-            X = round_fedndl2(X, inputs, grad)
+            X = round_fedndl2(X, inputs)
         elif config.algorithm == "fedndl3":
             X = round_fedndl3(X, inputs)
         else:
@@ -320,6 +316,9 @@ def rate_fit(series) -> float:
     vals = np.asarray(series, dtype=float)
     if vals.size < 50:
         raise ValueError(f"need a series of at least 50 rounds, got {vals.size}")
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"entry {bad[0]} of the series is {vals[bad[0]]}, not finite")
     total = vals.size
     running = np.cumsum(vals) / np.arange(1, total + 1)
     t_min = max(int(np.ceil(0.1 * total)), 1)
@@ -347,8 +346,10 @@ def bound_sanity(config: RunConfig, setup: Setup | None = None) -> BoundSanity:
 
     sigma^2 and zeta^2 are estimated at the initial point, x* and one
     draw of default_rng(1234); B_bar^2 is the run's mean ||B_t||_F^2 / n,
-    so config should be a FedNMUT run.
+    so any rule but FedNMUT is rejected before set-up.
     """
+    if config.algorithm != "fednmut":
+        raise ValueError(f"bound_sanity needs a fednmut config, got algorithm {config.algorithm!r}")
     setup = _setup(config, setup)
     dataset, shards, L, rho = setup.dataset, setup.shards, setup.smoothness, setup.mixing.rho
     eta = step_size_cap(L, rho) / 2.0
@@ -362,10 +363,9 @@ def bound_sanity(config: RunConfig, setup: Setup | None = None) -> BoundSanity:
     init = derive_stream(StreamKey(config.master_seed, 0, 0, 0, PURPOSE_INIT)).standard_normal(d)
     rng = np.random.default_rng(1234)
     x_samples = [init, x_star, rng.standard_normal(d)]
-    objective = ObjectiveConfig(lam, config.batch_size)
     consts = ConstantsEstimate(
         L=L,
-        sigma_sq=estimate_sigma_sq(x_samples, shards, dataset, objective, rng),
+        sigma_sq=estimate_sigma_sq(x_samples, shards, dataset, lam, config.batch_size, rng),
         zeta_sq=estimate_zeta_sq(x_samples, shards, dataset, lam),
         D_sq_total=d * config.noise_variance,
         B_bar_sq=float(np.mean(result.bias_sq)),

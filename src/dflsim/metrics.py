@@ -24,8 +24,8 @@ measure_block. It makes one pass for the global terms and one for the
 local ones: the residual A xbar - y feeds both the loss and the
 gradient, and each shard run gets its local residuals from one stacked
 product over a view of its rows. Every value is reduced in the same
-order as global_loss, global_gradient and local_loss, so it equals
-theirs bit for bit.
+order as global_loss, stochastic_gradient over the whole dataset and
+local_loss, so it equals theirs bit for bit.
 """
 
 from __future__ import annotations

@@ -11,30 +11,17 @@ by one routine, sample_batches, for all clients of a round at once: row i
 of one uniform block ranks client i's shard rows, and the batch is the
 first batch_size of them. A batch covering the whole shard takes the
 shard in order; when every shard is covered, sample_batches draws nothing
-from the random stream.
+from the random stream. stochastic_gradient is the one gradient formula, over
+a batch or the whole shard; a run calls it once per client per round.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, Shard
 
 _MAX_SOLVE_DIM = 4096
-
-
-@dataclass(frozen=True)
-class ObjectiveConfig:
-    lam: float
-    batch_size: int
-
-    def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 def _shard_view(shard: Shard, dataset: Dataset):
@@ -55,11 +42,6 @@ def global_loss(x: np.ndarray, dataset: Dataset, lam: float) -> float:
     return local_loss(x, Shard(client=-1, start=0, stop=dataset.m), dataset, lam)
 
 
-def global_gradient(x: np.ndarray, dataset: Dataset, lam: float) -> np.ndarray:
-    """Exact gradient of global_loss."""
-    return full_local_gradient(x, Shard(client=-1, start=0, stop=dataset.m), dataset, lam)
-
-
 def sample_batches(
     rng: np.random.Generator, sizes: list[int], batch_size: int
 ) -> list[np.ndarray | None]:
@@ -71,6 +53,8 @@ def sample_batches(
     replacement. A shard with size <= batch_size gets None (the whole
     shard, in order); when every shard does, rng is left untouched.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     width = max(sizes)
     if width <= batch_size:
         return [None] * len(sizes)
@@ -84,27 +68,20 @@ def stochastic_gradient(
     x: np.ndarray,
     shard: Shard,
     dataset: Dataset,
-    config: ObjectiveConfig,
-    picks: np.ndarray | None,
+    lam: float,
+    picks: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Minibatch gradient over the shard rows at offsets picks, or the whole shard for None.
+    """Gradient over the shard rows at offsets picks, or over the whole shard for None.
 
     With picks from sample_batches it is unbiased for the full-shard
-    gradient.
+    gradient; over a shard covering every row it is global_loss's gradient.
     """
     feats, labels = _shard_view(shard, dataset)
     if picks is not None:
         feats = feats[picks]
         labels = labels[picks]
     residual = feats @ x - labels
-    return (2.0 / residual.size) * (feats.T @ residual) + 2.0 * config.lam * x
-
-
-def full_local_gradient(x: np.ndarray, shard: Shard, dataset: Dataset, lam: float) -> np.ndarray:
-    """Gradient over the entire shard, no sampling."""
-    feats, labels = _shard_view(shard, dataset)
-    residual = feats @ x - labels
-    return (2.0 / shard.size) * (feats.T @ residual) + 2.0 * lam * x
+    return (2.0 / residual.size) * (feats.T @ residual) + 2.0 * lam * x
 
 
 def ridge_optimum(dataset: Dataset, lam: float) -> tuple[np.ndarray, float]:

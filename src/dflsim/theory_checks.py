@@ -23,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Shard
-from .objective import (
-    ObjectiveConfig,
-    full_local_gradient,
-    sample_batches,
-    stochastic_gradient,
-)
+from .objective import sample_batches, stochastic_gradient
 
 # Largest smaller-side k whose k x k Gram is solved densely. Every shard's
 # Gram is formed once and only one is alive at a time; k^2 <= rows * d, so
@@ -178,7 +173,8 @@ def estimate_sigma_sq(
     x_samples: list[np.ndarray],
     shards: list[Shard],
     dataset: Dataset,
-    config: ObjectiveConfig,
+    lam: float,
+    batch_size: int,
     rng: np.random.Generator,
     draws: int = 500,
 ) -> float:
@@ -186,13 +182,13 @@ def estimate_sigma_sq(
     worst = 0.0
     for x in x_samples:
         for shard in shards:
-            mean_grad = full_local_gradient(x, shard, dataset, config.lam)
-            if config.batch_size >= shard.size:
+            mean_grad = stochastic_gradient(x, shard, dataset, lam)
+            if batch_size >= shard.size:
                 continue  # full batch has zero sampling variance
             acc = 0.0
             for _ in range(draws):
-                picks = sample_batches(rng, [shard.size], config.batch_size)[0]
-                g = stochastic_gradient(x, shard, dataset, config, picks)
+                picks = sample_batches(rng, [shard.size], batch_size)[0]
+                g = stochastic_gradient(x, shard, dataset, lam, picks)
                 diff = g - mean_grad
                 acc += float(diff @ diff)
             worst = max(worst, acc / draws)
@@ -208,7 +204,7 @@ def estimate_zeta_sq(
     """Worst observed client heterogeneity (1/n) sum_i ||grad_i - grad||^2."""
     worst = 0.0
     for x in x_samples:
-        grads = np.column_stack([full_local_gradient(x, s, dataset, lam) for s in shards])
+        grads = np.column_stack([stochastic_gradient(x, s, dataset, lam) for s in shards])
         mean = grads.mean(axis=1, keepdims=True)
         dev = grads - mean
         worst = max(worst, float((dev * dev).sum() / len(shards)))

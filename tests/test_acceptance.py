@@ -22,12 +22,7 @@ from dflsim.algorithms import (
 )
 from dflsim.data import generate, partition_iid
 from dflsim.harness import LrSchedule, RunConfig, Setup, bound_sanity, run_averaged, sweep
-from dflsim.objective import (
-    ObjectiveConfig,
-    full_local_gradient,
-    local_loss,
-    ridge_optimum,
-)
+from dflsim.objective import local_loss, ridge_optimum, stochastic_gradient
 from dflsim.theory_checks import check_bias_zero_mean, estimate_smoothness
 from dflsim.topology import FULLY_CONNECTED, RING, TORUS, TopologySpec, build_mixing
 
@@ -113,20 +108,20 @@ def test_criterion_2_contraction_property():
 def test_criterion_3_gradient_matches_finite_differences():
     dataset = generate(60, 20, 0.05, 7)
     shard = partition_iid(dataset, 1)[0]
-    cfg = ObjectiveConfig(lam=1e-3, batch_size=10_000)  # full batch
+    lam = 1e-3
     rng = np.random.default_rng(3)
     step = 1e-5
     worst = 0.0
     for _ in range(20):
         x = rng.standard_normal(20)
-        g = full_local_gradient(x, shard, dataset, cfg.lam)
+        g = stochastic_gradient(x, shard, dataset, lam)  # full batch
         fd = np.zeros(20)
         for k in range(20):
             bump = np.zeros(20)
             bump[k] = step
             fd[k] = (
-                local_loss(x + bump, shard, dataset, cfg.lam)
-                - local_loss(x - bump, shard, dataset, cfg.lam)
+                local_loss(x + bump, shard, dataset, lam)
+                - local_loss(x - bump, shard, dataset, lam)
             ) / (2 * step)
         worst = max(worst, np.linalg.norm(g - fd) / np.linalg.norm(g))
     report(3, worst <= 1e-5, f"20 random points, worst relative error {worst:.2e}")
@@ -144,7 +139,7 @@ def test_criterion_4_tracking_oracle_equivalence():
     for _ in range(rounds):
         grads = rng.standard_normal((d, n))
         noises = rng.normal(0.0, np.sqrt(variance), size=(d, n))
-        inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises, mu=mu)
+        inputs = RoundInputs(eta=eta, W=mixing, grads=lambda Z: grads, noises=noises, mu=mu)
         states = round_fednmut(states, inputs)
         net = round_fednmut_matrix(net, inputs)
         worst_state = max(worst_state, float(np.max(np.abs(stack_states(states) - net.X))))

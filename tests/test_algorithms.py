@@ -20,6 +20,11 @@ from dflsim.metrics import consensus_error
 from dflsim.topology import FULLY_CONNECTED, RING, TORUS, MixingMatrix, TopologySpec, build_mixing
 
 
+def fixed_inputs(eta, W, G, noises, mu=0.0):
+    """RoundInputs whose grads returns G at any point."""
+    return RoundInputs(eta=eta, W=W, grads=lambda Z: G, noises=noises, mu=mu)
+
+
 def states_from_columns(X):
     return [ClientState(x=X[:, i].copy()) for i in range(X.shape[1])]
 
@@ -37,14 +42,14 @@ class TestFedNDL1:
     def test_single_client_is_plain_sgd(self):
         X = np.array([[1.0], [2.0]])
         grads = np.array([[0.5], [-1.0]])
-        inputs = RoundInputs(eta=0.1, W=single_client_mixing(), grads=grads, noises=np.zeros((2, 1)))
+        inputs = fixed_inputs(0.1, single_client_mixing(), grads, np.zeros((2, 1)))
         out = round_fedndl1(X, inputs)
         np.testing.assert_allclose(out[:, 0], [0.95, 2.1])
 
     def test_two_clients_average(self):
         # post-SGD parameters [1], [3] under uniform weights land both at [2]
         w = MixingMatrix(n=2, weights=np.full((2, 2), 0.5), rho=1.0)
-        inputs = RoundInputs(eta=1.0, W=w, grads=np.zeros((1, 2)), noises=np.zeros((1, 2)))
+        inputs = fixed_inputs(1.0, w, np.zeros((1, 2)), np.zeros((1, 2)))
         out = round_fedndl1(np.array([[1.0, 3.0]]), inputs)
         np.testing.assert_array_equal(out, [[2.0, 2.0]])
 
@@ -52,7 +57,7 @@ class TestFedNDL1:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((4, 3))
         noises = rng.standard_normal((4, 3))
-        inputs = RoundInputs(eta=0.3, W=identity_mixing(3), grads=np.zeros((4, 3)), noises=noises)
+        inputs = fixed_inputs(0.3, identity_mixing(3), np.zeros((4, 3)), noises)
         out = round_fedndl1(X, inputs)
         np.testing.assert_allclose(out, X + noises, atol=1e-15)
 
@@ -63,23 +68,23 @@ class TestFedNDL2:
         mixing = build_mixing(TopologySpec(FULLY_CONNECTED, 4))
         X = np.tile(x0[:, None], (1, 4))
         g = np.array([0.25, 0.5])
-        inputs = RoundInputs(eta=0.2, W=mixing, grads=None, noises=np.zeros((2, 4)))
-        out = round_fedndl2(X, inputs, lambda i, x: g)
+        inputs = fixed_inputs(0.2, mixing, np.tile(g[:, None], (1, 4)), np.zeros((2, 4)))
+        out = round_fedndl2(X, inputs)
         np.testing.assert_allclose(out, np.tile((x0 - 0.2 * g)[:, None], (1, 4)))
 
     def test_zero_gradient_is_pure_gossip(self):
         mixing = build_mixing(TopologySpec(RING, 8))
         rng = np.random.default_rng(1)
         X = rng.standard_normal((5, 8))
-        inputs = RoundInputs(eta=0.1, W=mixing, grads=None, noises=np.zeros((5, 8)))
-        out = round_fedndl2(X, inputs, lambda i, x: np.zeros(5))
+        inputs = fixed_inputs(0.1, mixing, np.zeros((5, 8)), np.zeros((5, 8)))
+        out = round_fedndl2(X, inputs)
         assert consensus_error(out) <= (1 - mixing.rho) * consensus_error(X) + 1e-12
 
     def test_single_client_noisy_self_loop(self):
         noises = np.array([[0.5]])
-        inputs = RoundInputs(eta=0.1, W=single_client_mixing(), grads=None, noises=noises)
-        out = round_fedndl2(np.array([[2.0]]), inputs, lambda i, x: np.array([x[0]]))
-        # gossiped point is 2.5, gradient callback returns it
+        inputs = RoundInputs(eta=0.1, W=single_client_mixing(), grads=lambda Z: Z, noises=noises)
+        out = round_fedndl2(np.array([[2.0]]), inputs)
+        # gossiped point is 2.5, the gradient callable returns it
         np.testing.assert_allclose(out[:, 0], [2.5 - 0.1 * 2.5])
 
 
@@ -89,15 +94,13 @@ class TestFedNDL3:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((3, 4))
         grads = rng.standard_normal((3, 4))
-        inputs = RoundInputs(eta=0.2, W=mixing, grads=grads, noises=np.zeros((3, 4)))
+        inputs = fixed_inputs(0.2, mixing, grads, np.zeros((3, 4)))
         out = round_fedndl3(X, inputs)
         expected = X - 0.2 * grads.mean(axis=1, keepdims=True)
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_single_client_plain_sgd(self):
-        inputs = RoundInputs(
-            eta=0.5, W=single_client_mixing(), grads=np.array([[2.0]]), noises=np.zeros((1, 1))
-        )
+        inputs = fixed_inputs(0.5, single_client_mixing(), np.array([[2.0]]), np.zeros((1, 1)))
         out = round_fedndl3(np.array([[1.0]]), inputs)
         np.testing.assert_allclose(out[:, 0], [0.0])
 
@@ -108,7 +111,7 @@ class TestFedNDL3:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((2, 4))
         noises = rng.standard_normal((2, 4))
-        inputs = RoundInputs(eta=0.3, W=mixing, grads=np.zeros((2, 4)), noises=noises)
+        inputs = fixed_inputs(0.3, mixing, np.zeros((2, 4)), noises)
         out = round_fedndl3(X, inputs)
         np.testing.assert_allclose(out - X, -0.3 * noises @ mixing.weights, atol=1e-15)
 
@@ -122,7 +125,7 @@ class TestFedNDL3:
         inputs_grads = np.zeros((4, 4))
         for _ in range(rounds):
             noises = rng.normal(0.0, np.sqrt(v), size=(4, 4))
-            inputs = RoundInputs(eta=eta, W=mixing, grads=inputs_grads, noises=noises)
+            inputs = fixed_inputs(eta, mixing, inputs_grads, noises)
             steps.append(round_fedndl3(X, inputs) - X)
         samples = np.stack(steps)
         target = eta * eta * v * float((mixing.weights[0] ** 2).sum())
@@ -136,7 +139,7 @@ class TestFedNMUT:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((6, 8))
         grads = rng.standard_normal((6, 8))
-        inputs = RoundInputs(eta=0.1, W=mixing, grads=grads, noises=np.zeros((6, 8)), mu=0.0)
+        inputs = fixed_inputs(0.1, mixing, grads, np.zeros((6, 8)), mu=0.0)
         out = round_fednmut(states_from_columns(X), inputs)
         np.testing.assert_allclose(stack_states(out), X @ mixing.weights - 0.1 * grads, atol=1e-12)
 
@@ -145,7 +148,7 @@ class TestFedNMUT:
         x0 = np.random.default_rng(6).standard_normal(5)
         states = [ClientState(x=x0.copy()) for _ in range(9)]
         grads = np.random.default_rng(7).standard_normal((5, 9))
-        inputs = RoundInputs(eta=0.2, W=mixing, grads=grads, noises=np.zeros((5, 9)), mu=0.9)
+        inputs = fixed_inputs(0.2, mixing, grads, np.zeros((5, 9)), mu=0.9)
         with pytest.warns(RuntimeWarning):
             out = round_fednmut(states, inputs)
         np.testing.assert_allclose(stack_states(out), stack_states(states) - 0.2 * grads, atol=1e-13)
@@ -154,14 +157,12 @@ class TestFedNMUT:
 
     def test_zero_step_size_rejected(self):
         with pytest.raises(ValueError, match="> 0"):
-            RoundInputs(eta=0.0, W=single_client_mixing(), grads=np.zeros((1, 1)), noises=np.zeros((1, 1)))
+            fixed_inputs(0.0, single_client_mixing(), np.zeros((1, 1)), np.zeros((1, 1)))
 
     def test_mu_outside_tracking_regime_warns(self):
         mixing = build_mixing(TopologySpec(RING, 8))  # rho/42 ~ 0.0084
         states = states_from_columns(init_states(8, 3, "shared_random", np.random.default_rng(8)))
-        inputs = RoundInputs(
-            eta=0.1, W=mixing, grads=np.zeros((3, 8)), noises=np.zeros((3, 8)), mu=0.02
-        )
+        inputs = fixed_inputs(0.1, mixing, np.zeros((3, 8)), np.zeros((3, 8)), mu=0.02)
         with pytest.warns(RuntimeWarning, match="rho/42"):
             round_fednmut(states, inputs)
 
@@ -182,7 +183,7 @@ def test_per_client_matches_matrix_oracle(kind, n):
     for _ in range(rounds):
         grads = rng.standard_normal((d, n))
         noises = rng.normal(0.0, np.sqrt(variance), size=(d, n))
-        inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises, mu=mu)
+        inputs = fixed_inputs(eta, mixing, grads, noises, mu=mu)
 
         x_before = stack_states(states)
         X, y_tilde, delta, bias = round_fednmut_array(X, y_tilde, delta, inputs)
@@ -223,9 +224,7 @@ def test_array_kernel_matches_per_client_oracle(kind, n, x0_mode):
     for t in range(rounds):
         eta = 0.05 * 0.9 ** (t // 10)
         noises = rng.normal(0.0, np.sqrt(variance), size=(d, n))
-        inputs = RoundInputs(
-            eta=eta, W=mixing, grads=rng.standard_normal((d, n)), noises=noises, mu=mu
-        )
+        inputs = fixed_inputs(eta, mixing, rng.standard_normal((d, n)), noises, mu=mu)
         X, y_tilde, delta, bias = round_fednmut_array(X, y_tilde, delta, inputs)
         states = round_fednmut(states, inputs)
 
@@ -243,13 +242,8 @@ def test_neighbor_copies_stay_consistent_for_200_rounds():
     rng = np.random.default_rng(99)
     states = states_from_columns(init_states(n, d, "independent_random", rng))
     for _ in range(200):
-        inputs = RoundInputs(
-            eta=0.05,
-            W=mixing,
-            grads=rng.standard_normal((d, n)),
-            noises=rng.normal(0.0, 0.07, size=(d, n)),
-            mu=0.02,
-        )
+        grads, noises = rng.standard_normal((d, n)), rng.normal(0.0, 0.07, size=(d, n))
+        inputs = fixed_inputs(0.05, mixing, grads, noises, mu=0.02)
         states = round_fednmut(states, inputs)
         for i, s in enumerate(states):
             for j, copy in s.x_hat.items():
@@ -269,7 +263,7 @@ def test_bias_column_mean_follows_noise_recursion():
     for t in range(40):
         grads = rng.standard_normal((d, n))
         noises = rng.normal(0.0, np.sqrt(variance), size=(d, n))
-        inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises, mu=mu)
+        inputs = fixed_inputs(eta, mixing, grads, noises, mu=mu)
         X, y_tilde, delta, bias = round_fednmut_array(X, y_tilde, delta, inputs)
         bias_mean = bias.mean(axis=1)
         if t == 0:
@@ -295,9 +289,10 @@ def test_consensus_sgd_equivalence_with_shared_gradient_draws():
     for _ in range(rounds):
         g = rng.standard_normal(d)
         grads = np.tile(g[:, None], (1, n))
-        s1 = round_fedndl1(s1, RoundInputs(eta=eta, W=mixing, grads=grads, noises=zero))
-        s3 = round_fedndl3(s3, RoundInputs(eta=eta, W=mixing, grads=grads, noises=zero))
-        smut = round_fednmut(smut, RoundInputs(eta=eta, W=mixing, grads=grads, noises=zero, mu=0.0))
+        inputs = fixed_inputs(eta, mixing, grads, zero)
+        s1 = round_fedndl1(s1, inputs)
+        s3 = round_fedndl3(s3, inputs)
+        smut = round_fednmut(smut, inputs)
         assert np.max(np.abs(s1 - s3)) <= 1e-10
         assert np.max(np.abs(s1 - stack_states(smut))) <= 1e-10
 
@@ -334,17 +329,40 @@ class TestInitStates:
             init_states(2, 2, "warm", np.random.default_rng(0))
 
 
-def test_dimension_mismatch_rejected():
+# Every rule as a function of (X, inputs) -> X', the oracles from a cold start.
+RULES = {
+    "fedndl1": round_fedndl1,
+    "fedndl2": round_fedndl2,
+    "fedndl3": round_fedndl3,
+    "fednmut": lambda X, inputs: round_fednmut_array(X, 0 * X, 0 * X, inputs)[0],
+    "fednmut-per-client": lambda X, i: stack_states(round_fednmut(states_from_columns(X), i)),
+    "fednmut-matrix": lambda X, inputs: round_fednmut_matrix(init_network_state(X), inputs).X,
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rule", RULES)
+def test_grads_called_once_per_round_at_the_rules_point(rule):
     mixing = build_mixing(TopologySpec(RING, 4))
+    X, noises, G = np.random.default_rng(31).standard_normal((3, 3, 4))
+    points = []
+
+    def grads(Z):
+        points.append(Z.copy())
+        return G
+
+    RULES[rule](X, RoundInputs(eta=0.1, W=mixing, grads=grads, noises=noises, mu=0.02))
+    expected = (X + noises) @ mixing.weights if rule == "fedndl2" else X
+    assert len(points) == 1
+    np.testing.assert_array_equal(points[0], expected)
+
+
+def test_dimension_mismatch_rejected():
     X = init_states(3, 2, "zeros", np.random.default_rng(0))
-    inputs = RoundInputs(eta=0.1, W=mixing, grads=np.zeros((2, 3)), noises=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        round_fedndl1(X, inputs)
-    bad_noise = RoundInputs(
-        eta=0.1,
-        W=build_mixing(TopologySpec(RING, 3)),
-        grads=np.zeros((2, 3)),
-        noises=np.zeros((3, 3)),
-    )
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        round_fedndl3(X, bad_noise)
+    ring3, ring4 = build_mixing(TopologySpec(RING, 3)), build_mixing(TopologySpec(RING, 4))
+    right = np.zeros((2, 3))
+    for rule in RULES.values():
+        for W, noises, G in [(ring4, right, right), (ring3, np.zeros((3, 3)), right),
+                             (ring3, right, np.zeros((2, 4)))]:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                rule(X, fixed_inputs(0.1, W, G, noises))

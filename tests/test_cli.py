@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dflsim
 from dflsim.cli import (
     OPTIONS,
     PAPER_SCALE_D,
@@ -93,16 +94,19 @@ def test_sweep_unknown_axis_value_rejected(tmp_path, capsys, flag, value, messag
     assert not (tmp_path / "out").exists()
 
 
+def cell_csv_text(series, bad_rows=None):
+    """A 300-round cell CSV whose grad_norm_sq_mean is series, with bad_rows[k] as line k + 1."""
+    lines = ["round,eta,loss_mean,loss_std,consensus_error_mean,consensus_error_std,"
+             "grad_norm_sq_mean,grad_norm_sq_std,loss_local_avg_mean"] + [
+        f"{r},0.1,1,0,0,0,{float(g)!r},0,1" for r, g in zip(range(-1, 299), series)]
+    return "".join((bad_rows or {}).get(k, line) + "\n" for k, line in enumerate(lines))
+
+
 def test_rate_on_existing_csv(tmp_path, capsys):
     path = tmp_path / "cell.csv"
-    rounds = np.arange(-1, 299)
     sums = 2.0 * np.sqrt(np.arange(1, 302))
     series = np.diff(np.concatenate([[0.0], sums]))  # running average 2/sqrt(T)
-    lines = ["round,eta,loss_mean,loss_std,consensus_error_mean,consensus_error_std,"
-             "grad_norm_sq_mean,grad_norm_sq_std,loss_local_avg_mean"]
-    for r, g in zip(rounds, series):
-        lines.append(f"{r},0.1,1,0,0,0,{float(g)!r},0,1")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(cell_csv_text(series), encoding="utf-8")
     rc = main(["rate", "--csv", str(path)])
     assert rc == 0
     slope = float(capsys.readouterr().out.split("slope:")[1])
@@ -121,6 +125,18 @@ def test_rate_names_a_series_too_short_to_fit(tmp_path, capsys):
     [path] = tmp_path.glob("*.csv")
     assert_exits_2_naming(capsys, ["rate", "--csv", str(path)],
                           rf"{re.escape(str(path))}: need a series of at least 50 rounds, got 10")
+
+
+@pytest.mark.parametrize("bad_rows, named", [
+    ({300: "298,0.1,1,0"}, ":301: 4 fields, header has 9"),
+    ({100: "98,0.1,1,0,0,0,abc,0,1"}, ":101: could not convert string to float: 'abc'"),
+    ({k: f"{k - 2},0.1" + ",nan" * 7 for k in range(151, 301)},
+     ": entry 150 of the series is nan, not finite"),
+], ids=["truncated-row", "not-a-number", "diverged"])
+def test_rate_names_the_file_of_a_bad_series(tmp_path, capsys, bad_rows, named):
+    path = tmp_path / "cell.csv"
+    path.write_text(cell_csv_text(1.0 / np.arange(1, 301), bad_rows), encoding="utf-8")
+    assert_exits_2_naming(capsys, ["rate", "--csv", str(path)], re.escape(f"{path}{named}") + "$")
 
 
 def test_rate_of_run_csv_equals_fit_of_run(tmp_path, monkeypatch, capsys):
@@ -294,6 +310,21 @@ def test_readme_commands_parse():
     assert {argv[0] for argv in commands} == {"run", "sweep", "verify", "rate"}
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+def test_readme_lower_level_names_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"Lower-level pieces.*?(?:\n\n|\Z)", readme, flags=re.DOTALL).group(0)
+    names = []
+    for span in re.findall(r"`([^`]+)`", paragraph):
+        numbered = re.fullmatch(r"(\w+?)(\d+)\.\.(\d+)", span)  # round_fedndl1..3
+        if numbered:
+            stem, first, last = numbered.groups()
+            names += [f"{stem}{k}" for k in range(int(first), int(last) + 1)]
+        else:
+            names.append(re.match(r"\w+", span).group(0))
+    assert "round_fedndl3" in names and "stochastic_gradient" in names
+    assert [name for name in names if not hasattr(dflsim, name)] == []
 
 
 def test_paper_scale_sets_dimensions():

@@ -42,6 +42,16 @@ from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
+@pytest.fixture
+def no_setup(monkeypatch):
+    """Fail the test if set-up (generate) starts."""
+
+    def fail(*args):
+        raise AssertionError("set-up ran before validation")
+
+    monkeypatch.setattr(harness, "generate", fail)
+
+
 def small_config(**overrides):
     base = dict(
         algorithm="fedndl3",
@@ -224,11 +234,7 @@ class TestRunAveraged:
         assert np.all(avg.columns["loss_mean"] >= losses.min(axis=0) - 1e-15)
 
     @pytest.mark.parametrize("mu", [-0.1, 1.0, 1.5])
-    def test_mu_outside_unit_interval_rejected_before_setup(self, monkeypatch, mu):
-        def no_setup(*args):
-            raise AssertionError("set-up ran before validation")
-
-        monkeypatch.setattr(harness, "generate", no_setup)
+    def test_mu_outside_unit_interval_rejected_before_setup(self, no_setup, mu):
         with pytest.raises(ValueError, match=r"mu must be in \[0, 1\)"):
             run_averaged(small_config(algorithm="fednmut", mu=mu))
 
@@ -236,11 +242,7 @@ class TestRunAveraged:
         "field, value, message",
         [("lam", -1.0, "lam must be >= 0"), ("batch_size", 0, "batch_size must be >= 1")],
     )
-    def test_bad_lam_or_batch_size_rejected_before_setup(self, monkeypatch, field, value, message):
-        def no_setup(*args):
-            raise AssertionError("set-up ran before validation")
-
-        monkeypatch.setattr(harness, "generate", no_setup)
+    def test_bad_lam_or_batch_size_rejected_before_setup(self, no_setup, field, value, message):
         with pytest.raises(ValueError, match=message):
             run_averaged(small_config(**{field: value}))
 
@@ -253,13 +255,14 @@ class TestRunAveraged:
             ("master_seed", 2**64 + 5, r"master_seed must be in \[0, 2\*\*64\)"),
         ],
     )
-    def test_bad_dim_noise_or_seed_rejected_before_setup(self, monkeypatch, field, value, message):
-        def no_setup(*args):
-            raise AssertionError("set-up ran before validation")
-
-        monkeypatch.setattr(harness, "generate", no_setup)
+    def test_bad_dim_noise_or_seed_rejected_before_setup(self, no_setup, field, value, message):
         with pytest.raises(ValueError, match=message):
             run_averaged(small_config(**{field: value}))
+
+    @pytest.mark.parametrize("algorithm", ["fedndl1", "fedndl2", "fedndl3"])
+    def test_bound_sanity_rejects_other_rules_before_setup(self, no_setup, algorithm):
+        with pytest.raises(ValueError, match=f"fednmut config, got algorithm '{algorithm}'"):
+            bound_sanity(small_config(algorithm=algorithm, rounds=60))
 
     @pytest.mark.parametrize("repeats", [1, 3])
     def test_every_column_is_the_mean_or_std_of_the_repeats(self, repeats):
@@ -349,9 +352,9 @@ class TestStreams:
         # the other fifteen have 125 and take the whole shard
         calls = []
 
-        def recording(x, shard, dataset, config, picks):
+        def recording(x, shard, dataset, lam, picks):
             calls.append((shard.client, picks))
-            return stochastic_gradient(x, shard, dataset, config, picks)
+            return stochastic_gradient(x, shard, dataset, lam, picks)
 
         monkeypatch.setattr(harness, "stochastic_gradient", recording)
         config = small_config(
@@ -458,11 +461,7 @@ class TestSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize("axis", ["algorithm", "topology", "noise_variance", "mu"])
-    def test_empty_axis_rejected_before_output_dir(self, tmp_path, monkeypatch, axis):
-        def no_setup(*args):
-            raise AssertionError("set-up ran before validation")
-
-        monkeypatch.setattr(harness, "generate", no_setup)
+    def test_empty_axis_rejected_before_output_dir(self, tmp_path, no_setup, axis):
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=f"sweep axis '{axis}' has no values"):
             sweep(small_config(), {axis: []}, out)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dflsim.data import generate, partition_iid
+from dflsim.data import Shard, generate, partition_iid
 from dflsim.harness import LrSchedule, RunConfig, run_detailed
 from dflsim.metrics import (
     consensus_error,
@@ -12,13 +12,7 @@ from dflsim.metrics import (
     measure,
     measure_block,
 )
-from dflsim.objective import (
-    full_local_gradient,
-    global_gradient,
-    global_loss,
-    local_loss,
-    ridge_optimum,
-)
+from dflsim.objective import global_loss, local_loss, ridge_optimum, stochastic_gradient
 from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
 
 
@@ -85,7 +79,7 @@ def test_grad_norm_matches_average_of_client_gradients():
     X = np.random.default_rng(4).standard_normal((10, 8))
     row = measure(X, ds, 1e-3, t=0, eta=0.1, shards=shards)
     xbar = mean_iterate(X)
-    avg = np.mean([full_local_gradient(xbar, s, ds, 1e-3) for s in shards], axis=0)
+    avg = np.mean([stochastic_gradient(xbar, s, ds, 1e-3) for s in shards], axis=0)
     np.testing.assert_allclose(row.grad_norm_sq, float(avg @ avg), atol=1e-10)
 
 
@@ -117,7 +111,7 @@ def test_fused_measure_is_bit_identical_to_objective_calls(m):
     X = np.random.default_rng(6).standard_normal((200, 16))
     row = measure(X, ds, 1e-4, t=3, eta=0.1, shards=shards)
     xbar = mean_iterate(X)
-    grad = global_gradient(xbar, ds, 1e-4)
+    grad = stochastic_gradient(xbar, Shard(client=-1, start=0, stop=ds.m), ds, 1e-4)
     local = [local_loss(X[:, i], s, ds, 1e-4) for i, s in enumerate(shards)]
     assert row.loss == global_loss(xbar, ds, 1e-4)
     assert row.grad_norm_sq == float(grad @ grad)

@@ -5,9 +5,6 @@ import pytest
 
 from dflsim.data import Dataset, Shard, generate, partition_iid
 from dflsim.objective import (
-    ObjectiveConfig,
-    full_local_gradient,
-    global_gradient,
     global_loss,
     local_loss,
     ridge_optimum,
@@ -30,9 +27,9 @@ def whole(dataset):
     return Shard(client=0, start=0, stop=dataset.m)
 
 
-def draw_gradient(x, shard, dataset, config, rng):
-    picks = sample_batches(rng, [shard.size], config.batch_size)[0]
-    return stochastic_gradient(x, shard, dataset, config, picks)
+def draw_gradient(x, shard, dataset, lam, batch_size, rng):
+    picks = sample_batches(rng, [shard.size], batch_size)[0]
+    return stochastic_gradient(x, shard, dataset, lam, picks)
 
 
 def finite_difference_gradient(x, shard, dataset, lam, step=1e-5):
@@ -90,18 +87,13 @@ class TestGlobalLoss:
 class TestStochasticGradient:
     def test_single_sample_hand_value(self):
         ds = tiny_dataset([[1.0, 0.0]], [3.0])
-        g = draw_gradient(
-            np.zeros(2), whole(ds), ds, ObjectiveConfig(lam=0.0, batch_size=1),
-            np.random.default_rng(0),
-        )
+        g = draw_gradient(np.zeros(2), whole(ds), ds, 0.0, 1, np.random.default_rng(0))
         np.testing.assert_array_equal(g, [-6.0, 0.0])
 
     def test_zero_data_leaves_regularizer(self):
         ds = tiny_dataset([[0.0, 0.0, 0.0]], [0.0])
         x = np.array([1.5, -2.0, 0.25])
-        g = draw_gradient(
-            x, whole(ds), ds, ObjectiveConfig(lam=0.5, batch_size=1), np.random.default_rng(0)
-        )
+        g = draw_gradient(x, whole(ds), ds, 0.5, 1, np.random.default_rng(0))
         np.testing.assert_array_equal(g, x)
 
     def test_full_batch_matches_finite_differences(self):
@@ -110,7 +102,7 @@ class TestStochasticGradient:
         rng = np.random.default_rng(1)
         for _ in range(5):
             x = rng.standard_normal(20)
-            g = full_local_gradient(x, shard, ds, 1e-3)
+            g = stochastic_gradient(x, shard, ds, 1e-3)
             fd = finite_difference_gradient(x, shard, ds, 1e-3)
             assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(g)
 
@@ -120,22 +112,21 @@ class TestStochasticGradient:
         rng = np.random.default_rng(5)
         state_before = rng.bit_generator.state
         assert sample_batches(rng, [16, 9, 16], 16) == [None, None, None]
-        g = draw_gradient(np.ones(4), shard, ds, ObjectiveConfig(lam=0.0, batch_size=99), rng)
+        g = draw_gradient(np.ones(4), shard, ds, 0.0, 99, rng)
         assert rng.bit_generator.state == state_before
-        np.testing.assert_array_equal(g, full_local_gradient(np.ones(4), shard, ds, 0.0))
+        np.testing.assert_array_equal(g, stochastic_gradient(np.ones(4), shard, ds, 0.0))
 
     def test_unbiasedness_per_coordinate(self):
         # mean of many minibatch gradients vs the full-shard gradient
         ds = generate(64, 16, 0.05, seed=13)
         shard = whole(ds)
         x = np.random.default_rng(2).standard_normal(16)
-        cfg = ObjectiveConfig(lam=1e-3, batch_size=8)
         rng = np.random.default_rng(77)
         draws = np.stack(
-            [draw_gradient(x, shard, ds, cfg, rng) for _ in range(2000)]
+            [draw_gradient(x, shard, ds, 1e-3, 8, rng) for _ in range(2000)]
         )
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
-        gap = np.abs(draws.mean(axis=0) - full_local_gradient(x, shard, ds, 1e-3))
+        gap = np.abs(draws.mean(axis=0) - stochastic_gradient(x, shard, ds, 1e-3))
         assert np.all(gap <= 4.0 * se)
 
 
@@ -163,6 +154,13 @@ class TestSampleBatches:
             se = np.sqrt(p * (1 - p) / draws)
             assert np.all(np.abs(c / draws - p) <= 4.0 * se)
 
+    def test_batch_size_below_one_rejected_before_any_draw(self):
+        rng = np.random.default_rng(4)
+        state_before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+            sample_batches(rng, [16, 9], 0)
+        assert rng.bit_generator.state == state_before
+
     def test_mixed_cap_takes_capped_shards_whole(self):
         picks = sample_batches(np.random.default_rng(3), [126] + [125] * 15, 125)
         assert picks[0].size == 125 and np.unique(picks[0]).size == 125
@@ -181,7 +179,7 @@ class TestSmoothnessAndConvexity:
         for _ in range(100):
             x, y = rng.standard_normal((2, 50))
             lhs = np.linalg.norm(
-                full_local_gradient(x, shard, ds, lam) - full_local_gradient(y, shard, ds, lam)
+                stochastic_gradient(x, shard, ds, lam) - stochastic_gradient(y, shard, ds, lam)
             )
             assert lhs <= L * np.linalg.norm(x - y) * (1 + 1e-12)
 
@@ -204,7 +202,7 @@ class TestRidgeOptimum:
     def test_first_order_optimality(self):
         ds = generate(300, 40, 0.05, seed=29)
         x, _ = ridge_optimum(ds, 1e-4)
-        assert np.linalg.norm(global_gradient(x, ds, 1e-4)) <= 1e-8
+        assert np.linalg.norm(stochastic_gradient(x, whole(ds), ds, 1e-4)) <= 1e-8
 
     def test_heavy_regularization_shrinks_solution(self):
         ds = generate(200, 10, 0.05, seed=31)
@@ -222,12 +220,12 @@ class TestRidgeOptimum:
         ds = generate(96, 12, 0.05, seed=37)
         shards = partition_iid(ds, 8)
         x = np.random.default_rng(9).standard_normal(12)
-        avg = np.mean([full_local_gradient(x, s, ds, 1e-3) for s in shards], axis=0)
-        np.testing.assert_allclose(avg, global_gradient(x, ds, 1e-3), atol=1e-10)
+        avg = np.mean([stochastic_gradient(x, s, ds, 1e-3) for s in shards], axis=0)
+        np.testing.assert_allclose(avg, stochastic_gradient(x, whole(ds), ds, 1e-3), atol=1e-10)
 
     def test_gradient_norm_small_at_optimum_average(self):
         ds = generate(128, 16, 0.05, seed=41)
         shards = partition_iid(ds, 8)
         x, _ = ridge_optimum(ds, 1e-3)
-        avg = np.mean([full_local_gradient(x, s, ds, 1e-3) for s in shards], axis=0)
+        avg = np.mean([stochastic_gradient(x, s, ds, 1e-3) for s in shards], axis=0)
         assert np.linalg.norm(avg) <= 1e-8

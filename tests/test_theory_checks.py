@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dflsim.data import Dataset, Shard, generate, partition_iid
-from dflsim.objective import ObjectiveConfig
 from dflsim.theory_checks import (
     ConstantsEstimate,
     PreconditionViolated,
@@ -99,10 +98,7 @@ class TestSigmaSq:
     def test_full_batch_is_zero(self):
         ds = generate(32, 4, 0.05, seed=1)
         shards = partition_iid(ds, 2)
-        value = estimate_sigma_sq(
-            [np.zeros(4)], shards, ds, ObjectiveConfig(lam=0.0, batch_size=64),
-            np.random.default_rng(0),
-        )
+        value = estimate_sigma_sq([np.zeros(4)], shards, ds, 0.0, 64, np.random.default_rng(0))
         assert value == 0.0
 
     def test_two_sample_shard_matches_enumeration(self):
@@ -111,24 +107,23 @@ class TestSigmaSq:
         ds = generate(2, 3, 0.1, seed=5)
         shard = Shard(0, 0, 2)
         x = np.array([0.3, -1.0, 0.7])
-        cfg = ObjectiveConfig(lam=0.01, batch_size=1)
+        lam = 0.01
         grads = []
         for s in range(2):
             a, y = ds.features[s], ds.labels[s]
-            grads.append(2.0 * (a @ x - y) * a + 2.0 * cfg.lam * x)
+            grads.append(2.0 * (a @ x - y) * a + 2.0 * lam * x)
         u, v = grads
         m = (u + v) / 2
         exact = float(((u - m) @ (u - m) + (v - m) @ (v - m)) / 2)
-        est = estimate_sigma_sq([x], [shard], ds, cfg, np.random.default_rng(2), draws=4000)
+        est = estimate_sigma_sq([x], [shard], ds, lam, 1, np.random.default_rng(2), draws=4000)
         assert est == pytest.approx(exact, rel=0.1)
 
     def test_estimate_stable_across_seeds(self):
         ds = generate(128, 8, 0.05, seed=7)
         shards = partition_iid(ds, 4)
         x = [np.random.default_rng(0).standard_normal(8)]
-        cfg = ObjectiveConfig(lam=1e-3, batch_size=16)
-        a = estimate_sigma_sq(x, shards, ds, cfg, np.random.default_rng(1), draws=2000)
-        b = estimate_sigma_sq(x, shards, ds, cfg, np.random.default_rng(2), draws=2000)
+        a = estimate_sigma_sq(x, shards, ds, 1e-3, 16, np.random.default_rng(1), draws=2000)
+        b = estimate_sigma_sq(x, shards, ds, 1e-3, 16, np.random.default_rng(2), draws=2000)
         assert abs(a - b) <= 0.1 * max(a, b)
 
 
