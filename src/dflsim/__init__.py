@@ -38,6 +38,7 @@ from .harness import (
 )
 from .metrics import RoundMetrics, consensus_error, mean_iterate, measure, measure_block
 from .objective import (
+    batch_gradients,
     global_loss,
     local_loss,
     ridge_optimum,
@@ -72,6 +73,7 @@ __all__ = [
     "Shard",
     "StreamKey",
     "TopologySpec",
+    "batch_gradients",
     "bound_sanity",
     "build_mixing",
     "check_bias_zero_mean",

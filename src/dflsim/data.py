@@ -89,3 +89,15 @@ def partition_iid(dataset: Dataset, n: int) -> list[Shard]:
         shards.append(Shard(client=client, start=start, stop=stop))
         start = stop
     return shards
+
+
+def shard_runs(shards: list[Shard]):
+    """Split shards into maximal runs of adjacent, equal-sized row ranges."""
+    run = [shards[0]]
+    for shard in shards[1:]:
+        if shard.size == run[0].size and shard.start == run[-1].stop:
+            run.append(shard)
+        else:
+            yield run
+            run = [shard]
+    yield run

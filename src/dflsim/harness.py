@@ -52,7 +52,7 @@ from .channel import (
 )
 from .data import Dataset, Shard, generate, partition_iid
 from .metrics import measure_block
-from .objective import ridge_optimum, sample_batches, stochastic_gradient
+from .objective import batch_gradients, ridge_optimum, sample_batches
 from .theory_checks import (
     ConstantsEstimate,
     estimate_sigma_sq,
@@ -270,8 +270,7 @@ def run_detailed(config: RunConfig, repeat_index: int, setup: Setup | None = Non
             picks = sample_batches(stream(t, PURPOSE_DATA_BATCH), sizes, config.batch_size)
 
         def grads(Z: np.ndarray, picks: list = picks) -> np.ndarray:
-            cols = zip(Z.T, shards, picks)  # Z.T[i] is Z[:, i]
-            return np.column_stack([stochastic_gradient(z, s, dataset, lam, p) for z, s, p in cols])
+            return batch_gradients(Z, shards, dataset, lam, picks)
 
         inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises, mu=config.mu)
         if config.algorithm == "fedndl1":

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Shard
+from .data import Dataset, Shard, shard_runs
 
 
 @dataclass
@@ -63,18 +63,6 @@ def consensus_error(X: np.ndarray, xbar: np.ndarray | None = None) -> float:
     return float((dev * dev).sum() / X.shape[1])
 
 
-def _shard_runs(shards: list[Shard]):
-    """Split shards into maximal runs of adjacent, equal-sized row ranges."""
-    run = [shards[0]]
-    for shard in shards[1:]:
-        if shard.size == run[0].size and shard.start == run[-1].stop:
-            run.append(shard)
-        else:
-            yield run
-            run = [shard]
-    yield run
-
-
 def _row_dots(V: np.ndarray) -> np.ndarray:
     """v @ v for every vector v along V's last axis, each as one dot product."""
     return (V[..., None, :] @ V[..., :, None])[..., 0, 0]
@@ -92,7 +80,7 @@ def _block_local_losses(
     B, n, d = S.shape
     losses = np.empty((B, n))
     i = 0
-    for run in _shard_runs(shards):
+    for run in shard_runs(shards):
         k, size, lo = len(run), run[0].size, run[0].start
         if size <= 0:
             raise ValueError(f"empty shard for client {run[0].client}")

@@ -12,16 +12,24 @@ of one uniform block ranks client i's shard rows, and the batch is the
 first batch_size of them. A batch covering the whole shard takes the
 shard in order; when every shard is covered, sample_batches draws nothing
 from the random stream. stochastic_gradient is the one gradient formula, over
-a batch or the whole shard; a run calls it once per client per round.
+a batch or the whole shard. batch_gradients takes every client's gradient
+of a round in one pass, as stacked products over each run of adjacent
+equal-sized shards (views of whole shards, gathers of sampled rows in
+chunks under GATHER_BUDGET elements), and equals stochastic_gradient per
+client bit for bit, which stays its oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, Shard
+from .data import Dataset, Shard, shard_runs
 
 _MAX_SOLVE_DIM = 4096
+
+# Float64 elements in one gathered block of batch rows (512 KiB): one
+# paper-scale client's batch of 32 rows at d = 2000.
+GATHER_BUDGET = 1 << 16
 
 
 def _shard_view(shard: Shard, dataset: Dataset):
@@ -82,6 +90,71 @@ def stochastic_gradient(
         labels = labels[picks]
     residual = feats @ x - labels
     return (2.0 / residual.size) * (feats.T @ residual) + 2.0 * lam * x
+
+
+def _stacked_gradients(
+    Zs: np.ndarray, feats: np.ndarray, labels: np.ndarray, lam: float
+) -> np.ndarray:
+    """stochastic_gradient's formula at each row of Zs (k, d), over feats (k, b, d) and labels (k, b).
+
+    Each stacked product runs one BLAS call per item, with the item's
+    shapes and strides, so each row equals stochastic_gradient's bit for bit.
+    """
+    residual = feats @ Zs[:, :, None]
+    residual -= labels[:, :, None]
+    return (2.0 / labels.shape[1]) * (feats.transpose(0, 2, 1) @ residual)[:, :, 0] + 2.0 * lam * Zs
+
+
+def gathered_gradients(
+    Zs: np.ndarray, rows: np.ndarray, dataset: Dataset, lam: float
+) -> np.ndarray:
+    """The gradient at Zs[j] over the dataset rows rows[j], for each j, as a (k, d) array.
+
+    The rows are gathered in chunks of at most GATHER_BUDGET elements (at
+    least one gradient per chunk), so the gather's memory does not grow with k.
+    """
+    k, b = rows.shape
+    out = np.empty(Zs.shape)
+    step = max(1, GATHER_BUDGET // (b * dataset.d))
+    for j in range(0, k, step):
+        chunk = rows[j : j + step]
+        feats, labels = dataset.features[chunk], dataset.labels[chunk]
+        out[j : j + step] = _stacked_gradients(Zs[j : j + step], feats, labels, lam)
+    return out
+
+
+def batch_gradients(
+    Z: np.ndarray,
+    shards: list[Shard],
+    dataset: Dataset,
+    lam: float,
+    picks: list[np.ndarray | None] | None = None,
+) -> np.ndarray:
+    """Every client's stochastic_gradient at its column of the d x n point Z, as a d x n matrix.
+
+    picks is sample_batches' output for the shards; None takes every
+    whole shard. Each run of adjacent equal-sized shards is one stacked
+    problem: whole shards are reshaped views of the data, sampled batches
+    one gathered_gradients call. Column i equals stochastic_gradient(Z[:, i],
+    shards[i], dataset, lam, picks[i]) bit for bit.
+    """
+    d = dataset.d
+    out = np.empty(Z.shape)
+    i = 0
+    for run in shard_runs(shards):
+        k, size, lo = len(run), run[0].size, run[0].start
+        if size <= 0:
+            raise ValueError(f"empty shard for client {run[0].client}")
+        hi = lo + k * size
+        Zs = Z.T[i : i + k]
+        if picks is None or picks[i] is None:
+            feats = dataset.features[lo:hi].reshape(k, size, d)
+            out.T[i : i + k] = _stacked_gradients(Zs, feats, dataset.labels[lo:hi].reshape(k, size), lam)
+        else:
+            rows = np.arange(lo, hi, size)[:, None] + np.stack(picks[i : i + k])
+            out.T[i : i + k] = gathered_gradients(Zs, rows, dataset, lam)
+        i += k
+    return out
 
 
 def ridge_optimum(dataset: Dataset, lam: float) -> tuple[np.ndarray, float]:

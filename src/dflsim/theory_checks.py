@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Shard
-from .objective import sample_batches, stochastic_gradient
+from .objective import GATHER_BUDGET, gathered_gradients, sample_batches, stochastic_gradient
 
 # Largest smaller-side k whose k x k Gram is solved densely. Every shard's
 # Gram is formed once and only one is alive at a time; k^2 <= rows * d, so
@@ -178,19 +178,27 @@ def estimate_sigma_sq(
     rng: np.random.Generator,
     draws: int = 500,
 ) -> float:
-    """Worst observed minibatch-gradient variance over sampled points and clients."""
+    """Worst observed minibatch-gradient variance over sampled points and clients.
+
+    Each (point, shard) pair draws its batches as sample_batches blocks of
+    up to GATHER_BUDGET keys, in draw order, so the draws equal one
+    sample_batches call per draw; gathered_gradients takes a block's
+    gradients and the squared deviations are summed in draw order.
+    """
     worst = 0.0
     for x in x_samples:
         for shard in shards:
             mean_grad = stochastic_gradient(x, shard, dataset, lam)
             if batch_size >= shard.size:
                 continue  # full batch has zero sampling variance
+            step = max(1, GATHER_BUDGET // shard.size)
             acc = 0.0
-            for _ in range(draws):
-                picks = sample_batches(rng, [shard.size], batch_size)[0]
-                g = stochastic_gradient(x, shard, dataset, lam, picks)
-                diff = g - mean_grad
-                acc += float(diff @ diff)
+            for done in range(0, draws, step):
+                count = min(step, draws - done)
+                picks = np.stack(sample_batches(rng, [shard.size] * count, batch_size))
+                xs = np.broadcast_to(x, (count, x.size))
+                for diff in gathered_gradients(xs, shard.start + picks, dataset, lam) - mean_grad:
+                    acc += float(diff @ diff)
             worst = max(worst, acc / draws)
     return worst
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dflsim import harness
+from dflsim import harness, objective
 from dflsim.channel import (
     PURPOSE_CHANNEL_NOISE,
     PURPOSE_DATA_BATCH,
@@ -35,7 +35,7 @@ from dflsim.harness import (
 )
 from dflsim.data import generate, partition_iid
 from dflsim.metrics import measure, measure_block
-from dflsim.objective import stochastic_gradient
+from dflsim.objective import batch_gradients, stochastic_gradient
 from dflsim.theory_checks import estimate_smoothness
 from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
 
@@ -352,23 +352,35 @@ class TestStreams:
         # the other fifteen have 125 and take the whole shard
         calls = []
 
-        def recording(x, shard, dataset, lam, picks):
-            calls.append((shard.client, picks))
-            return stochastic_gradient(x, shard, dataset, lam, picks)
+        def recording(Z, shards, dataset, lam, picks):
+            grads = batch_gradients(Z, shards, dataset, lam, picks)
+            cols = zip(Z.T, shards, picks)
+            oracle = [stochastic_gradient(z, s, dataset, lam, p) for z, s, p in cols]
+            assert np.array_equal(grads, np.column_stack(oracle))
+            calls.append(picks)
+            return grads
 
-        monkeypatch.setattr(harness, "stochastic_gradient", recording)
+        monkeypatch.setattr(harness, "batch_gradients", recording)
         config = small_config(
             topology=TopologySpec(RING, 16), m=2001, batch_size=125, rounds=3, repeats=1
         )
         result = run_detailed(config, 0)
         assert all(np.isfinite(result.metrics["loss"]))
-        assert len(calls) == 3 * 16
-        for client, picks in calls:
-            if client == 0:
-                assert picks.size == 125 and np.unique(picks).size == 125
-                assert picks.min() >= 0 and picks.max() < 126
-            else:
-                assert picks is None
+        assert len(calls) == 3
+        for picks in calls:
+            assert picks[0].size == 125 and np.unique(picks[0]).size == 125
+            assert picks[0].min() >= 0 and picks[0].max() < 126
+            assert picks[1:] == [None] * 15
+
+
+@pytest.mark.parametrize("algorithm", ["fedndl2", "fednmut"])
+def test_gather_budget_does_not_change_the_csv(monkeypatch, algorithm):
+    config = small_config(
+        algorithm=algorithm, topology=TopologySpec(RING, 16), d=200, m=2001, batch_size=32, rounds=12
+    )
+    lines = csv_lines(run_averaged(config))
+    monkeypatch.setattr(objective, "GATHER_BUDGET", 1)
+    assert csv_lines(run_averaged(config)) == lines
 
 
 class TestRateFit:

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from dflsim import objective
 from dflsim.data import Dataset, Shard, generate, partition_iid
 from dflsim.objective import (
+    batch_gradients,
     global_loss,
     local_loss,
     ridge_optimum,
@@ -166,6 +168,50 @@ class TestSampleBatches:
         assert picks[0].size == 125 and np.unique(picks[0]).size == 125
         assert picks[0].max() < 126
         assert picks[1:] == [None] * 15
+
+
+class TestBatchGradients:
+    """batch_gradients against column_stack of per-client stochastic_gradient, bit for bit."""
+
+    def oracle(self, Z, shards, dataset, picks):
+        cols = zip(Z.T, shards, picks)
+        return np.column_stack([stochastic_gradient(z, s, dataset, 1e-4, p) for z, s, p in cols])
+
+    @pytest.mark.parametrize(
+        "m, d, n, batch_size",
+        [
+            (2000, 200, 16, 32),
+            (2001, 200, 16, 125),  # client 0 samples 125 of 126 rows, the rest are capped
+            (8192, 200, 1024, 32),  # every shard has 8 rows: all whole
+            (10000, 2000, 16, 32),  # paper scale: one client per gather
+        ],
+    )
+    def test_equals_per_client_oracle(self, m, d, n, batch_size):
+        dataset = generate(m, d, 0.05, seed=3)
+        shards = partition_iid(dataset, n)
+        rng = np.random.default_rng(4)
+        Z = rng.standard_normal((d, n))
+        picks = sample_batches(rng, [s.size for s in shards], batch_size)
+        got = batch_gradients(Z, shards, dataset, 1e-4, picks)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, self.oracle(Z, shards, dataset, picks))
+
+    def test_whole_ragged_shards_without_picks(self):
+        dataset = generate(2001, 20, 0.05, seed=3)
+        shards = partition_iid(dataset, 16)
+        Z = np.random.default_rng(4).standard_normal((20, 16))
+        got = batch_gradients(Z, shards, dataset, 1e-4)
+        assert np.array_equal(got, self.oracle(Z, shards, dataset, [None] * 16))
+
+    def test_one_client_per_chunk_at_the_smallest_budget(self, monkeypatch):
+        dataset = generate(2001, 200, 0.05, seed=3)
+        shards = partition_iid(dataset, 16)
+        rng = np.random.default_rng(4)
+        Z = rng.standard_normal((200, 16))
+        picks = sample_batches(rng, [s.size for s in shards], 32)
+        full = batch_gradients(Z, shards, dataset, 1e-4, picks)
+        monkeypatch.setattr(objective, "GATHER_BUDGET", 1)
+        assert np.array_equal(batch_gradients(Z, shards, dataset, 1e-4, picks), full)
 
 
 class TestSmoothnessAndConvexity:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from dflsim import objective, theory_checks
 from dflsim.data import Dataset, Shard, generate, partition_iid
+from dflsim.objective import sample_batches, stochastic_gradient
 from dflsim.theory_checks import (
     ConstantsEstimate,
     PreconditionViolated,
@@ -125,6 +127,28 @@ class TestSigmaSq:
         a = estimate_sigma_sq(x, shards, ds, 1e-3, 16, np.random.default_rng(1), draws=2000)
         b = estimate_sigma_sq(x, shards, ds, 1e-3, 16, np.random.default_rng(2), draws=2000)
         assert abs(a - b) <= 0.1 * max(a, b)
+
+    @pytest.mark.parametrize("budget", [objective.GATHER_BUDGET, 1])
+    def test_equals_per_draw_loop(self, monkeypatch, budget):
+        # 126- and 125-row shards; 600 draws span two key blocks at the default budget
+        ds = generate(2001, 200, 0.05, seed=3)
+        shards = partition_iid(ds, 16)
+        xs = list(np.random.default_rng(1).standard_normal((2, 200)))
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for x in xs:
+            for shard in shards:
+                mean_grad = stochastic_gradient(x, shard, ds, 1e-4)
+                acc = 0.0
+                for _ in range(600):
+                    picks = sample_batches(rng, [shard.size], 32)[0]
+                    diff = stochastic_gradient(x, shard, ds, 1e-4, picks) - mean_grad
+                    acc += float(diff @ diff)
+                worst = max(worst, acc / 600)
+        monkeypatch.setattr(theory_checks, "GATHER_BUDGET", budget)
+        monkeypatch.setattr(objective, "GATHER_BUDGET", budget)
+        estimate = estimate_sigma_sq(xs, shards, ds, 1e-4, 32, np.random.default_rng(0), draws=600)
+        assert estimate == worst
 
 
 class TestZetaSq:
