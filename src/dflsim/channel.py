@@ -1,14 +1,17 @@
 """Seeded zero-mean Gaussian channel noise with keyed random streams.
 
-Every (master seed, repeat, round, client, purpose) key maps to its own
-independent pseudorandom stream, so a simulation is bit-reproducible no
-matter how clients are scheduled, and no two logical tasks ever share a
-stream. The harness uses stream layout 2: one stream per (repeat, round,
-purpose), keyed with client 0, draws one block for all clients, row i
+Every (master seed, repeat, purpose) key maps to its own independent
+pseudorandom stream, so a simulation is bit-reproducible no matter how
+clients are scheduled, and no two logical tasks ever share a stream. The
+harness uses stream layout 3: one stream per (repeat, purpose), from
+which every round draws its block for all clients in round order, row i
 for client i (sample_noise with shape (n, d); sample_batches in
-objective). The initial point has its own key, (seed, 0, 0, 0,
-PURPOSE_INIT). The variance knob is the per-coordinate variance of the
-noise, so E||delta||^2 = d * variance.
+objective). The initial point has its own key, (seed, 0, PURPOSE_INIT).
+Layout 2 derived a stream per (repeat, round, purpose); a layout-3 key
+derives layout 2's round-0 stream, so the initial point and each
+repeat's round-0 draws are those of layout 2.
+The variance knob is the per-coordinate variance of the noise, so
+E||delta||^2 = d * variance.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ _SEED_MASK = (1 << 64) - 1
 class StreamKey:
     master_seed: int
     repeat: int
-    round: int
-    client: int
     purpose: int
 
 
@@ -42,7 +43,9 @@ def derive_stream(key: StreamKey) -> np.random.Generator:
     """
     seq = np.random.SeedSequence(
         entropy=key.master_seed & _SEED_MASK,
-        spawn_key=(key.repeat, key.round, key.client, key.purpose),
+        # the zeros are stream layout 2's round and client fields: a key's
+        # stream is layout 2's round-0 stream, so the initial point is unchanged
+        spawn_key=(key.repeat, 0, 0, key.purpose),
     )
     return np.random.default_rng(seq)
 

@@ -1,12 +1,13 @@
 """Experiment driver: single runs, seed-averaged repeats, sweeps, CSV output.
 
 A run is fully determined by its config and master seed. Random streams
-follow stream layout 2: each round derives at most two, one per purpose,
-keyed by (repeat, round, purpose), and each draws one block whose row i
-belongs to client i: an n x d channel-noise block (none at noise 0) and
-the minibatch keys of sample_batches (none when every client takes its
-whole shard). Results do not depend on scheduling and re-runs are
-byte-identical. Metrics row t records the state after round t's update;
+follow stream layout 3: each repeat derives at most two, one per purpose,
+keyed by (repeat, purpose), and every round draws from each, in round
+order, one block whose row i belongs to client i: an n x d channel-noise
+block (no stream at noise 0) and the minibatch keys of sample_batches (no
+stream when every client takes its whole shard). Each round's gradients
+are one batch_gradients call. Results do not depend on scheduling and
+re-runs are byte-identical. Metrics row t records the state after round t's update;
 a leading row at t = -1 records the common initial state.
 
 Results are named arrays: METRICS lists each per-round metric once, and
@@ -231,7 +232,7 @@ def run_detailed(config: RunConfig, repeat_index: int, setup: Setup | None = Non
     n, d, lam = config.n, config.d, config.lam
     # The initial point is shared across repeats; repeats differ through
     # batch sampling and channel noise only.
-    init_stream = derive_stream(StreamKey(seed, 0, 0, 0, PURPOSE_INIT))
+    init_stream = derive_stream(StreamKey(seed, 0, PURPOSE_INIT))
     X = init_states(n, d, config.x0_mode, init_stream)
     # FedNMUT's last broadcasts and Deltas, zero before the first round
     y_tilde = delta = np.zeros((d, n))
@@ -252,24 +253,22 @@ def run_detailed(config: RunConfig, repeat_index: int, setup: Setup | None = Non
     record(X, -1)
     bias_sq: list[float] = []
     sizes = [shard.size for shard in shards]
-    sampling = config.batch_size < max(sizes)
-
-    def stream(t: int, purpose: int) -> np.random.Generator:
-        return derive_stream(StreamKey(seed, repeat_index, t, 0, purpose))
+    noise_stream = batch_stream = None
+    if config.noise_variance > 0.0:
+        noise_stream = derive_stream(StreamKey(seed, repeat_index, PURPOSE_CHANNEL_NOISE))
+    if config.batch_size < max(sizes):
+        batch_stream = derive_stream(StreamKey(seed, repeat_index, PURPOSE_DATA_BATCH))
+    noises = np.zeros((d, n))  # every round's, when noise_stream is None
+    picks = None
 
     for t in range(config.rounds):
         eta = etas[t + 1]
-        if config.noise_variance == 0.0:
-            noises = np.zeros((d, n))
-        else:
-            noises = sample_noise(
-                stream(t, PURPOSE_CHANNEL_NOISE), (n, d), config.noise_variance
-            ).T
-        picks = [None] * n
-        if sampling:
-            picks = sample_batches(stream(t, PURPOSE_DATA_BATCH), sizes, config.batch_size)
+        if noise_stream is not None:
+            noises = sample_noise(noise_stream, (n, d), config.noise_variance).T
+        if batch_stream is not None:
+            picks = sample_batches(batch_stream, sizes, config.batch_size)
 
-        def grads(Z: np.ndarray, picks: list = picks) -> np.ndarray:
+        def grads(Z: np.ndarray, picks: list | None = picks) -> np.ndarray:
             return batch_gradients(Z, shards, dataset, lam, picks)
 
         inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises, mu=config.mu)
@@ -359,7 +358,7 @@ def bound_sanity(config: RunConfig, setup: Setup | None = None) -> BoundSanity:
 
     d, lam = config.d, config.lam
     x_star, f_star = ridge_optimum(dataset, lam)
-    init = derive_stream(StreamKey(config.master_seed, 0, 0, 0, PURPOSE_INIT)).standard_normal(d)
+    init = derive_stream(StreamKey(config.master_seed, 0, PURPOSE_INIT)).standard_normal(d)
     rng = np.random.default_rng(1234)
     x_samples = [init, x_star, rng.standard_normal(d)]
     consts = ConstantsEstimate(

@@ -11,12 +11,16 @@ by one routine, sample_batches, for all clients of a round at once: row i
 of one uniform block ranks client i's shard rows, and the batch is the
 first batch_size of them. A batch covering the whole shard takes the
 shard in order; when every shard is covered, sample_batches draws nothing
-from the random stream. stochastic_gradient is the one gradient formula, over
-a batch or the whole shard. batch_gradients takes every client's gradient
-of a round in one pass, as stacked products over each run of adjacent
-equal-sized shards (views of whole shards, gathers of sampled rows in
-chunks under GATHER_BUDGET elements), and equals stochastic_gradient per
-client bit for bit, which stays its oracle.
+from the random stream. Under stream layout 3 (see dflsim.channel) every
+round of a repeat draws its block from the repeat's one minibatch stream,
+in round order.
+
+stochastic_gradient is the one gradient formula, over a batch or the
+whole shard. batch_gradients takes every client's gradient of a round in
+one pass, as stacked products over each run of adjacent equal-sized
+shards (views of whole shards, gathers of sampled rows in chunks of at
+most GATHER_BUDGET elements). It equals stochastic_gradient per client
+bit for bit, which stays its oracle.
 """
 
 from __future__ import annotations

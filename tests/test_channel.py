@@ -6,6 +6,7 @@ import pytest
 from dflsim.channel import (
     PURPOSE_CHANNEL_NOISE,
     PURPOSE_DATA_BATCH,
+    PURPOSE_INIT,
     StreamKey,
     derive_stream,
     sample_noise,
@@ -13,7 +14,7 @@ from dflsim.channel import (
 
 
 def key(**overrides):
-    base = dict(master_seed=99, repeat=0, round=0, client=0, purpose=PURPOSE_DATA_BATCH)
+    base = dict(master_seed=99, repeat=0, purpose=PURPOSE_DATA_BATCH)
     base.update(overrides)
     return StreamKey(**base)
 
@@ -28,8 +29,8 @@ def test_identical_keys_identical_streams():
     "other",
     [
         key(purpose=PURPOSE_CHANNEL_NOISE),
-        key(round=1),
-        key(client=1),
+        key(purpose=PURPOSE_INIT),
+        key(repeat=1, purpose=PURPOSE_CHANNEL_NOISE),
         key(repeat=1),
         key(master_seed=100),
     ],
@@ -40,6 +41,15 @@ def test_distinct_keys_are_uncorrelated(other):
     assert not np.array_equal(a, b)
     r = np.corrcoef(a, b)[0, 1]
     assert abs(r) < 0.05
+
+
+def test_key_derives_the_layout_2_round_0_stream():
+    # layout 2 keyed (seed, repeat, round, client, purpose); layout 3 fixes round and client at 0
+    for repeat, purpose in [(0, PURPOSE_INIT), (3, PURPOSE_CHANNEL_NOISE)]:
+        seq = np.random.SeedSequence(99, spawn_key=(repeat, 0, 0, purpose))
+        expected = np.random.default_rng(seq).standard_normal(16)
+        got = derive_stream(key(repeat=repeat, purpose=purpose)).standard_normal(16)
+        assert np.array_equal(got, expected)
 
 
 def test_zero_variance_returns_exact_zeros_without_consuming():

@@ -358,8 +358,8 @@ def test_verify_writes_report_and_passes(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("verify_report.txt", "verify_summary.json")}
     assert digests == {
-        "verify_report.txt": "efc4172eb473d171ff0ded80533b791e134886d476a23b760687614caa054a13",
-        "verify_summary.json": "eba3fe1448fc13aa01b23b2266ee6fbe8673354ed64d39a8bbffbeed994b2e5f",
+        "verify_report.txt": "7e57fbba5452d8b1955dd16f70a36b15a0d10b7be125a000f6cd044605fedd77",
+        "verify_summary.json": "577ab29921e7f753c1fb1491c8371bac7bebb593d02e8ebe7840bbc359e71243",
     }
 
 

@@ -17,6 +17,7 @@ from dflsim.channel import (
     PURPOSE_INIT,
     StreamKey,
     derive_stream,
+    sample_noise,
 )
 from dflsim.harness import (
     CSV_COLUMNS,
@@ -321,7 +322,7 @@ class TestRunAveraged:
 
 
 class TestStreams:
-    """Stream layout 2: at most one stream per (repeat, round, purpose)."""
+    """Stream layout 3: at most one stream per (repeat, purpose), read in round order."""
 
     def keys_of_run(self, monkeypatch, **overrides):
         keys = []
@@ -331,21 +332,48 @@ class TestStreams:
             return derive_stream(key)
 
         monkeypatch.setattr(harness, "derive_stream", recording)
-        run_detailed(small_config(**overrides), 1)
+        run_averaged(small_config(**overrides))
         return keys
 
-    def test_one_stream_per_round_and_purpose(self, monkeypatch):
-        keys = self.keys_of_run(monkeypatch, algorithm="fednmut", rounds=5)
-        assert keys[0] == StreamKey(5, 0, 0, 0, PURPOSE_INIT)
-        assert sorted((k.round, k.purpose) for k in keys[1:]) == [
-            (t, p) for t in range(5) for p in sorted((PURPOSE_DATA_BATCH, PURPOSE_CHANNEL_NOISE))
+    def test_one_stream_per_repeat_and_purpose(self, monkeypatch):
+        keys = self.keys_of_run(monkeypatch, algorithm="fednmut", rounds=5, repeats=3)
+        init = StreamKey(5, 0, PURPOSE_INIT)
+        assert keys == [
+            key
+            for r in range(3)
+            for key in (init, StreamKey(5, r, PURPOSE_CHANNEL_NOISE), StreamKey(5, r, PURPOSE_DATA_BATCH))
         ]
-        assert {(k.repeat, k.client) for k in keys[1:]} == {(1, 0)}
 
     def test_all_capped_round_derives_no_batch_stream(self, monkeypatch):
         # 80 rows over 4 clients: 20 per shard, all at or under the batch size
-        keys = self.keys_of_run(monkeypatch, batch_size=20, noise_variance=0.0)
+        keys = self.keys_of_run(monkeypatch, batch_size=20, repeats=1)
+        assert [k.purpose for k in keys] == [PURPOSE_INIT, PURPOSE_CHANNEL_NOISE]
+        keys = self.keys_of_run(monkeypatch, batch_size=20, noise_variance=0.0, repeats=1)
         assert [k.purpose for k in keys] == [PURPOSE_INIT]
+
+    def test_noise_free_run_derives_no_noise_stream(self, monkeypatch):
+        keys = self.keys_of_run(monkeypatch, noise_variance=0.0, repeats=1)
+        assert [k.purpose for k in keys] == [PURPOSE_INIT, PURPOSE_DATA_BATCH]
+
+    def test_rounds_draw_in_order_from_the_repeat_streams(self, monkeypatch):
+        noises, keys = [], []
+
+        def noise(stream, shape, variance):
+            noises.append(sample_noise(stream, shape, variance))
+            return noises[-1]
+
+        def batches(stream, sizes, batch_size):
+            keys.append(stream.random((len(sizes), max(sizes))))
+            return [np.argsort(row)[:batch_size] for row in keys[-1]]
+
+        monkeypatch.setattr(harness, "sample_noise", noise)
+        monkeypatch.setattr(harness, "sample_batches", batches)
+        run_detailed(small_config(algorithm="fednmut", rounds=5), 1)
+        noise_stream = derive_stream(StreamKey(5, 1, PURPOSE_CHANNEL_NOISE))
+        batch_stream = derive_stream(StreamKey(5, 1, PURPOSE_DATA_BATCH))
+        # a generator fills an array in order, so one draw of all rounds equals the per-round draws
+        assert np.array_equal(noises, noise_stream.normal(0.0, np.sqrt(0.005), (5, 4, 10)))
+        assert np.array_equal(keys, batch_stream.random((5, 4, 20)))
 
     def test_ragged_shards_with_mixed_cap(self, monkeypatch):
         # 2001 rows over 16 clients: client 0 has 126 rows and samples 125,

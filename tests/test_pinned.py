@@ -3,9 +3,10 @@
 Every refactor of the round loop either keeps each hash or re-pins it on
 purpose, with the reason and the measured drift recorded in CHANGES.md.
 The FedNMUT hashes are those of the array kernel, round_fednmut_array;
-all hashes are those of stream layout 2 (one stream per repeat, round and
-purpose; see dflsim.harness) with the metrics evaluated in padded blocks
-of eight states (dflsim.metrics.measure_block).
+all hashes are those of stream layout 3 (one stream per repeat and
+purpose, from which the rounds draw in order; see dflsim.harness), with
+each round's gradients from one batch_gradients call and the metrics
+evaluated in padded blocks of eight states (dflsim.metrics.measure_block).
 The schedule decays every 10 rounds, so 40 rounds use four step sizes.
 """
 
@@ -20,23 +21,23 @@ pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 # (algorithm, topology, noise variance, x0 mode) -> SHA-256 of the cell CSV
 PINNED = {
-    ("fedndl1", "ring", 0.0, "shared_random"): "5dab4730fa52308f66719b3cfcc46250b5f47ca2eef370041eb190db8b36cb8c",
-    ("fedndl1", "ring", 0.005, "shared_random"): "ba91f00979bd55ecec9d2f1affd12acc4b16624df515c57aaa11e786c9d8abb6",
-    ("fedndl1", "fully_connected", 0.0, "shared_random"): "a6c5e5b4d22c457bb9964ac8a02d0b94783eeb89cf2a153646a15753f9770975",
-    ("fedndl1", "fully_connected", 0.005, "shared_random"): "7e242d549f5562c56727cde3eeb6e7dfb71bc662d14291910e9c71a32111155c",
-    ("fedndl2", "ring", 0.0, "shared_random"): "0999ba2376f0b437b136c7f6f05b898ce64df1122fa0c56a4cefdc22263e0a8e",
-    ("fedndl2", "ring", 0.005, "shared_random"): "129918e3e0c63ef728c8774c3dd07ce317d999f3509a1fd5a6e7d76af917288d",
-    ("fedndl2", "fully_connected", 0.0, "shared_random"): "314bc980aee2ee333191fd615df90c49747abb1a826112e60aaf42ec11eae094",
-    ("fedndl2", "fully_connected", 0.005, "shared_random"): "29f58fe3104c1d3f9c2c099a0ef80dae202727c3260174746716d19f5ad511d0",
-    ("fedndl3", "ring", 0.0, "shared_random"): "ec2bd1c7cd433539e64240e010654e13374fcf80ddd16b6c35b027208eabb231",
-    ("fedndl3", "ring", 0.005, "shared_random"): "7b94275df2964f68886a75bd578d2ef38beafbd3876cb2dd8a1145142deeaf5c",
-    ("fedndl3", "fully_connected", 0.0, "shared_random"): "dd0318403a9f2713e29fedfa421e0cfc92fec495521030f61b0ace31c8aade7a",
-    ("fedndl3", "fully_connected", 0.005, "shared_random"): "cf59eaf0df816574e0ee115a896a9b5540b73c273df449edc02c154a775acde2",
-    ("fednmut", "ring", 0.0, "shared_random"): "24c962ae598a2131a50ea846630f1dcf3c5c8c6b62146fb7f58e7e96465f01f5",
-    ("fednmut", "ring", 0.005, "shared_random"): "713119bf28676a8f7664523669b57caf0822a5891cd7d5ba0cf9f016a96b5410",
-    ("fednmut", "fully_connected", 0.0, "shared_random"): "d84b632db18748fd552c1c342eeaed434f30a572f0e8635f02a6daeb2c32aae0",
-    ("fednmut", "fully_connected", 0.005, "shared_random"): "e33d2488770dd151cab0fb1110060b96a7fae2615bf66121cee0f7cfb605cb9e",
-    ("fednmut", "ring", 0.005, "independent_random"): "80dc8da31474a21015e6b037d994944833d94e31c4e5a39a096395c7d0dd1079",
+    ("fedndl1", "ring", 0.0, "shared_random"): "6383284feaa5b177d4b76f8cf7e1e6375132fc01409af551078597e6aeb47097",
+    ("fedndl1", "ring", 0.005, "shared_random"): "ed6f49292b021fa76bb254f9061affe10c84c673ce56e68d5040b62ea2069763",
+    ("fedndl1", "fully_connected", 0.0, "shared_random"): "2edbb96cc7a48c1ea58cb5cbc0614c89b9d3b2437325ef6ead8d6ddc3a431560",
+    ("fedndl1", "fully_connected", 0.005, "shared_random"): "0f38595dc258ba762c8e2b22b99f1689c48c68966fdf0609f95038a0946390f8",
+    ("fedndl2", "ring", 0.0, "shared_random"): "7d909a5956e80079a6300d69a49695b381f039403ca76909a8174d2507ab6fba",
+    ("fedndl2", "ring", 0.005, "shared_random"): "b6a27d6b082a2980511cacdb7b67ce8c5b6e990708f19c93145d20c7e53c1a4a",
+    ("fedndl2", "fully_connected", 0.0, "shared_random"): "9baf42c02a29bcece689a4c0f08547d37a632fce2eb3c685b20aeb1618ac5c39",
+    ("fedndl2", "fully_connected", 0.005, "shared_random"): "88e64ad6a9cc428dccbb9c65eb6b28706c027c89eb77ab63a8df56a0345e1779",
+    ("fedndl3", "ring", 0.0, "shared_random"): "cb2fa1e5b7b187bcbd3daa09bb1dee44ba4bbc144550d09319deb2f9830b91c1",
+    ("fedndl3", "ring", 0.005, "shared_random"): "2a62725f485a6068e62da03d9cae43e0974119293a25786475c8151abe92cdcb",
+    ("fedndl3", "fully_connected", 0.0, "shared_random"): "4e2900540309d334f8237c793181310a1d9d033c7652b0516070371b04c637fc",
+    ("fedndl3", "fully_connected", 0.005, "shared_random"): "fb8afdd42e30120cd47670f3b2a2af6bac2d597fec1499141f844fcef7a69b68",
+    ("fednmut", "ring", 0.0, "shared_random"): "252b7c65ee91dd3da32bf18fb7f40738aacef59c16f1c4552d363357cf37fa85",
+    ("fednmut", "ring", 0.005, "shared_random"): "368eab333d9a61d09c86d592691604c027f76739ca17d2c30c7f5d220c24ce31",
+    ("fednmut", "fully_connected", 0.0, "shared_random"): "22d912526fff9ee66965231869888422160f00cce63459344a6e6677c3bc7215",
+    ("fednmut", "fully_connected", 0.005, "shared_random"): "074899c7b1f761df6dfb85d5529147073188a9c3762352a21d677d65a419d32b",
+    ("fednmut", "ring", 0.005, "independent_random"): "d753f66fe86bf00309a33510e5593cc41ebdd9942a89f595c2297562fcce8bd8",
 }
 
 
