@@ -9,9 +9,8 @@ for client i (sample_noise with shape (n, d); sample_batches in
 objective). The initial point has its own key, (seed, 0, PURPOSE_INIT).
 Layout 2 derived a stream per (repeat, round, purpose); a layout-3 key
 derives layout 2's round-0 stream, so the initial point and each
-repeat's round-0 draws are those of layout 2.
-The variance knob is the per-coordinate variance of the noise, so
-E||delta||^2 = d * variance.
+repeat's round-0 draws are those of layout 2. The variance knob is the
+per-coordinate variance of the noise, so E||delta||^2 = d * variance.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ def derive_stream(key: StreamKey) -> np.random.Generator:
     """
     seq = np.random.SeedSequence(
         entropy=key.master_seed & _SEED_MASK,
-        # the zeros are stream layout 2's round and client fields: a key's
-        # stream is layout 2's round-0 stream, so the initial point is unchanged
+        # layout 2's round and client fields, fixed at 0 (see the module docstring)
         spawn_key=(key.repeat, 0, 0, key.purpose),
     )
     return np.random.default_rng(seq)

@@ -7,8 +7,8 @@ order, one block whose row i belongs to client i: an n x d channel-noise
 block (no stream at noise 0) and the minibatch keys of sample_batches (no
 stream when every client takes its whole shard). Each round's gradients
 are one batch_gradients call. Results do not depend on scheduling and
-re-runs are byte-identical. Metrics row t records the state after round t's update;
-a leading row at t = -1 records the common initial state.
+re-runs are byte-identical. Metrics row t records the state after round
+t's update; a leading row at t = -1 records the common initial state.
 
 Results are named arrays: METRICS lists each per-round metric once, and
 the CSV columns, both result types and the averaging derive from it.
@@ -258,7 +258,7 @@ def run_detailed(config: RunConfig, repeat_index: int, setup: Setup | None = Non
         noise_stream = derive_stream(StreamKey(seed, repeat_index, PURPOSE_CHANNEL_NOISE))
     if config.batch_size < max(sizes):
         batch_stream = derive_stream(StreamKey(seed, repeat_index, PURPOSE_DATA_BATCH))
-    noises = np.zeros((d, n))  # every round's, when noise_stream is None
+    noises = np.zeros((d, n))  # every round's noise when there is no noise stream
     picks = None
 
     for t in range(config.rounds):

@@ -99,7 +99,7 @@ def stochastic_gradient(
 def _stacked_gradients(
     Zs: np.ndarray, feats: np.ndarray, labels: np.ndarray, lam: float
 ) -> np.ndarray:
-    """stochastic_gradient's formula at each row of Zs (k, d), over feats (k, b, d) and labels (k, b).
+    """stochastic_gradient's formula at each row of Zs (k, d), over feats (k, b, d), labels (k, b).
 
     Each stacked product runs one BLAS call per item, with the item's
     shapes and strides, so each row equals stochastic_gradient's bit for bit.
@@ -152,8 +152,8 @@ def batch_gradients(
         hi = lo + k * size
         Zs = Z.T[i : i + k]
         if picks is None or picks[i] is None:
-            feats = dataset.features[lo:hi].reshape(k, size, d)
-            out.T[i : i + k] = _stacked_gradients(Zs, feats, dataset.labels[lo:hi].reshape(k, size), lam)
+            feats, labels = dataset.features[lo:hi].reshape(k, size, d), dataset.labels[lo:hi]
+            out.T[i : i + k] = _stacked_gradients(Zs, feats, labels.reshape(k, size), lam)
         else:
             rows = np.arange(lo, hi, size)[:, None] + np.stack(picks[i : i + k])
             out.T[i : i + k] = gathered_gradients(Zs, rows, dataset, lam)

@@ -337,11 +337,11 @@ class TestStreams:
 
     def test_one_stream_per_repeat_and_purpose(self, monkeypatch):
         keys = self.keys_of_run(monkeypatch, algorithm="fednmut", rounds=5, repeats=3)
-        init = StreamKey(5, 0, PURPOSE_INIT)
+        purposes = (PURPOSE_CHANNEL_NOISE, PURPOSE_DATA_BATCH)
         assert keys == [
             key
             for r in range(3)
-            for key in (init, StreamKey(5, r, PURPOSE_CHANNEL_NOISE), StreamKey(5, r, PURPOSE_DATA_BATCH))
+            for key in [StreamKey(5, 0, PURPOSE_INIT)] + [StreamKey(5, r, p) for p in purposes]
         ]
 
     def test_all_capped_round_derives_no_batch_stream(self, monkeypatch):
@@ -404,7 +404,8 @@ class TestStreams:
 @pytest.mark.parametrize("algorithm", ["fedndl2", "fednmut"])
 def test_gather_budget_does_not_change_the_csv(monkeypatch, algorithm):
     config = small_config(
-        algorithm=algorithm, topology=TopologySpec(RING, 16), d=200, m=2001, batch_size=32, rounds=12
+        algorithm=algorithm, topology=TopologySpec(RING, 16), d=200, m=2001, batch_size=32,
+        rounds=12,
     )
     lines = csv_lines(run_averaged(config))
     monkeypatch.setattr(objective, "GATHER_BUDGET", 1)
