@@ -7,18 +7,12 @@ analysis.
 """
 
 from .algorithms import (
-    ClientState,
-    NetworkState,
     RoundInputs,
-    init_network_state,
     init_states,
     round_fedndl1,
     round_fedndl2,
     round_fedndl3,
-    round_fednmut,
     round_fednmut_array,
-    round_fednmut_matrix,
-    stack_states,
 )
 from .channel import StreamKey, derive_stream, sample_noise
 from .data import Dataset, Shard, generate, partition_iid
@@ -36,7 +30,7 @@ from .harness import (
     run_detailed,
     sweep,
 )
-from .metrics import RoundMetrics, consensus_error, mean_iterate, measure, measure_block
+from .metrics import consensus_error, mean_iterate, measure_block
 from .objective import (
     batch_gradients,
     global_loss,
@@ -54,19 +48,16 @@ from .theory_checks import (
     estimate_zeta_sq,
     evaluate_theorem_bound,
 )
-from .topology import MixingMatrix, TopologySpec, build_mixing, neighbors, spectral_contraction
+from .topology import MixingMatrix, TopologySpec, build_mixing, spectral_contraction
 
 __all__ = [
     "ALGORITHMS",
     "AveragedResult",
-    "ClientState",
     "ConstantsEstimate",
     "Dataset",
     "LrSchedule",
     "MixingMatrix",
-    "NetworkState",
     "RoundInputs",
-    "RoundMetrics",
     "RunConfig",
     "RunResult",
     "Setup",
@@ -87,28 +78,22 @@ __all__ = [
     "evaluate_theorem_bound",
     "generate",
     "global_loss",
-    "init_network_state",
     "init_states",
     "local_loss",
     "mean_iterate",
-    "measure",
     "measure_block",
-    "neighbors",
     "partition_iid",
     "rate_fit",
     "ridge_optimum",
     "round_fedndl1",
     "round_fedndl2",
     "round_fedndl3",
-    "round_fednmut",
     "round_fednmut_array",
-    "round_fednmut_matrix",
     "run_averaged",
     "run_detailed",
     "sample_batches",
     "sample_noise",
     "spectral_contraction",
-    "stack_states",
     "stochastic_gradient",
     "sweep",
 ]

@@ -37,10 +37,6 @@ class Shard:
     def size(self) -> int:
         return self.stop - self.start
 
-    @property
-    def indices(self) -> range:
-        return range(self.start, self.stop)
-
 
 def generate(m: int, d: int, label_noise_variance: float, seed: int) -> Dataset:
     """Draw a dataset deterministically from the seed.
@@ -92,12 +88,23 @@ def partition_iid(dataset: Dataset, n: int) -> list[Shard]:
 
 
 def shard_runs(shards: list[Shard]):
-    """Split shards into maximal runs of adjacent, equal-sized row ranges."""
-    run = [shards[0]]
-    for shard in shards[1:]:
-        if shard.size == run[0].size and shard.start == run[-1].stop:
-            run.append(shard)
-        else:
-            yield run
-            run = [shard]
-    yield run
+    """Split shards into maximal runs of adjacent, equal-sized row ranges.
+
+    Yields (i, k, size, lo, hi) per run: its first shard's position i in
+    shards, its k shards of size rows each, and its rows [lo, hi). Raises
+    on an empty shard.
+    """
+    i = 0
+    while i < len(shards):
+        first = shards[i]
+        if first.size <= 0:
+            raise ValueError(f"empty shard for client {first.client}")
+        k = 1
+        while (
+            i + k < len(shards)
+            and shards[i + k].size == first.size
+            and shards[i + k].start == shards[i + k - 1].stop
+        ):
+            k += 1
+        yield i, k, first.size, first.start, first.start + k * first.size
+        i += k

@@ -13,38 +13,20 @@ shards, on views of the block and of the data rows (no copies). The
 data matrix A stays the first factor BLAS sees: the form A @ X.T makes
 OpenBLAS pack A into a wide work panel, which raised peak RSS by 33 MiB
 at paper scale (d = 2000, m = 10000). xbar and the consensus error are
-taken state by state from a C-ordered d x n copy, so they equal
-measure's bit for bit; the loss and gradient terms move by a few ulps
-(within 1e-13 relative) because a matrix product sums in another order
-than a matrix-vector one. Their bits depend on the block's shape, which
-is why the harness pads a run's last block to full width.
-
-measure evaluates one d x n state and is the per-state reference for
-measure_block. It makes one pass for the global terms and one for the
-local ones: the residual A xbar - y feeds both the loss and the
-gradient, and each shard run gets its local residuals from one stacked
-product over a view of its rows. Every value is reduced in the same
-order as global_loss, stochastic_gradient over the whole dataset and
-local_loss, so it equals theirs bit for bit.
+taken state by state, by mean_iterate and consensus_error on a C-ordered
+d x n copy, the layout the harness keeps. The loss and gradient terms
+differ from global_loss, stochastic_gradient over the whole dataset and
+local_loss by a few ulps (within 1e-13 relative), because a matrix
+product sums in another order than a matrix-vector one; a one-state
+block equals them bit for bit. Their bits depend on the block's shape,
+which is why the harness pads a run's last block to full width.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Dataset, Shard, shard_runs
-
-
-@dataclass
-class RoundMetrics:
-    round: int
-    eta: float
-    loss: float
-    consensus_error: float
-    grad_norm_sq: float
-    loss_local_avg: float
 
 
 def mean_iterate(X: np.ndarray) -> np.ndarray:
@@ -79,46 +61,13 @@ def _block_local_losses(
     """
     B, n, d = S.shape
     losses = np.empty((B, n))
-    i = 0
-    for run in shard_runs(shards):
-        k, size, lo = len(run), run[0].size, run[0].start
-        if size <= 0:
-            raise ValueError(f"empty shard for client {run[0].client}")
-        hi = lo + k * size
+    for i, k, size, lo, hi in shard_runs(shards):
         feats = dataset.features[lo:hi].reshape(k, size, d)
         cols = S[:, i : i + k].transpose(1, 0, 2)
         residuals = cols @ feats.transpose(0, 2, 1)
         residuals -= dataset.labels[lo:hi].reshape(k, 1, size)
         losses[:, i : i + k] = (_row_dots(residuals) / size + lam * _row_dots(cols)).T
-        i += k
     return losses
-
-
-def local_losses(X: np.ndarray, dataset: Dataset, lam: float, shards: list[Shard]) -> np.ndarray:
-    """local_loss(X[:, i], shards[i], dataset, lam) for every client i."""
-    return _block_local_losses(X.T[None], dataset, lam, shards)[0]
-
-
-def measure(
-    X: np.ndarray,
-    dataset: Dataset,
-    lam: float,
-    t: int,
-    eta: float,
-    shards: list[Shard],
-) -> RoundMetrics:
-    """Evaluate one round's metrics at the mean iterate; deterministic."""
-    xbar = mean_iterate(X)
-    residual = dataset.features @ xbar - dataset.labels
-    grad = (2.0 / dataset.m) * (dataset.features.T @ residual) + 2.0 * lam * xbar
-    return RoundMetrics(
-        round=t,
-        eta=eta,
-        loss=float(residual @ residual / dataset.m + lam * (xbar @ xbar)),
-        consensus_error=consensus_error(X, xbar),
-        grad_norm_sq=float(grad @ grad),
-        loss_local_avg=float(local_losses(X, dataset, lam, shards).mean()),
-    )
 
 
 def _global_terms(xbar: np.ndarray, dataset: Dataset, lam: float):
@@ -135,7 +84,7 @@ def _global_terms(xbar: np.ndarray, dataset: Dataset, lam: float):
 def measure_block(
     S: np.ndarray, dataset: Dataset, lam: float, shards: list[Shard]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """measure's values for a block of B states, one matrix product per pass.
+    """The metrics of B states at once, one matrix product per pass.
 
     S is (B, n, d): row i of S[j] holds client i's parameters in state j.
     Returns the per-state loss, consensus error, squared gradient norm and
@@ -146,8 +95,8 @@ def measure_block(
     B, n, d = S.shape
     xbar, consensus = np.empty((B, d)), np.empty(B)
     for j in range(B):
-        # a C-ordered d x n copy, so the client sums run as in measure and a
-        # state in consensus gives xbar == x_i and a consensus error of 0
+        # on a C-ordered copy a state in consensus gives xbar == x_i and a
+        # consensus error of 0
         X = S[j].T.copy()
         xbar[j] = mean_iterate(X)
         consensus[j] = consensus_error(X, xbar[j])

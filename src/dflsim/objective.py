@@ -144,12 +144,7 @@ def batch_gradients(
     """
     d = dataset.d
     out = np.empty(Z.shape)
-    i = 0
-    for run in shard_runs(shards):
-        k, size, lo = len(run), run[0].size, run[0].start
-        if size <= 0:
-            raise ValueError(f"empty shard for client {run[0].client}")
-        hi = lo + k * size
+    for i, k, size, lo, hi in shard_runs(shards):
         Zs = Z.T[i : i + k]
         if picks is None or picks[i] is None:
             feats, labels = dataset.features[lo:hi].reshape(k, size, d), dataset.labels[lo:hi]
@@ -157,7 +152,6 @@ def batch_gradients(
         else:
             rows = np.arange(lo, hi, size)[:, None] + np.stack(picks[i : i + k])
             out.T[i : i + k] = gathered_gradients(Zs, rows, dataset, lam)
-        i += k
     return out
 
 

@@ -104,11 +104,3 @@ def spectral_contraction(weights: np.ndarray) -> float:
         raise ValueError(f"degenerate mixing matrix: lambda2={lambda2!r} gives rho <= 0 (disconnected graph)")
     return 1.0 - lambda2 * lambda2
 
-
-def neighbors(mixing, i: int) -> set[int]:
-    """Index set N(i) = {j : w_ij > 0}; contains i for any valid mixing matrix."""
-    w = np.asarray(getattr(mixing, "weights", mixing))
-    n = w.shape[0]
-    if not 0 <= i < n:
-        raise IndexError(f"client index {i} out of range for n={n}")
-    return set(np.nonzero(w[i] > 0.0)[0].tolist())

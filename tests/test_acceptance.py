@@ -12,19 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from dflsim.algorithms import (
-    ClientState,
-    RoundInputs,
-    init_network_state,
-    round_fednmut,
-    round_fednmut_matrix,
-    stack_states,
-)
+from dflsim.algorithms import RoundInputs
 from dflsim.data import generate, partition_iid
 from dflsim.harness import LrSchedule, RunConfig, Setup, bound_sanity, run_averaged, sweep
 from dflsim.objective import local_loss, ridge_optimum, stochastic_gradient
 from dflsim.theory_checks import check_bias_zero_mean, estimate_smoothness
 from dflsim.topology import FULLY_CONNECTED, RING, TORUS, TopologySpec, build_mixing
+from oracles import ClientState, init_network_state, round_fednmut, round_fednmut_matrix, stack_states
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 

@@ -4,20 +4,16 @@ import numpy as np
 import pytest
 
 from dflsim.algorithms import (
-    ClientState,
     RoundInputs,
-    init_network_state,
     init_states,
     round_fedndl1,
     round_fedndl2,
     round_fedndl3,
-    round_fednmut,
     round_fednmut_array,
-    round_fednmut_matrix,
-    stack_states,
 )
 from dflsim.metrics import consensus_error
 from dflsim.topology import FULLY_CONNECTED, RING, TORUS, MixingMatrix, TopologySpec, build_mixing
+from oracles import ClientState, init_network_state, round_fednmut, round_fednmut_matrix, stack_states
 
 
 def fixed_inputs(eta, W, G, noises, mu=0.0):
@@ -149,8 +145,7 @@ class TestFedNMUT:
         states = [ClientState(x=x0.copy()) for _ in range(9)]
         grads = np.random.default_rng(7).standard_normal((5, 9))
         inputs = fixed_inputs(0.2, mixing, grads, np.zeros((5, 9)), mu=0.9)
-        with pytest.warns(RuntimeWarning):
-            out = round_fednmut(states, inputs)
+        out = round_fednmut(states, inputs)
         np.testing.assert_allclose(stack_states(out), stack_states(states) - 0.2 * grads, atol=1e-13)
         for i, s in enumerate(out):
             np.testing.assert_allclose(s.y_tilde_prev[i], grads[:, i], atol=1e-13)
@@ -159,15 +154,7 @@ class TestFedNMUT:
         with pytest.raises(ValueError, match="> 0"):
             fixed_inputs(0.0, single_client_mixing(), np.zeros((1, 1)), np.zeros((1, 1)))
 
-    def test_mu_outside_tracking_regime_warns(self):
-        mixing = build_mixing(TopologySpec(RING, 8))  # rho/42 ~ 0.0084
-        states = states_from_columns(init_states(8, 3, "shared_random", np.random.default_rng(8)))
-        inputs = fixed_inputs(0.1, mixing, np.zeros((3, 8)), np.zeros((3, 8)), mu=0.02)
-        with pytest.warns(RuntimeWarning, match="rho/42"):
-            round_fednmut(states, inputs)
 
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "kind,n", [(FULLY_CONNECTED, 4), (RING, 8), (TORUS, 16)]
 )
@@ -206,7 +193,6 @@ def test_per_client_matches_matrix_oracle(kind, n):
         assert np.max(np.abs(drift)) <= 1e-10
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("x0_mode", ["shared_random", "independent_random"])
 @pytest.mark.parametrize("kind,n", [(FULLY_CONNECTED, 4), (RING, 8), (TORUS, 9)])
 def test_array_kernel_matches_per_client_oracle(kind, n, x0_mode):
@@ -235,7 +221,6 @@ def test_array_kernel_matches_per_client_oracle(kind, n, x0_mode):
         assert np.max(np.abs(bias - oracle_bias)) <= 1e-8
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_neighbor_copies_stay_consistent_for_200_rounds():
     d, n = 6, 8
     mixing = build_mixing(TopologySpec(RING, n))
@@ -250,7 +235,6 @@ def test_neighbor_copies_stay_consistent_for_200_rounds():
                 assert np.max(np.abs(copy - states[j].x)) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_bias_column_mean_follows_noise_recursion():
     """bbar_{t+1} = mu * bbar_t + dbar_t on the array kernel's bias."""
     d, n, eta, mu, variance = 8, 8, 0.1, 0.02, 0.01
@@ -340,7 +324,6 @@ RULES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("rule", RULES)
 def test_grads_called_once_per_round_at_the_rules_point(rule):
     mixing = build_mixing(TopologySpec(RING, 4))

@@ -1,6 +1,7 @@
 """Command line surface: flags, config file, subcommands."""
 
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -325,6 +326,15 @@ def test_readme_lower_level_names_exist():
             names.append(re.match(r"\w+", span).group(0))
     assert "round_fedndl3" in names and "stochastic_gradient" in names
     assert [name for name in names if not hasattr(dflsim, name)] == []
+
+
+def test_all_lists_every_public_name():
+    public = {
+        name
+        for name, value in vars(dflsim).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert set(dflsim.__all__) == public
 
 
 def test_paper_scale_sets_dimensions():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dflsim.data import generate, partition_iid
+from dflsim.data import Shard, generate, partition_iid, shard_runs
 
 
 def test_regeneration_is_bit_identical():
@@ -84,7 +84,14 @@ def test_partition_covers_rows_disjointly(m, n):
     shards = partition_iid(ds, n)
     seen = []
     for shard in shards:
-        seen.extend(shard.indices)
+        seen.extend(range(shard.start, shard.stop))
     assert seen == list(range(m))
     sizes = {s.size for s in shards}
     assert max(sizes) - min(sizes) <= 1
+
+
+def test_shard_runs_group_adjacent_equal_shards():
+    shards = partition_iid(generate(11, 2, 0.0, seed=0), 4)  # sizes 3, 3, 3, 2
+    assert list(shard_runs(shards)) == [(0, 3, 3, 0, 9), (3, 1, 2, 9, 11)]
+    with pytest.raises(ValueError, match="empty shard for client 1"):
+        list(shard_runs([Shard(client=0, start=0, stop=2), Shard(client=1, start=2, stop=2)]))

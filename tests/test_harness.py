@@ -2,6 +2,7 @@
 
 import os
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,10 +36,11 @@ from dflsim.harness import (
     sweep,
 )
 from dflsim.data import generate, partition_iid
-from dflsim.metrics import measure, measure_block
+from dflsim.metrics import measure_block
 from dflsim.objective import batch_gradients, stochastic_gradient
 from dflsim.theory_checks import estimate_smoothness
 from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
+from oracles import metrics_row
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -166,6 +168,22 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="x0"):
             run_detailed(small_config(x0_mode="hot"), 0)
 
+    @pytest.mark.parametrize(
+        "overrides, phrase, warned",
+        [
+            (dict(lr=LrSchedule(eta0=1.0)), "exceeds the analyzed step-size cap", True),
+            (dict(lr=LrSchedule(eta0=1e-4)), "exceeds the analyzed step-size cap", False),
+            (dict(algorithm="fednmut", topology=TopologySpec(RING, 8), mu=0.02), "rho/42", True),
+            (dict(algorithm="fedndl1", topology=TopologySpec(RING, 8), mu=0.02), "rho/42", False),
+        ],
+        ids=["eta0-above-cap", "eta0-below-cap", "fednmut-mu", "fedndl1-mu"],
+    )
+    def test_outside_theory_warnings(self, overrides, phrase, warned):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_detailed(small_config(rounds=1, **overrides), 0)
+        assert any(phrase in str(w.message) for w in caught) == warned
+
 
 class TestBlockMetrics:
     """Rows are evaluated in padded blocks of METRICS_BLOCK states."""
@@ -189,12 +207,12 @@ class TestBlockMetrics:
         for t, state in enumerate(states[: rows["round"].size], start=-1):
             row = {name: column[t + 1] for name, column in rows.items()}
             X = state.T.copy()  # C-ordered d x n, as the harness holds it
-            ref = measure(X, dataset, config.lam, t, eta_at(config.lr, max(t, 0)), shards)
-            assert (row["round"], row["eta"]) == (ref.round, ref.eta)
-            assert row["consensus_error"] == ref.consensus_error
+            loss, consensus, grad_norm_sq, local = metrics_row(X, dataset, config.lam, shards)
+            assert (row["round"], row["eta"]) == (t, eta_at(config.lr, max(t, 0)))
+            assert row["consensus_error"] == consensus
             np.testing.assert_allclose(
                 [row["loss"], row["grad_norm_sq"], row["loss_local_avg"]],
-                [ref.loss, ref.grad_norm_sq, ref.loss_local_avg],
+                [loss, grad_norm_sq, local],
                 rtol=1e-13,
                 atol=0,
             )

@@ -3,17 +3,12 @@
 import numpy as np
 import pytest
 
-from dflsim.data import Shard, generate, partition_iid
+from dflsim.data import generate, partition_iid
 from dflsim.harness import LrSchedule, RunConfig, run_detailed
-from dflsim.metrics import (
-    consensus_error,
-    local_losses,
-    mean_iterate,
-    measure,
-    measure_block,
-)
-from dflsim.objective import global_loss, local_loss, ridge_optimum, stochastic_gradient
+from dflsim.metrics import _block_local_losses, consensus_error, mean_iterate, measure_block
+from dflsim.objective import local_loss, ridge_optimum, stochastic_gradient
 from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
+from oracles import metrics_row
 
 
 def test_mean_iterate_identical_columns():
@@ -55,32 +50,35 @@ def test_consensus_error_contracts_under_gossip():
         assert consensus_error(X @ mixing.weights) <= (1 - mixing.rho) * consensus_error(X) + 1e-12
 
 
+def measure_one(X, ds, lam, shards):
+    """measure_block on the one state X (d x n): loss, consensus error, |grad|^2, local loss."""
+    return [float(v[0]) for v in measure_block(X.T[None], ds, lam, shards)]
+
+
 def test_measure_at_ridge_optimum_consensus():
     ds = generate(256, 12, 0.05, seed=5)
     shards = partition_iid(ds, 8)
     x_star, f_star = ridge_optimum(ds, 1e-3)
-    X = np.tile(x_star[:, None], (1, 8))
-    row = measure(X, ds, 1e-3, t=0, eta=0.1, shards=shards)
-    assert row.grad_norm_sq <= 1e-16
-    assert row.consensus_error <= 1e-28
-    np.testing.assert_allclose(row.loss, f_star, rtol=1e-12)
-    assert row.loss_local_avg is not None
+    loss, consensus, grad_norm_sq, _ = measure_one(np.tile(x_star[:, None], (1, 8)), ds, 1e-3, shards)
+    assert grad_norm_sq <= 1e-16
+    assert consensus <= 1e-28
+    np.testing.assert_allclose(loss, f_star, rtol=1e-12)
 
 
 def test_measure_zero_point_loss_is_mean_square_labels():
     ds = generate(100, 5, 0.05, seed=7)
-    row = measure(np.zeros((5, 4)), ds, 0.0, t=0, eta=0.1, shards=partition_iid(ds, 4))
-    np.testing.assert_allclose(row.loss, float(np.mean(ds.labels**2)), rtol=1e-12)
+    loss = measure_one(np.zeros((5, 4)), ds, 0.0, partition_iid(ds, 4))[0]
+    np.testing.assert_allclose(loss, float(np.mean(ds.labels**2)), rtol=1e-12)
 
 
 def test_grad_norm_matches_average_of_client_gradients():
     ds = generate(96, 10, 0.05, seed=9)
     shards = partition_iid(ds, 8)
     X = np.random.default_rng(4).standard_normal((10, 8))
-    row = measure(X, ds, 1e-3, t=0, eta=0.1, shards=shards)
+    grad_norm_sq = measure_one(X, ds, 1e-3, shards)[2]
     xbar = mean_iterate(X)
     avg = np.mean([stochastic_gradient(xbar, s, ds, 1e-3) for s in shards], axis=0)
-    np.testing.assert_allclose(row.grad_norm_sq, float(avg @ avg), atol=1e-10)
+    np.testing.assert_allclose(grad_norm_sq, float(avg @ avg), atol=1e-10)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -106,17 +104,13 @@ def test_noise_free_fedndl3_loss_monotone_after_burn_in():
 
 @pytest.mark.parametrize("m", [2000, 2001])
 def test_fused_measure_is_bit_identical_to_objective_calls(m):
+    # a one-state block takes the matrix-vector paths of the objective calls
     ds = generate(m, 200, 0.05, seed=11)
     shards = partition_iid(ds, 16)
     X = np.random.default_rng(6).standard_normal((200, 16))
-    row = measure(X, ds, 1e-4, t=3, eta=0.1, shards=shards)
-    xbar = mean_iterate(X)
-    grad = stochastic_gradient(xbar, Shard(client=-1, start=0, stop=ds.m), ds, 1e-4)
+    assert measure_one(X, ds, 1e-4, shards) == metrics_row(X, ds, 1e-4, shards)
     local = [local_loss(X[:, i], s, ds, 1e-4) for i, s in enumerate(shards)]
-    assert row.loss == global_loss(xbar, ds, 1e-4)
-    assert row.grad_norm_sq == float(grad @ grad)
-    assert row.loss_local_avg == float(np.mean(local))
-    assert local_losses(X, ds, 1e-4, shards).tolist() == local
+    assert _block_local_losses(X.T[None], ds, 1e-4, shards)[0].tolist() == local
 
 
 @pytest.mark.parametrize("m, d, n", [(2000, 200, 16), (2001, 200, 16), (1280, 40, 64)])
@@ -126,12 +120,10 @@ def test_block_matches_per_state_measure(m, d, n):
     S = np.random.default_rng(7).standard_normal((8, n, d))
     block = np.array(measure_block(S, ds, 1e-4, shards)).T
     for values, state in zip(block, S):
-        row = measure(state.T.copy(), ds, 1e-4, t=0, eta=0.1, shards=shards)
-        expected = [row.loss, row.consensus_error, row.grad_norm_sq, row.loss_local_avg]
+        # a C-ordered d x n state, the layout the harness keeps
+        expected = metrics_row(state.T.copy(), ds, 1e-4, shards)
         np.testing.assert_allclose(values, expected, rtol=1e-13, atol=0)
-        # the block averages along the client axis exactly as measure does
-        # on a C-ordered d x n state, the layout the harness keeps
-        assert values[1] == row.consensus_error
+        assert values[1] == expected[1]
 
 
 def test_block_of_identical_states_gives_identical_rows():
@@ -140,5 +132,5 @@ def test_block_of_identical_states_gives_identical_rows():
     state = np.tile(np.random.default_rng(8).standard_normal(50), (16, 1))
     for column in measure_block(np.tile(state, (8, 1, 1)), ds, 1e-4, shards):
         assert np.all(column == column[0])
-    # a consensus state has an exact zero consensus error, as in measure
+    # a consensus state has an exact zero consensus error
     assert measure_block(state[None], ds, 1e-4, shards)[1][0] == 0.0

@@ -54,7 +54,7 @@ class TestLocalLoss:
     def test_zero_point_gives_mean_square_labels(self):
         ds = generate(64, 6, 0.1, seed=9)
         shard = Shard(client=0, start=8, stop=40)
-        expected = sum(ds.labels[s] ** 2 for s in shard.indices) / shard.size
+        expected = sum(ds.labels[s] ** 2 for s in range(shard.start, shard.stop)) / shard.size
         np.testing.assert_allclose(local_loss(np.zeros(6), shard, ds, 0.0), expected, rtol=1e-12)
 
     def test_perfect_fit_zero_loss(self):
