@@ -31,14 +31,7 @@ from .harness import (
     sweep,
 )
 from .metrics import consensus_error, mean_iterate, measure_block
-from .objective import (
-    batch_gradients,
-    global_loss,
-    local_loss,
-    ridge_optimum,
-    sample_batches,
-    stochastic_gradient,
-)
+from .objective import batch_gradients, ridge_optimum, sample_batches
 from .theory_checks import (
     ConstantsEstimate,
     check_bias_zero_mean,
@@ -77,9 +70,7 @@ __all__ = [
     "eta_at",
     "evaluate_theorem_bound",
     "generate",
-    "global_loss",
     "init_states",
-    "local_loss",
     "mean_iterate",
     "measure_block",
     "partition_iid",
@@ -94,7 +85,6 @@ __all__ = [
     "sample_batches",
     "sample_noise",
     "spectral_contraction",
-    "stochastic_gradient",
     "sweep",
 ]
 

@@ -188,7 +188,6 @@ class RunResult:
 class AveragedResult:
     """An array per CSV_COLUMNS name, plus each repeat's RunResult.metrics."""
 
-    config: RunConfig
     columns: dict[str, np.ndarray]
     per_repeat: list[dict[str, np.ndarray]]
 
@@ -301,7 +300,7 @@ def run_averaged(config: RunConfig, setup: Setup | None = None) -> AveragedResul
             # exactly equal repeats get an exact zero, not mean-subtraction dust
             std = vals.std(axis=0, ddof=1) if len(vals) > 1 else 0.0
             columns[name + "_std"] = np.where(np.all(vals == vals[0], axis=0), 0.0, std)
-    return AveragedResult(config=config, columns=columns, per_repeat=per_repeat)
+    return AveragedResult(columns=columns, per_repeat=per_repeat)
 
 
 def rate_fit(series) -> float:

@@ -14,12 +14,13 @@ data matrix A stays the first factor BLAS sees: the form A @ X.T makes
 OpenBLAS pack A into a wide work panel, which raised peak RSS by 33 MiB
 at paper scale (d = 2000, m = 10000). xbar and the consensus error are
 taken state by state, by mean_iterate and consensus_error on a C-ordered
-d x n copy, the layout the harness keeps. The loss and gradient terms
-differ from global_loss, stochastic_gradient over the whole dataset and
-local_loss by a few ulps (within 1e-13 relative), because a matrix
-product sums in another order than a matrix-vector one; a one-state
-block equals them bit for bit. Their bits depend on the block's shape,
-which is why the harness pads a run's last block to full width.
+d x n copy, the layout the harness keeps. These passes are the package's
+one loss formula (ridge_optimum's f* is a one-state global pass). They
+differ from their per-vector references in tests/oracles.py by a few
+ulps (within 1e-13 relative), because a matrix product sums in another
+order than a matrix-vector one; a one-state block equals them bit for
+bit. Their bits depend on the block's shape, which is why the harness
+pads a run's last block to full width.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _block_local_losses(
 
     Each run of adjacent equal-sized shards takes one stacked product over
     views of the block and of its data rows; each r @ r and x @ x is one
-    dot product, so a one-state block equals local_loss bit for bit.
+    dot product, so a one-state block equals the oracle local_loss bit for bit.
     """
     B, n, d = S.shape
     losses = np.empty((B, n))

@@ -15,12 +15,13 @@ from the random stream. Under stream layout 3 (see dflsim.channel) every
 round of a repeat draws its block from the repeat's one minibatch stream,
 in round order.
 
-stochastic_gradient is the one gradient formula, over a batch or the
-whole shard. batch_gradients takes every client's gradient of a round in
-one pass, as stacked products over each run of adjacent equal-sized
-shards (views of whole shards, gathers of sampled rows in chunks of at
-most GATHER_BUDGET elements). It equals stochastic_gradient per client
-bit for bit, which stays its oracle.
+_stacked_gradients is the one gradient formula. batch_gradients takes
+every client's gradient of a round in one pass, as stacked products over
+each run of adjacent equal-sized shards (views of whole shards, gathers
+of sampled rows in chunks of at most GATHER_BUDGET elements). The loss
+formula is dflsim.metrics'. The per-vector forms, stochastic_gradient,
+local_loss and global_loss, live in tests/oracles.py as the references
+both are tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -28,30 +29,13 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset, Shard, shard_runs
+from .metrics import _global_terms
 
 _MAX_SOLVE_DIM = 4096
 
 # Float64 elements in one gathered block of batch rows (512 KiB): one
 # paper-scale client's batch of 32 rows at d = 2000.
 GATHER_BUDGET = 1 << 16
-
-
-def _shard_view(shard: Shard, dataset: Dataset):
-    if shard.size <= 0:
-        raise ValueError(f"empty shard for client {shard.client}")
-    return dataset.features[shard.start : shard.stop], dataset.labels[shard.start : shard.stop]
-
-
-def local_loss(x: np.ndarray, shard: Shard, dataset: Dataset, lam: float) -> float:
-    """Mean squared residual over the shard plus the ridge penalty."""
-    feats, labels = _shard_view(shard, dataset)
-    residual = feats @ x - labels
-    return float(residual @ residual / shard.size + lam * (x @ x))
-
-
-def global_loss(x: np.ndarray, dataset: Dataset, lam: float) -> float:
-    """Loss over the full dataset; what the reported loss curves plot."""
-    return local_loss(x, Shard(client=-1, start=0, stop=dataset.m), dataset, lam)
 
 
 def sample_batches(
@@ -76,33 +60,13 @@ def sample_batches(
     return [order[i] if batch_size < size else None for i, size in enumerate(sizes)]
 
 
-def stochastic_gradient(
-    x: np.ndarray,
-    shard: Shard,
-    dataset: Dataset,
-    lam: float,
-    picks: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient over the shard rows at offsets picks, or over the whole shard for None.
-
-    With picks from sample_batches it is unbiased for the full-shard
-    gradient; over a shard covering every row it is global_loss's gradient.
-    """
-    feats, labels = _shard_view(shard, dataset)
-    if picks is not None:
-        feats = feats[picks]
-        labels = labels[picks]
-    residual = feats @ x - labels
-    return (2.0 / residual.size) * (feats.T @ residual) + 2.0 * lam * x
-
-
 def _stacked_gradients(
     Zs: np.ndarray, feats: np.ndarray, labels: np.ndarray, lam: float
 ) -> np.ndarray:
-    """stochastic_gradient's formula at each row of Zs (k, d), over feats (k, b, d), labels (k, b).
+    """The gradient at each row of Zs (k, d), over feats (k, b, d), labels (k, b).
 
     Each stacked product runs one BLAS call per item, with the item's
-    shapes and strides, so each row equals stochastic_gradient's bit for bit.
+    shapes and strides, so a row's bits do not depend on the other items.
     """
     residual = feats @ Zs[:, :, None]
     residual -= labels[:, :, None]
@@ -134,13 +98,14 @@ def batch_gradients(
     lam: float,
     picks: list[np.ndarray | None] | None = None,
 ) -> np.ndarray:
-    """Every client's stochastic_gradient at its column of the d x n point Z, as a d x n matrix.
+    """Every client's gradient at its column of the d x n point Z, as a d x n matrix.
 
-    picks is sample_batches' output for the shards; None takes every
-    whole shard. Each run of adjacent equal-sized shards is one stacked
-    problem: whole shards are reshaped views of the data, sampled batches
-    one gathered_gradients call. Column i equals stochastic_gradient(Z[:, i],
-    shards[i], dataset, lam, picks[i]) bit for bit.
+    Column i is the gradient over the rows picks[i] of shards[i], or over
+    the whole shard when picks or picks[i] is None; with picks from
+    sample_batches it is unbiased for the whole-shard gradient. Each run
+    of adjacent equal-sized shards is one stacked problem: whole shards
+    are reshaped views of the data, sampled batches one gathered_gradients
+    call.
     """
     d = dataset.d
     out = np.empty(Z.shape)
@@ -156,14 +121,15 @@ def batch_gradients(
 
 
 def ridge_optimum(dataset: Dataset, lam: float) -> tuple[np.ndarray, float]:
-    """Exact minimizer of global_loss by direct solve, with its loss value.
+    """Exact minimizer of the full-data loss by direct solve, with its loss value.
 
-    Solves (A^T A / m + lam I) x = A^T y / m. A singular system (possible
-    only at lam = 0 with rank-deficient features) raises LinAlgError.
+    Solves (A^T A / m + lam I) x = A^T y / m; the loss is the metrics'
+    global pass on the one state x. A singular system (possible only at
+    lam = 0 with rank-deficient features) raises LinAlgError.
     """
     if dataset.d > _MAX_SOLVE_DIM:
         raise ValueError(f"dense solve guarded to d <= {_MAX_SOLVE_DIM}, got d={dataset.d}")
     a = dataset.features
     gram = a.T @ a / dataset.m + lam * np.eye(dataset.d)
     x = np.linalg.solve(gram, a.T @ dataset.labels / dataset.m)
-    return x, global_loss(x, dataset, lam)
+    return x, float(_global_terms(x[None], dataset, lam)[0][0])

@@ -10,6 +10,7 @@ eigenvalue within 1e-12 relative of the estimate. The sigma^2 and
 zeta^2 values are maxima over sampled points, so they are estimated
 lower envelopes of the assumed uniform bounds, and the worst-case bound
 evaluation built on them is a sanity check rather than a certificate.
+Their per-client reference gradient is tests/oracles.py's.
 
 Also here: a Monte-Carlo check that the tracking bias stays zero-mean
 under channel noise, and the contraction check for gossip matrices.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Shard
-from .objective import GATHER_BUDGET, gathered_gradients, sample_batches, stochastic_gradient
+from .objective import batch_gradients, gathered_gradients, sample_batches
 
 # Largest smaller-side k whose k x k Gram is solved densely. Every shard's
 # Gram is formed once and only one is alive at a time; k^2 <= rows * d, so
@@ -180,25 +181,24 @@ def estimate_sigma_sq(
 ) -> float:
     """Worst observed minibatch-gradient variance over sampled points and clients.
 
-    Each (point, shard) pair draws its batches as sample_batches blocks of
-    up to GATHER_BUDGET keys, in draw order, so the draws equal one
-    sample_batches call per draw; gathered_gradients takes a block's
-    gradients and the squared deviations are summed in draw order.
+    A point's whole-shard gradients are one batch_gradients call at the
+    point tiled across clients. A (point, shard) pair's batches are one
+    sample_batches call of `draws` rows (the keys of one call per draw) and
+    one gathered_gradients call; squared deviations are summed in draw order.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     worst = 0.0
     for x in x_samples:
-        for shard in shards:
-            mean_grad = stochastic_gradient(x, shard, dataset, lam)
+        mean_grads = batch_gradients(np.repeat(x[:, None], len(shards), 1), shards, dataset, lam)
+        for shard, mean_grad in zip(shards, mean_grads.T):
             if batch_size >= shard.size:
                 continue  # full batch has zero sampling variance
-            step = max(1, GATHER_BUDGET // shard.size)
+            picks = np.stack(sample_batches(rng, [shard.size] * draws, batch_size))
+            xs = np.broadcast_to(x, (draws, x.size))
             acc = 0.0
-            for done in range(0, draws, step):
-                count = min(step, draws - done)
-                picks = np.stack(sample_batches(rng, [shard.size] * count, batch_size))
-                xs = np.broadcast_to(x, (count, x.size))
-                for diff in gathered_gradients(xs, shard.start + picks, dataset, lam) - mean_grad:
-                    acc += float(diff @ diff)
+            for diff in gathered_gradients(xs, shard.start + picks, dataset, lam) - mean_grad:
+                acc += float(diff @ diff)
             worst = max(worst, acc / draws)
     return worst
 
@@ -210,9 +210,11 @@ def estimate_zeta_sq(
     lam: float,
 ) -> float:
     """Worst observed client heterogeneity (1/n) sum_i ||grad_i - grad||^2."""
+    if not shards:
+        raise ValueError("shards must not be empty")
     worst = 0.0
     for x in x_samples:
-        grads = np.column_stack([stochastic_gradient(x, s, dataset, lam) for s in shards])
+        grads = batch_gradients(np.repeat(x[:, None], len(shards), 1), shards, dataset, lam)
         mean = grads.mean(axis=1, keepdims=True)
         dev = grads - mean
         worst = max(worst, float((dev * dev).sum() / len(shards)))
@@ -238,6 +240,10 @@ def check_bias_zero_mean(
     """
     if not 0.0 <= mu < 1.0:
         raise ValueError(f"mu must be in [0, 1), got {mu}")
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
     rng = np.random.default_rng(seed)
     b = np.zeros((trials, d))
     if per_coord_variance > 0:
@@ -333,6 +339,8 @@ def check_contraction(
     seed: int,
 ) -> ContractionReport:
     """Check ||(X - Xbar) W||_F^2 <= (1 - rho + 1e-9) ||X - Xbar||_F^2 on random X."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     w = np.asarray(getattr(mixing, "weights", mixing), dtype=float)
     n = w.shape[0]
     rng = np.random.default_rng(seed)

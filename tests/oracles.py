@@ -1,4 +1,4 @@
-"""Two independent forms of the FedNMUT round, kept as test oracles.
+"""Test oracles: two independent forms of the FedNMUT round, and the per-vector objective.
 
 Runs use dflsim.algorithms.round_fednmut_array. round_fednmut computes
 the same round client by client, with each client's copies x_hat of its
@@ -13,8 +13,10 @@ with X_prev = X and G_prev = 0 before the first round, so B starts at
 zero, and eta_prev the step size of the round that produced X - X_prev.
 It agrees only at a constant step size from a consensus start.
 
-metrics_row computes a state's metrics from the objective's own
-per-state calls, the reference for dflsim.metrics.measure_block.
+local_loss, global_loss and stochastic_gradient are the per-vector
+objective, the references for dflsim.metrics' block passes and
+dflsim.objective.batch_gradients. metrics_row computes a state's metrics
+from them, the reference for dflsim.metrics.measure_block.
 """
 
 from __future__ import annotations
@@ -26,8 +28,59 @@ import numpy as np
 from dflsim.algorithms import RoundInputs, _check_shapes, _gradients
 from dflsim.data import Dataset, Shard
 from dflsim.metrics import consensus_error, mean_iterate
-from dflsim.objective import global_loss, local_loss, stochastic_gradient
 from dflsim.topology import MixingMatrix
+
+
+def tiny_dataset(features, labels) -> Dataset:
+    """A noiseless Dataset over the given rows, for hand-computed cases."""
+    features = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=float)
+    m, d = features.shape
+    return Dataset(
+        m=m, d=d, features=features, labels=labels, true_w=np.zeros(d), label_noise_variance=0.0, seed=0
+    )
+
+
+def _shard_view(shard: Shard, dataset: Dataset):
+    if shard.size <= 0:
+        raise ValueError(f"empty shard for client {shard.client}")
+    return dataset.features[shard.start : shard.stop], dataset.labels[shard.start : shard.stop]
+
+
+def local_loss(x: np.ndarray, shard: Shard, dataset: Dataset, lam: float) -> float:
+    """Mean squared residual over the shard plus the ridge penalty."""
+    feats, labels = _shard_view(shard, dataset)
+    residual = feats @ x - labels
+    return float(residual @ residual / shard.size + lam * (x @ x))
+
+
+def global_loss(x: np.ndarray, dataset: Dataset, lam: float) -> float:
+    """Loss over the full dataset; what the reported loss curves plot."""
+    return local_loss(x, Shard(client=-1, start=0, stop=dataset.m), dataset, lam)
+
+
+def stochastic_gradient(
+    x: np.ndarray, shard: Shard, dataset: Dataset, lam: float, picks: np.ndarray | None = None
+) -> np.ndarray:
+    """Gradient over the shard rows at offsets picks, or over the whole shard for None."""
+    feats, labels = _shard_view(shard, dataset)
+    if picks is not None:
+        feats = feats[picks]
+        labels = labels[picks]
+    residual = feats @ x - labels
+    return (2.0 / residual.size) * (feats.T @ residual) + 2.0 * lam * x
+
+
+def finite_difference_gradient(x, shard, dataset, lam, step=1e-5):
+    """Central differences of local_loss, one coordinate at a time."""
+    grad = np.zeros_like(x)
+    for k in range(x.size):
+        bump = np.zeros_like(x)
+        bump[k] = step
+        grad[k] = (
+            local_loss(x + bump, shard, dataset, lam) - local_loss(x - bump, shard, dataset, lam)
+        ) / (2 * step)
+    return grad
 
 
 @dataclass

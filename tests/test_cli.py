@@ -324,7 +324,7 @@ def test_readme_lower_level_names_exist():
             names += [f"{stem}{k}" for k in range(int(first), int(last) + 1)]
         else:
             names.append(re.match(r"\w+", span).group(0))
-    assert "round_fedndl3" in names and "stochastic_gradient" in names
+    assert "round_fedndl3" in names and "batch_gradients" in names
     assert [name for name in names if not hasattr(dflsim, name)] == []
 
 

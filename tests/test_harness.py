@@ -37,10 +37,10 @@ from dflsim.harness import (
 )
 from dflsim.data import generate, partition_iid
 from dflsim.metrics import measure_block
-from dflsim.objective import batch_gradients, stochastic_gradient
+from dflsim.objective import batch_gradients
 from dflsim.theory_checks import estimate_smoothness
 from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
-from oracles import metrics_row
+from oracles import metrics_row, stochastic_gradient
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 

@@ -6,9 +6,9 @@ import pytest
 from dflsim.data import generate, partition_iid
 from dflsim.harness import LrSchedule, RunConfig, run_detailed
 from dflsim.metrics import _block_local_losses, consensus_error, mean_iterate, measure_block
-from dflsim.objective import local_loss, ridge_optimum, stochastic_gradient
+from dflsim.objective import batch_gradients, ridge_optimum
 from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
-from oracles import metrics_row
+from oracles import local_loss, metrics_row
 
 
 def test_mean_iterate_identical_columns():
@@ -77,7 +77,7 @@ def test_grad_norm_matches_average_of_client_gradients():
     X = np.random.default_rng(4).standard_normal((10, 8))
     grad_norm_sq = measure_one(X, ds, 1e-3, shards)[2]
     xbar = mean_iterate(X)
-    avg = np.mean([stochastic_gradient(xbar, s, ds, 1e-3) for s in shards], axis=0)
+    avg = batch_gradients(np.repeat(xbar[:, None], 8, 1), shards, ds, 1e-3).mean(axis=1)
     np.testing.assert_allclose(grad_norm_sq, float(avg @ avg), atol=1e-10)
 
 

@@ -4,46 +4,22 @@ import numpy as np
 import pytest
 
 from dflsim import objective
-from dflsim.data import Dataset, Shard, generate, partition_iid
-from dflsim.objective import (
-    batch_gradients,
-    global_loss,
-    local_loss,
-    ridge_optimum,
-    sample_batches,
-    stochastic_gradient,
-)
-
-
-def tiny_dataset(features, labels):
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    m, d = features.shape
-    return Dataset(
-        m=m, d=d, features=features, labels=labels,
-        true_w=np.zeros(d), label_noise_variance=0.0, seed=0,
-    )
+from dflsim.data import Shard, generate, partition_iid
+from dflsim.objective import batch_gradients, ridge_optimum, sample_batches
+from oracles import finite_difference_gradient, global_loss, local_loss, stochastic_gradient, tiny_dataset
 
 
 def whole(dataset):
     return Shard(client=0, start=0, stop=dataset.m)
 
 
+def gradient(x, shard, dataset, lam, picks=None):
+    """batch_gradients' column for one client at x."""
+    return batch_gradients(x[:, None], [shard], dataset, lam, [picks])[:, 0]
+
+
 def draw_gradient(x, shard, dataset, lam, batch_size, rng):
-    picks = sample_batches(rng, [shard.size], batch_size)[0]
-    return stochastic_gradient(x, shard, dataset, lam, picks)
-
-
-def finite_difference_gradient(x, shard, dataset, lam, step=1e-5):
-    grad = np.zeros_like(x)
-    for k in range(x.size):
-        bump = np.zeros_like(x)
-        bump[k] = step
-        grad[k] = (
-            local_loss(x + bump, shard, dataset, lam)
-            - local_loss(x - bump, shard, dataset, lam)
-        ) / (2 * step)
-    return grad
+    return gradient(x, shard, dataset, lam, sample_batches(rng, [shard.size], batch_size)[0])
 
 
 class TestLocalLoss:
@@ -104,7 +80,7 @@ class TestStochasticGradient:
         rng = np.random.default_rng(1)
         for _ in range(5):
             x = rng.standard_normal(20)
-            g = stochastic_gradient(x, shard, ds, 1e-3)
+            g = gradient(x, shard, ds, 1e-3)
             fd = finite_difference_gradient(x, shard, ds, 1e-3)
             assert np.linalg.norm(g - fd) <= 1e-5 * np.linalg.norm(g)
 
@@ -116,7 +92,7 @@ class TestStochasticGradient:
         assert sample_batches(rng, [16, 9, 16], 16) == [None, None, None]
         g = draw_gradient(np.ones(4), shard, ds, 0.0, 99, rng)
         assert rng.bit_generator.state == state_before
-        np.testing.assert_array_equal(g, stochastic_gradient(np.ones(4), shard, ds, 0.0))
+        np.testing.assert_array_equal(g, gradient(np.ones(4), shard, ds, 0.0))
 
     def test_unbiasedness_per_coordinate(self):
         # mean of many minibatch gradients vs the full-shard gradient
@@ -128,7 +104,7 @@ class TestStochasticGradient:
             [draw_gradient(x, shard, ds, 1e-3, 8, rng) for _ in range(2000)]
         )
         se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
-        gap = np.abs(draws.mean(axis=0) - stochastic_gradient(x, shard, ds, 1e-3))
+        gap = np.abs(draws.mean(axis=0) - gradient(x, shard, ds, 1e-3))
         assert np.all(gap <= 4.0 * se)
 
 
@@ -224,9 +200,8 @@ class TestSmoothnessAndConvexity:
         rng = np.random.default_rng(0)
         for _ in range(100):
             x, y = rng.standard_normal((2, 50))
-            lhs = np.linalg.norm(
-                stochastic_gradient(x, shard, ds, lam) - stochastic_gradient(y, shard, ds, lam)
-            )
+            gx, gy = batch_gradients(np.column_stack([x, y]), [shard, shard], ds, lam).T
+            lhs = np.linalg.norm(gx - gy)
             assert lhs <= L * np.linalg.norm(x - y) * (1 + 1e-12)
 
     def test_midpoint_convexity(self):
@@ -248,7 +223,7 @@ class TestRidgeOptimum:
     def test_first_order_optimality(self):
         ds = generate(300, 40, 0.05, seed=29)
         x, _ = ridge_optimum(ds, 1e-4)
-        assert np.linalg.norm(stochastic_gradient(x, whole(ds), ds, 1e-4)) <= 1e-8
+        assert np.linalg.norm(gradient(x, whole(ds), ds, 1e-4)) <= 1e-8
 
     def test_heavy_regularization_shrinks_solution(self):
         ds = generate(200, 10, 0.05, seed=31)
@@ -266,12 +241,12 @@ class TestRidgeOptimum:
         ds = generate(96, 12, 0.05, seed=37)
         shards = partition_iid(ds, 8)
         x = np.random.default_rng(9).standard_normal(12)
-        avg = np.mean([stochastic_gradient(x, s, ds, 1e-3) for s in shards], axis=0)
-        np.testing.assert_allclose(avg, stochastic_gradient(x, whole(ds), ds, 1e-3), atol=1e-10)
+        avg = batch_gradients(np.repeat(x[:, None], 8, 1), shards, ds, 1e-3).mean(axis=1)
+        np.testing.assert_allclose(avg, gradient(x, whole(ds), ds, 1e-3), atol=1e-10)
 
     def test_gradient_norm_small_at_optimum_average(self):
         ds = generate(128, 16, 0.05, seed=41)
         shards = partition_iid(ds, 8)
         x, _ = ridge_optimum(ds, 1e-3)
-        avg = np.mean([stochastic_gradient(x, s, ds, 1e-3) for s in shards], axis=0)
+        avg = batch_gradients(np.repeat(x[:, None], 8, 1), shards, ds, 1e-3).mean(axis=1)
         assert np.linalg.norm(avg) <= 1e-8

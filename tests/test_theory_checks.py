@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from dflsim import objective, theory_checks
-from dflsim.data import Dataset, Shard, generate, partition_iid
-from dflsim.objective import sample_batches, stochastic_gradient
+from dflsim import objective
+from dflsim.data import Shard, generate, partition_iid
+from dflsim.objective import sample_batches
 from dflsim.theory_checks import (
     ConstantsEstimate,
     PreconditionViolated,
@@ -17,15 +17,7 @@ from dflsim.theory_checks import (
     evaluate_theorem_bound,
 )
 from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
-
-
-def tiny_dataset(features, labels):
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    return Dataset(
-        m=features.shape[0], d=features.shape[1], features=features, labels=labels,
-        true_w=np.zeros(features.shape[1]), label_noise_variance=0.0, seed=0,
-    )
+from oracles import stochastic_gradient, tiny_dataset
 
 
 def consts(**overrides):
@@ -145,7 +137,6 @@ class TestSigmaSq:
                     diff = stochastic_gradient(x, shard, ds, 1e-4, picks) - mean_grad
                     acc += float(diff @ diff)
                 worst = max(worst, acc / 600)
-        monkeypatch.setattr(theory_checks, "GATHER_BUDGET", budget)
         monkeypatch.setattr(objective, "GATHER_BUDGET", budget)
         estimate = estimate_sigma_sq(xs, shards, ds, 1e-4, 32, np.random.default_rng(0), draws=600)
         assert estimate == worst
@@ -193,6 +184,28 @@ class TestBiasZeroMean:
     def test_invalid_mu_rejected(self):
         with pytest.raises(ValueError):
             check_bias_zero_mean(1.0, 0.01, n=2, d=2, T=5, trials=10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        # nothing but draws is read before the check
+        (lambda rng: estimate_sigma_sq([], [], None, 0.0, 1, rng, draws=0), "draws must be >= 1, got 0"),
+        (lambda rng: estimate_sigma_sq([], [], None, 0.0, 1, rng, draws=-3), "draws must be >= 1"),
+        (lambda _: estimate_zeta_sq([np.zeros(4)], [], None, 0.0), "shards must not be empty"),
+        (lambda _: check_contraction(np.eye(4), 0.1, trials=0, seed=0), "trials must be >= 1"),
+        (lambda _: check_bias_zero_mean(0.0, 0.1, 4, 2, T=5, trials=1, seed=0), "trials must be >= 2"),
+        (lambda _: check_bias_zero_mean(0.0, 0.1, 4, 2, T=0, trials=9, seed=0), "T must be >= 1"),
+    ],
+    ids=["sigma-draws-0", "sigma-draws-neg", "zeta-no-shards", "contraction-0", "bias-trials-1", "bias-T-0"],
+)
+def test_sample_count_without_a_result_rejected_before_any_draw(monkeypatch, check, message):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    monkeypatch.setattr(np.random, "default_rng", None)  # a check seeding its own stream fails
+    with pytest.raises(ValueError, match=message):
+        check(rng)
+    assert rng.bit_generator.state == state
 
 
 class TestTheoremBound:
