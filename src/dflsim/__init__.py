@@ -40,6 +40,7 @@ from .theory_checks import (
     estimate_smoothness,
     estimate_zeta_sq,
     evaluate_theorem_bound,
+    smoothness_lower_bound,
 )
 from .topology import MixingMatrix, TopologySpec, build_mixing, spectral_contraction
 
@@ -84,6 +85,7 @@ __all__ = [
     "run_detailed",
     "sample_batches",
     "sample_noise",
+    "smoothness_lower_bound",
     "spectral_contraction",
     "sweep",
 ]

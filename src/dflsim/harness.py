@@ -60,6 +60,7 @@ from .theory_checks import (
     estimate_smoothness,
     estimate_zeta_sq,
     evaluate_theorem_bound,
+    smoothness_lower_bound,
     step_size_cap,
     tracking_condition,
 )
@@ -168,11 +169,15 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Setup:
-    """What runs of one problem share; mixing=None is built from each config's topology."""
+    """What runs of one problem share; mixing=None is built from each config's topology.
+
+    smoothness_lower is any lower bound on the smoothness constant L, the
+    exact L included; it decides the step-size warning where it can.
+    """
 
     dataset: Dataset
     shards: list[Shard]
-    smoothness: float
+    smoothness_lower: float
     mixing: MixingMatrix | None = None
 
 
@@ -198,22 +203,29 @@ def _setup(config: RunConfig, shared: Setup | None = None) -> Setup:
     if shared is None:
         dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
         shards = partition_iid(dataset, config.n)
-        shared = Setup(dataset, shards, estimate_smoothness(dataset, shards, config.lam))
+        shared = Setup(dataset, shards, smoothness_lower_bound(dataset, shards, config.lam))
     if shared.mixing is None:
         shared = replace(shared, mixing=build_mixing(config.topology))
     return shared
 
 
-def _warn_outside_theory(config: RunConfig, mixing: MixingMatrix, smoothness: float) -> None:
-    eta_cap = step_size_cap(smoothness, mixing.rho)
-    ratio, limit = tracking_condition(config.mu, mixing.rho)
+def _warn_outside_theory(config: RunConfig, setup: Setup) -> None:
+    eta0, rho = config.lr.eta0, setup.mixing.rho
     outside = []
-    if config.lr.eta0 > eta_cap:
+    # the cap falls as L grows, so the lower bound's cap is at least the
+    # exact one: a step above it is outside the analysis without exact L
+    cap_above = step_size_cap(setup.smoothness_lower, rho)
+    if eta0 > cap_above:
         outside.append(
-            f"eta0={config.lr.eta0:.4g} exceeds the analyzed step-size cap {eta_cap:.4g}"
+            f"eta0={eta0:.4g} exceeds the analyzed step-size cap, which is at most {cap_above:.4g}"
         )
+    else:
+        eta_cap = step_size_cap(estimate_smoothness(setup.dataset, setup.shards, config.lam), rho)
+        if eta0 > eta_cap:
+            outside.append(f"eta0={eta0:.4g} exceeds the analyzed step-size cap {eta_cap:.4g}")
+    ratio, limit = tracking_condition(config.mu, rho)
     if config.algorithm == "fednmut" and ratio > limit:
-        outside.append(f"mu={config.mu:.4g} violates mu/(1-mu) <= rho/42 for rho={mixing.rho:.4g}")
+        outside.append(f"mu={config.mu:.4g} violates mu/(1-mu) <= rho/42 for rho={rho:.4g}")
     for message in outside:
         warnings.warn(f"{message}; running anyway", RuntimeWarning, stacklevel=3)
 
@@ -225,7 +237,7 @@ def run_detailed(config: RunConfig, repeat_index: int, setup: Setup | None = Non
     """
     setup = _setup(config, setup)
     dataset, shards, mixing = setup.dataset, setup.shards, setup.mixing
-    _warn_outside_theory(config, mixing, setup.smoothness)
+    _warn_outside_theory(config, setup)
 
     seed = config.master_seed
     n, d, lam = config.n, config.d, config.lam
@@ -339,7 +351,7 @@ class BoundSanity:
 
 
 def bound_sanity(config: RunConfig, setup: Setup | None = None) -> BoundSanity:
-    """Run repeat 0 of config at half the step-size cap and check it against the theorem.
+    """Run repeat 0 of config at half the exact L's step-size cap and check it against the theorem.
 
     sigma^2 and zeta^2 are estimated at the initial point, x* and one
     draw of default_rng(1234); B_bar^2 is the run's mean ||B_t||_F^2 / n,
@@ -348,7 +360,8 @@ def bound_sanity(config: RunConfig, setup: Setup | None = None) -> BoundSanity:
     if config.algorithm != "fednmut":
         raise ValueError(f"bound_sanity needs a fednmut config, got algorithm {config.algorithm!r}")
     setup = _setup(config, setup)
-    dataset, shards, L, rho = setup.dataset, setup.shards, setup.smoothness, setup.mixing.rho
+    dataset, shards, rho = setup.dataset, setup.shards, setup.mixing.rho
+    L = estimate_smoothness(dataset, shards, config.lam)
     eta = step_size_cap(L, rho) / 2.0
     config = replace(config, lr=LrSchedule(eta0=eta, gamma=1.0, decay_interval=1))
     result = run_detailed(config, 0, setup)
@@ -429,7 +442,7 @@ def sweep(template: RunConfig, axes: dict, out_dir) -> list[dict]:
     Writes manifest.csv listing every cell and returns the manifest rows.
     Every cell is checked before the output directory is made. n and lam
     are not sweep axes, so all cells share one dataset, partition and
-    smoothness estimate; each builds its own mixing.
+    smoothness lower bound; each builds its own mixing.
     """
     cells = sweep_cells(template, axes)
     os.makedirs(out_dir, exist_ok=True)

@@ -3,10 +3,11 @@
 The estimators here turn the analysis constants into measurable
 quantities: smoothness L, gradient-noise variance sigma^2, client
 heterogeneity zeta^2. L is exact to rounding: per shard, the Gram on
-the shard's smaller side k = min(rows, d) is formed once, and its
-largest eigenvalue is solved densely up to k = 512 and by Lanczos on
-that Gram above, which stops once its residual bound puts an exact
-eigenvalue within 1e-12 relative of the estimate. The sigma^2 and
+the shard's smaller side k = min(rows, d) is formed once and its
+largest eigenvalue is solved densely. Runs need L only to decide the
+step-size warning, so they start from smoothness_lower_bound, a few
+matrix-free power steps whose Rayleigh quotient can only fall below L,
+and compute the exact L only when that bound cannot decide. The sigma^2 and
 zeta^2 values are maxima over sampled points, so they are estimated
 lower envelopes of the assumed uniform bounds, and the worst-case bound
 evaluation built on them is a sanity check rather than a certificate.
@@ -26,19 +27,11 @@ import numpy as np
 from .data import Dataset, Shard
 from .objective import batch_gradients, gathered_gradients, sample_batches
 
-# Largest smaller-side k whose k x k Gram is solved densely. Every shard's
-# Gram is formed once and only one is alive at a time; k^2 <= rows * d, so
-# it is never larger than the shard. A dense eigensolve adds LAPACK's copy
-# and workspace on top of it, which shows up in a paper-scale run's peak
-# RSS (+5.5% at k = 625), so above this size Lanczos runs on the Gram
-# instead and adds only its basis, O(k * steps).
-_DENSE_EIG_MAX_DIM = 512
-# Lanczos stops once the Ritz residual is below this fraction of theta.
-_LANCZOS_TOL = 1e-12
-# Lanczos steps between tridiagonal eigensolves, and rows added to the
-# basis array each time it fills up.
-_LANCZOS_CHECK_EVERY = 8
-_LANCZOS_BASIS_CHUNK = 64
+# Power steps per shard in smoothness_lower_bound, and the relative shrink of
+# its quotient: once the steps converge (a rank-1 shard's do at once), rounding
+# can put the quotient a few ulps above eigvalsh's value.
+_POWER_STEPS = 4
+_ROUNDING_MARGIN = 1e-12
 # Rows of each random X that check_contraction draws.
 _CONTRACTION_DIM = 8
 
@@ -87,87 +80,59 @@ class ContractionReport:
     trials: int
 
 
-def _lanczos_lambda_max(apply, k: int) -> float:
-    """Largest eigenvalue of the symmetric PSD operator `apply` on R^k.
-
-    Lanczos with full reorthogonalization (classical Gram-Schmidt, run
-    twice), from a fixed random start, for at most k steps. Every
-    _LANCZOS_CHECK_EVERY steps, at step k and on a Krylov breakdown
-    (beta == 0) it solves the tridiagonal T, and it stops when the Ritz
-    pair (theta, y) has residual ||A y - theta y|| = beta |s_last|
-    <= _LANCZOS_TOL * theta, where s_last is the last entry of theta's
-    eigenvector of T. That residual places an exact eigenvalue of A
-    within the same distance of theta. A breakdown always stops it: the
-    Krylov space is then invariant, so theta is an exact eigenvalue and
-    the next step would divide by zero. The basis lives in one array
-    grown by _LANCZOS_BASIS_CHUNK rows, so it holds at most a chunk more
-    than the steps taken, and never more than k rows.
-    """
-    q = np.random.default_rng(0).standard_normal(k)
-    q /= np.linalg.norm(q)
-    basis = np.empty((min(k, _LANCZOS_BASIS_CHUNK), k))
-    basis[0] = q
-    alphas: list[float] = []
-    betas: list[float] = []
-    theta = 0.0
-    for step in range(1, k + 1):
-        w = apply(q)
-        alphas.append(float(q @ w))
-        done = basis[:step]
-        for _ in range(2):
-            w -= done.T @ (done @ w)
-        beta = float(np.linalg.norm(w))
-        if beta == 0.0 or step % _LANCZOS_CHECK_EVERY == 0 or step == k:
-            tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            evals, evecs = np.linalg.eigh(tri)
-            theta = float(evals[-1])
-            if beta == 0.0 or beta * abs(evecs[-1, -1]) <= _LANCZOS_TOL * theta:
-                break
-        if step == k:
-            break
-        betas.append(beta)
-        q = w / beta
-        if step == basis.shape[0]:
-            grow = min(_LANCZOS_BASIS_CHUNK, k - step)
-            basis = np.concatenate([basis, np.empty((grow, k))])
-        basis[step] = q
-    return theta
-
-
-def _gram_lambda_max(feats: np.ndarray, m: int) -> float:
-    """Largest eigenvalue of 2 F^T F / m, computed on the smaller side of F.
-
-    F^T F (d x d) and F F^T (rows x rows) share their nonzero spectrum,
-    so the work is set by k = min(rows, d): the k x k Gram G is F F^T
-    when rows < d, else F^T F (a square shard keeps F^T F). G is formed
-    once; it is no larger than F and stays cache-resident at paper scale
-    (k = 625, 3 MiB). Up to k = _DENSE_EIG_MAX_DIM it is solved densely;
-    above it, Lanczos runs on v -> G v. Both paths are exact to
-    rounding; an all-zero shard gives 0.
-    """
-    rows, d = feats.shape
-    side = feats if rows < d else feats.T  # k x max(rows, d)
-    k = side.shape[0]
-    if k <= _DENSE_EIG_MAX_DIM:
-        return float(np.linalg.eigvalsh(2.0 * (side @ side.T) / m)[-1])
-    gram = side @ side.T
-    return 2.0 * _lanczos_lambda_max(lambda v: gram @ v, k) / m
+def _nonempty(**named) -> None:
+    """Raise ValueError naming the first argument that has no entries."""
+    for name, value in named.items():
+        if len(value) == 0:
+            raise ValueError(f"{name} must not be empty")
 
 
 def estimate_smoothness(dataset: Dataset, shards: list[Shard], lam: float) -> float:
     """Smoothness constant L = max over shards of lambda_max(2 F^T F / m) + 2 lam.
 
-    Each shard's lambda_max is exact to rounding: the Gram on the shard's
-    smaller side is formed once and solved densely up to 512, by Lanczos
-    above (see _gram_lambda_max); only one shard's Gram is alive at a
-    time. The value depends on (dataset, shards, lam) only, so callers
-    running several configs on one problem compute it once.
+    Exact to rounding. F^T F (d x d) and F F^T (rows x rows) share their
+    nonzero spectrum, so each shard's Gram is formed on its smaller side,
+    k = min(rows, d): F F^T when rows < d, else F^T F (a square shard keeps
+    F^T F). It is no larger than F, only one is alive at a time, and it is
+    solved densely by eigvalsh; an all-zero shard gives 0. The value depends
+    on (dataset, shards, lam) only, so callers running several configs on
+    one problem compute it once. Runs need only smoothness_lower_bound.
     """
+    _nonempty(shards=shards)
     worst = 0.0
     for shard in shards:
         feats = dataset.features[shard.start : shard.stop]
-        worst = max(worst, _gram_lambda_max(feats, shard.size))
+        side = feats if shard.size < feats.shape[1] else feats.T  # k x max(rows, d)
+        worst = max(worst, float(np.linalg.eigvalsh(2.0 * (side @ side.T) / shard.size)[-1]))
     return worst + 2.0 * lam
+
+
+def smoothness_lower_bound(dataset: Dataset, shards: list[Shard], lam: float) -> float:
+    """A certified lower bound on estimate_smoothness's L, matrix-free.
+
+    Per shard, _POWER_STEPS power steps v -> F^T (F v) from a vector of
+    ones; each step's Rayleigh quotient ||F v||^2 / ||v||^2 never exceeds
+    lambda_max(F^T F), and a shard whose F v vanishes stops at 0. The
+    largest 2 quotient / rows, shrunk by _ROUNDING_MARGIN, plus 2 lam is
+    returned. It costs 2 * _POWER_STEPS passes over the features and no
+    Gram; on standard normal features it is 0.83-0.87 of L.
+    """
+    _nonempty(shards=shards)
+    worst = 0.0
+    for shard in shards:
+        feats = dataset.features[shard.start : shard.stop]
+        v = np.ones(feats.shape[1])
+        quotient = 0.0
+        for _ in range(_POWER_STEPS):
+            u = feats @ v
+            uu = float(u @ u)
+            if uu == 0.0:
+                break
+            quotient = uu / float(v @ v)
+            v = feats.T @ u
+            v /= np.linalg.norm(v)
+        worst = max(worst, 2.0 * quotient / shard.size)
+    return worst * (1.0 - _ROUNDING_MARGIN) + 2.0 * lam
 
 
 def estimate_sigma_sq(
@@ -188,6 +153,7 @@ def estimate_sigma_sq(
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
+    _nonempty(x_samples=x_samples, shards=shards)
     worst = 0.0
     for x in x_samples:
         mean_grads = batch_gradients(np.repeat(x[:, None], len(shards), 1), shards, dataset, lam)
@@ -210,8 +176,7 @@ def estimate_zeta_sq(
     lam: float,
 ) -> float:
     """Worst observed client heterogeneity (1/n) sum_i ||grad_i - grad||^2."""
-    if not shards:
-        raise ValueError("shards must not be empty")
+    _nonempty(x_samples=x_samples, shards=shards)
     worst = 0.0
     for x in x_samples:
         grads = batch_gradients(np.repeat(x[:, None], len(shards), 1), shards, dataset, lam)
@@ -240,6 +205,10 @@ def check_bias_zero_mean(
     """
     if not 0.0 <= mu < 1.0:
         raise ValueError(f"mu must be in [0, 1), got {mu}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if trials < 2:
@@ -277,7 +246,9 @@ def check_bias_zero_mean(
 
 
 def step_size_cap(L: float, rho: float) -> float:
-    """min(1/(4L), rho/(7L)): the largest step size the analysis covers."""
+    """min(1/(4L), rho/(7L)): the largest step size the analysis covers; inf at L = 0."""
+    if L == 0:
+        return math.inf
     return min(1.0 / (4.0 * L), rho / (7.0 * L))
 
 

@@ -38,9 +38,9 @@ from dflsim.harness import (
 from dflsim.data import generate, partition_iid
 from dflsim.metrics import measure_block
 from dflsim.objective import batch_gradients
-from dflsim.theory_checks import estimate_smoothness
+from dflsim.theory_checks import estimate_smoothness, smoothness_lower_bound, step_size_cap
 from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
-from oracles import metrics_row, stochastic_gradient
+from oracles import metrics_row, stochastic_gradient, tiny_dataset
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -184,6 +184,46 @@ class TestRunSingle:
             run_detailed(small_config(rounds=1, **overrides), 0)
         assert any(phrase in str(w.message) for w in caught) == warned
 
+    @pytest.mark.parametrize(
+        "where, warned", [(0.5, True), (0.0, False)], ids=["eta0-between-caps", "eta0-at-cap"]
+    )
+    def test_step_the_lower_bound_cannot_place_uses_exact_smoothness(
+        self, monkeypatch, where, warned
+    ):
+        config = small_config(rounds=1)
+        dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
+        shards = partition_iid(dataset, config.n)
+        rho = build_mixing(config.topology).rho
+        cap = step_size_cap(estimate_smoothness(dataset, shards, config.lam), rho)
+        cap_above = step_size_cap(smoothness_lower_bound(dataset, shards, config.lam), rho)
+        assert cap < cap_above
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return estimate_smoothness(*args)
+
+        monkeypatch.setattr(harness, "estimate_smoothness", counting)
+        config = replace(config, lr=LrSchedule(eta0=cap + where * (cap_above - cap)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_detailed(config, 0)
+        messages = [str(w.message) for w in caught]
+        assert any("exceeds the analyzed step-size cap" in m for m in messages) == warned
+        assert len(calls) == 1
+
+    def test_zero_smoothness_is_inside_every_cap(self):
+        # lam = 0 and all-zero features: L = L_lo = 0, and no cap divides by it
+        config = small_config(rounds=2, lam=0.0, noise_variance=0.0)
+        dataset = tiny_dataset(np.zeros((config.m, config.d)), np.zeros(config.m))
+        shards = partition_iid(dataset, config.n)
+        setup = Setup(dataset, shards, smoothness_lower_bound(dataset, shards, 0.0))
+        assert setup.smoothness_lower == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = run_detailed(config, 0, setup).metrics
+        assert rows["loss"].tolist() == [0.0] * 3
+
 
 class TestBlockMetrics:
     """Rows are evaluated in padded blocks of METRICS_BLOCK states."""
@@ -312,7 +352,7 @@ class TestRunAveraged:
         tracked = replace(config, algorithm="fednmut", rounds=60)  # rate_fit needs 50 rounds
         dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
         shards = partition_iid(dataset, config.n)
-        setup = Setup(dataset, shards, estimate_smoothness(dataset, shards, config.lam))
+        setup = Setup(dataset, shards, smoothness_lower_bound(dataset, shards, config.lam))
         expected = run_averaged(config).columns
         expected_sanity = bound_sanity(tracked)
         mixings = []
@@ -325,7 +365,7 @@ class TestRunAveraged:
             return build_mixing(spec)
 
         monkeypatch.setattr(harness, "generate", no_setup)
-        monkeypatch.setattr(harness, "estimate_smoothness", no_setup)
+        monkeypatch.setattr(harness, "smoothness_lower_bound", no_setup)
         monkeypatch.setattr(harness, "build_mixing", counting)
         columns = run_averaged(config, setup).columns
         assert bound_sanity(tracked, setup) == expected_sanity
@@ -550,21 +590,24 @@ class TestSweep:
         assert not out.exists()
 
     def test_one_smoothness_estimate_per_sweep(self, tmp_path, monkeypatch):
-        calls = []
-        real = harness.estimate_smoothness
+        calls = {"smoothness_lower_bound": [], "estimate_smoothness": []}
+        for name, found in calls.items():
+            real = getattr(harness, name)
 
-        def counting(*args, **kwargs):
-            calls.append((args, kwargs))
-            return real(*args, **kwargs)
+            def counting(*args, real=real, found=found, **kwargs):
+                found.append((args, kwargs))
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "estimate_smoothness", counting)
+            monkeypatch.setattr(harness, name, counting)
+        # eta0 = 0.05 is above the lower bound's cap on both graphs, so the
+        # lower bound alone decides every cell's step-size warning
         template = small_config(rounds=3, repeats=2)
         axes = {"algorithm": ["fedndl1", "fednmut"], "topology": [RING, FULLY_CONNECTED]}
         rows = sweep(template, axes, tmp_path)
         assert len(rows) == 4
-        assert len(calls) == 1
-        # positional (dataset, shards, lam), the signature tracers key on
-        assert all(len(args) == 3 and not kwargs for args, kwargs in calls)
+        [(args, kwargs)] = calls["smoothness_lower_bound"]  # one call, positional
+        assert len(args) == 3 and not kwargs
+        assert calls["estimate_smoothness"] == []
 
     def test_mu_axis_sweep(self, tmp_path):
         template = small_config(algorithm="fednmut", rounds=4, repeats=1, noise_variance=0.0)

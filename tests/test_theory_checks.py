@@ -15,6 +15,7 @@ from dflsim.theory_checks import (
     estimate_smoothness,
     estimate_zeta_sq,
     evaluate_theorem_bound,
+    smoothness_lower_bound,
 )
 from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
 from oracles import stochastic_gradient, tiny_dataset
@@ -42,9 +43,8 @@ class TestSmoothness:
 
     @pytest.mark.parametrize("rows, d", [(80, 600), (600, 700), (700, 600), (600, 600)])
     def test_matches_dense_oracle(self, rows, d):
-        # the smaller-side Gram is formed in every case; at k = 80 it is
-        # solved densely, at k = 600 by Lanczos on F F^T, F^T F and, for
-        # the square shard, F^T F
+        # the smaller-side Gram is formed and solved densely in every case:
+        # F F^T at k = 80 and 600, F^T F for a taller or square shard
         ds = generate(rows, d, 0.0, seed=3)
         value = estimate_smoothness(ds, [Shard(0, 0, rows)], 0.0)
         gram = 2.0 * ds.features.T @ ds.features / rows
@@ -61,24 +61,11 @@ class TestSmoothness:
 
     @pytest.mark.parametrize("rows, d", [(125, 200), (128, 200), (200, 128), (512, 700)])
     def test_dense_path_is_bit_equal_to_eigvalsh(self, rows, d):
-        # k <= 512 (desk k=125, wide k=128) keeps its exact dense formula
         ds = generate(rows, d, 0.05, seed=5)
         lam = 1e-4
         side = ds.features if rows < d else ds.features.T
         expected = float(np.linalg.eigvalsh(2.0 * (side @ side.T) / rows)[-1]) + 2.0 * lam
         assert estimate_smoothness(ds, [Shard(0, 0, rows)], lam) == expected
-
-    def test_lanczos_breakdown_matches_dense_oracle(self):
-        # rank-2 features: the Krylov space of the 600 x 600 Gram closes
-        # after three steps; the steps after it run on rounding-level beta
-        # and must neither divide by zero nor lose the top eigenvalue
-        rng = np.random.default_rng(4)
-        feats = rng.standard_normal((600, 2)) @ rng.standard_normal((2, 700))
-        ds = tiny_dataset(feats, np.zeros(600))
-        with np.errstate(divide="raise", invalid="raise"):
-            value = estimate_smoothness(ds, [Shard(0, 0, 600)], 0.0)
-        oracle = float(np.linalg.eigvalsh(2.0 * feats @ feats.T / 600)[-1])
-        assert value == pytest.approx(oracle, rel=1e-10)
 
     @pytest.mark.parametrize("rows, d", [(3, 5), (600, 700)])
     def test_all_zero_features_give_ridge_term(self, rows, d):
@@ -86,6 +73,57 @@ class TestSmoothness:
         with np.errstate(divide="raise", invalid="raise"):
             value = estimate_smoothness(ds, [Shard(0, 0, rows)], 0.25)
         assert value == 2 * 0.25
+
+
+def rank_two(rows, d):
+    rng = np.random.default_rng(4)
+    return rng.standard_normal((rows, 2)) @ rng.standard_normal((2, d))
+
+
+class TestSmoothnessLowerBound:
+    @pytest.mark.parametrize(
+        "features",
+        [
+            generate(125, 200, 0.05, seed=5).features,  # a desk shard
+            generate(128, 200, 0.05, seed=5).features,  # a wide shard
+            generate(600, 700, 0.05, seed=5).features,
+            rank_two(600, 700),
+            np.random.default_rng(6).standard_normal((1, 200)),
+            np.zeros((40, 30)),
+        ],
+        ids=["desk", "wide", "600x700", "rank-2", "single-row", "all-zero"],
+    )
+    @pytest.mark.parametrize("lam", [0.0, 1e-4])
+    def test_never_exceeds_exact_smoothness(self, features, lam):
+        ds = tiny_dataset(features, np.zeros(len(features)))
+        shards = [Shard(0, 0, len(features))]
+        with np.errstate(divide="raise", invalid="raise"):
+            lower = smoothness_lower_bound(ds, shards, lam)
+        assert 2.0 * lam <= lower <= estimate_smoothness(ds, shards, lam)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rank_one_shards_stay_below_exact(self, seed):
+        # the power steps converge at once, where rounding alone could
+        # lift the quotient above eigvalsh's value
+        rng = np.random.default_rng(seed)
+        features = np.outer(rng.standard_normal(int(rng.integers(1, 30))), rng.standard_normal(50))
+        ds = tiny_dataset(features, np.zeros(len(features)))
+        shards = [Shard(0, 0, len(features))]
+        exact = estimate_smoothness(ds, shards, 0.0)
+        assert exact * (1 - 1e-11) <= smoothness_lower_bound(ds, shards, 0.0) <= exact
+
+    @pytest.mark.parametrize("m, n", [(2000, 16), (8192, 64)], ids=["desk", "wide"])
+    def test_within_a_fifth_of_exact_at_workload_sizes(self, m, n):
+        ds = generate(m, 200, 0.05, seed=3)
+        shards = partition_iid(ds, n)
+        exact = estimate_smoothness(ds, shards, 1e-4)
+        assert 0.8 * exact <= smoothness_lower_bound(ds, shards, 1e-4) <= exact
+
+    def test_max_over_shards(self):
+        ds = tiny_dataset([[1.0, 0.0], [0.0, 3.0]], [0.0, 0.0])
+        shards = [Shard(0, 0, 1), Shard(1, 1, 2)]
+        # one-row shards converge at once: 2 ||a||^2, largest from the second
+        assert smoothness_lower_bound(ds, shards, 0.5) == pytest.approx(18.0 + 1.0, rel=1e-11)
 
 
 class TestSigmaSq:
@@ -193,11 +231,22 @@ class TestBiasZeroMean:
         (lambda rng: estimate_sigma_sq([], [], None, 0.0, 1, rng, draws=0), "draws must be >= 1, got 0"),
         (lambda rng: estimate_sigma_sq([], [], None, 0.0, 1, rng, draws=-3), "draws must be >= 1"),
         (lambda _: estimate_zeta_sq([np.zeros(4)], [], None, 0.0), "shards must not be empty"),
+        (lambda _: estimate_zeta_sq([], [Shard(0, 0, 1)], None, 0.0), "x_samples must not be"),
+        (lambda rng: estimate_sigma_sq([], [Shard(0, 0, 1)], None, 0.0, 1, rng), "x_samples must"),
+        (lambda rng: estimate_sigma_sq([np.zeros(4)], [], None, 0.0, 1, rng), "shards must"),
+        (lambda _: estimate_smoothness(None, [], 0.5), "shards must not be empty"),
+        (lambda _: smoothness_lower_bound(None, [], 0.5), "shards must not be empty"),
         (lambda _: check_contraction(np.eye(4), 0.1, trials=0, seed=0), "trials must be >= 1"),
         (lambda _: check_bias_zero_mean(0.0, 0.1, 4, 2, T=5, trials=1, seed=0), "trials must be >= 2"),
         (lambda _: check_bias_zero_mean(0.0, 0.1, 4, 2, T=0, trials=9, seed=0), "T must be >= 1"),
+        (lambda _: check_bias_zero_mean(0.0, 0.1, 0, 2, T=5, trials=9, seed=0), "n must be >= 1"),
+        (lambda _: check_bias_zero_mean(0.0, 0.1, 4, 0, T=5, trials=9, seed=0), "d must be >= 1"),
     ],
-    ids=["sigma-draws-0", "sigma-draws-neg", "zeta-no-shards", "contraction-0", "bias-trials-1", "bias-T-0"],
+    ids=[
+        "sigma-draws-0", "sigma-draws-neg", "zeta-no-shards", "zeta-no-samples",
+        "sigma-no-samples", "sigma-no-shards", "smoothness-no-shards", "lower-bound-no-shards",
+        "contraction-0", "bias-trials-1", "bias-T-0", "bias-n-0", "bias-d-0",
+    ],
 )
 def test_sample_count_without_a_result_rejected_before_any_draw(monkeypatch, check, message):
     rng = np.random.default_rng(0)
