@@ -211,18 +211,16 @@ def _setup(config: RunConfig, shared: Setup | None = None) -> Setup:
 
 def _warn_outside_theory(config: RunConfig, setup: Setup) -> None:
     eta0, rho = config.lr.eta0, setup.mixing.rho
-    outside = []
     # the cap falls as L grows, so the lower bound's cap is at least the
     # exact one: a step above it is outside the analysis without exact L
-    cap_above = step_size_cap(setup.smoothness_lower, rho)
-    if eta0 > cap_above:
-        outside.append(
-            f"eta0={eta0:.4g} exceeds the analyzed step-size cap, which is at most {cap_above:.4g}"
-        )
-    else:
-        eta_cap = step_size_cap(estimate_smoothness(setup.dataset, setup.shards, config.lam), rho)
-        if eta0 > eta_cap:
-            outside.append(f"eta0={eta0:.4g} exceeds the analyzed step-size cap {eta_cap:.4g}")
+    cap = step_size_cap(setup.smoothness_lower, rho)
+    note = " (an upper bound, from a lower bound on L)"
+    if eta0 <= cap:
+        L = estimate_smoothness(setup.dataset, setup.shards, config.lam)
+        cap, note = step_size_cap(L, rho), ""
+    outside = []
+    if eta0 > cap:
+        outside.append(f"eta0={eta0:.4g} exceeds the analyzed step-size cap {cap:.4g}{note}")
     ratio, limit = tracking_condition(config.mu, rho)
     if config.algorithm == "fednmut" and ratio > limit:
         outside.append(f"mu={config.mu:.4g} violates mu/(1-mu) <= rho/42 for rho={rho:.4g}")
