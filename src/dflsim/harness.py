@@ -85,7 +85,7 @@ SWEEP_AXES = ("algorithm", "topology", "noise_variance", "mu")
 
 # States per measure_block call. The last block of a run is padded to this
 # width, so a row's bits do not depend on where the run ends.
-METRICS_BLOCK = 8
+METRICS_BLOCK = 16
 
 
 class DegenerateSeriesError(ValueError):
@@ -209,14 +209,14 @@ def _setup(config: RunConfig, shared: Setup | None = None) -> Setup:
     return shared
 
 
-def _warn_outside_theory(config: RunConfig, setup: Setup) -> None:
+def _warn_outside_theory(config: RunConfig, setup: Setup, L: float | None = None) -> None:
     eta0, rho = config.lr.eta0, setup.mixing.rho
-    # the cap falls as L grows, so the lower bound's cap is at least the
-    # exact one: a step above it is outside the analysis without exact L
+    # L, if given, is exact. The cap falls as L grows, so the lower bound's
+    # cap is at least the exact one: a step above it is outside either way.
     cap = step_size_cap(setup.smoothness_lower, rho)
     note = " (an upper bound, from a lower bound on L)"
     if eta0 <= cap:
-        L = estimate_smoothness(setup.dataset, setup.shards, config.lam)
+        L = estimate_smoothness(setup.dataset, setup.shards, config.lam) if L is None else L
         cap, note = step_size_cap(L, rho), ""
     outside = []
     if eta0 > cap:
@@ -228,21 +228,27 @@ def _warn_outside_theory(config: RunConfig, setup: Setup) -> None:
         warnings.warn(f"{message}; running anyway", RuntimeWarning, stacklevel=3)
 
 
-def run_detailed(config: RunConfig, repeat_index: int, setup: Setup | None = None) -> RunResult:
+def _initial_point(config: RunConfig) -> np.ndarray:
+    """The d x n state every repeat starts from; repeats differ in batches and noise only."""
+    init_stream = derive_stream(StreamKey(config.master_seed, 0, PURPOSE_INIT))
+    return init_states(config.n, config.d, config.x0_mode, init_stream)
+
+
+def run_detailed(
+    config: RunConfig, repeat_index: int, setup: Setup | None = None, x0: np.ndarray | None = None
+) -> RunResult:
     """One simulated run, bit-reproducible per (config, repeat_index).
 
-    A given setup must have been built for config's problem.
+    A given setup must have been built for config's problem; a given x0
+    must be _initial_point(config), with the warnings decided by the caller.
     """
     setup = _setup(config, setup)
     dataset, shards, mixing = setup.dataset, setup.shards, setup.mixing
-    _warn_outside_theory(config, setup)
+    if x0 is None:
+        _warn_outside_theory(config, setup)
+    X = _initial_point(config) if x0 is None else x0
 
-    seed = config.master_seed
-    n, d, lam = config.n, config.d, config.lam
-    # The initial point is shared across repeats; repeats differ through
-    # batch sampling and channel noise only.
-    init_stream = derive_stream(StreamKey(seed, 0, PURPOSE_INIT))
-    X = init_states(n, d, config.x0_mode, init_stream)
+    n, d, lam, seed = config.n, config.d, config.lam, config.master_seed
     # FedNMUT's last broadcasts and Deltas, zero before the first round
     y_tilde = delta = np.zeros((d, n))
 
@@ -301,7 +307,9 @@ def run_detailed(config: RunConfig, repeat_index: int, setup: Setup | None = Non
 def run_averaged(config: RunConfig, setup: Setup | None = None) -> AveragedResult:
     """Each metric's mean and sample standard deviation per round across repeats."""
     setup = _setup(config, setup)
-    per_repeat = [run_detailed(config, r, setup).metrics for r in range(config.repeats)]
+    _warn_outside_theory(config, setup)
+    x0 = _initial_point(config)
+    per_repeat = [run_detailed(config, r, setup, x0).metrics for r in range(config.repeats)]
     columns = {"round": per_repeat[0]["round"], "eta": per_repeat[0]["eta"]}
     for name, stats in METRICS.items():
         vals = np.array([rep[name] for rep in per_repeat])
@@ -362,7 +370,8 @@ def bound_sanity(config: RunConfig, setup: Setup | None = None) -> BoundSanity:
     L = estimate_smoothness(dataset, shards, config.lam)
     eta = step_size_cap(L, rho) / 2.0
     config = replace(config, lr=LrSchedule(eta0=eta, gamma=1.0, decay_interval=1))
-    result = run_detailed(config, 0, setup)
+    _warn_outside_theory(config, setup, L)
+    result = run_detailed(config, 0, setup, _initial_point(config))
     # entry k is the state entering round k
     grad_series = result.metrics["grad_norm_sq"][:-1]
 

@@ -6,10 +6,11 @@ exact gradients. The average of per-client local losses at their own
 parameters is reported alongside as loss_local_avg.
 
 measure_block evaluates a block of B recorded states at once; the
-harness calls it on blocks of eight. Its global pass is two matrix
-products, xbar @ A.T for the residuals and R @ A for the gradients, and
-its local pass one stacked product per run of adjacent equal-sized
-shards, on views of the block and of the data rows (no copies). The
+harness calls it on blocks of 16: each pass is bound by reading the
+data, so a block of 16 costs well under two blocks of 8. Its global pass
+is two matrix products, xbar @ A.T for the residuals and R @ A for the
+gradients, and its local pass one stacked product per run of adjacent
+equal-sized shards, on views of the block and data rows (no copies). The
 data matrix A stays the first factor BLAS sees: the form A @ X.T makes
 OpenBLAS pack A into a wide work panel, which raised peak RSS by 33 MiB
 at paper scale (d = 2000, m = 10000). xbar and the consensus error are

@@ -44,6 +44,8 @@ from oracles import metrics_row, stochastic_gradient, tiny_dataset
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
+BLOCK = harness.METRICS_BLOCK
+
 
 @pytest.fixture
 def no_setup(monkeypatch):
@@ -212,6 +214,22 @@ class TestRunSingle:
         assert any("exceeds the analyzed step-size cap" in m for m in messages) == warned
         assert len(calls) == 1
 
+    def test_warnings_decided_once_per_call(self, monkeypatch):
+        # eta0 = 1e-4 is under the lower bound's cap, so deciding needs the exact L
+        config = small_config(algorithm="fednmut", lr=LrSchedule(eta0=1e-4), repeats=3, rounds=60)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return estimate_smoothness(*args)
+
+        monkeypatch.setattr(harness, "estimate_smoothness", counting)
+        run_averaged(config)
+        assert len(calls) == 1
+        calls.clear()
+        bound_sanity(config)
+        assert len(calls) == 1
+
     def test_zero_smoothness_is_inside_every_cap(self):
         # lam = 0 and all-zero features: L = L_lo = 0, and no cap divides by it
         config = small_config(rounds=2, lam=0.0, noise_variance=0.0)
@@ -238,10 +256,10 @@ class TestBlockMetrics:
 
         monkeypatch.setattr(harness, "measure_block", recording)
         config = small_config(
-            algorithm="fednmut", topology=TopologySpec(RING, n), d=20, m=m, rounds=11
+            algorithm="fednmut", topology=TopologySpec(RING, n), d=20, m=m, rounds=BLOCK + 3
         )
         rows = run_detailed(config, 0).metrics
-        assert len(states) == 16  # 12 rows padded to two blocks of 8
+        assert len(states) == 2 * BLOCK  # BLOCK + 4 rows: one full block, one padded
         dataset = generate(m, 20, config.label_noise_variance, config.master_seed)
         shards = partition_iid(dataset, n)
         for t, state in enumerate(states[: rows["round"].size], start=-1):
@@ -257,12 +275,16 @@ class TestBlockMetrics:
                 atol=0,
             )
 
-    @pytest.mark.parametrize("rounds", [1, 7, 8, 9])
+    # a run that ends mid-block pads half a block; one of BLOCK - 1 rounds
+    # fills its first block exactly, and one of BLOCK spills a row into a second
+    @pytest.mark.parametrize(
+        "rounds", [1, BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1, BLOCK - 2, BLOCK - 1, BLOCK]
+    )
     def test_row_bits_do_not_depend_on_run_length(self, rounds):
         config = small_config(
             algorithm="fednmut", topology=TopologySpec(RING, 16), d=200, m=2001, repeats=1
         )
-        full = run_detailed(replace(config, rounds=20), 0).metrics
+        full = run_detailed(replace(config, rounds=2 * BLOCK + 1), 0).metrics
         short = run_detailed(replace(config, rounds=rounds), 0).metrics
         assert short["round"].tolist() == list(range(-1, rounds))
         assert {k: v.tolist() for k, v in short.items()} == {
@@ -394,12 +416,11 @@ class TestStreams:
         return keys
 
     def test_one_stream_per_repeat_and_purpose(self, monkeypatch):
+        # the shared initial point is drawn once per run_averaged call
         keys = self.keys_of_run(monkeypatch, algorithm="fednmut", rounds=5, repeats=3)
         purposes = (PURPOSE_CHANNEL_NOISE, PURPOSE_DATA_BATCH)
-        assert keys == [
-            key
-            for r in range(3)
-            for key in [StreamKey(5, 0, PURPOSE_INIT)] + [StreamKey(5, r, p) for p in purposes]
+        assert keys == [StreamKey(5, 0, PURPOSE_INIT)] + [
+            StreamKey(5, r, p) for r in range(3) for p in purposes
         ]
 
     def test_all_capped_round_derives_no_batch_stream(self, monkeypatch):

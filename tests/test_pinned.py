@@ -6,7 +6,7 @@ The FedNMUT hashes are those of the array kernel, round_fednmut_array;
 all hashes are those of stream layout 3 (one stream per repeat and
 purpose, from which the rounds draw in order; see dflsim.harness), with
 each round's gradients from one batch_gradients call and the metrics
-evaluated in padded blocks of eight states (dflsim.metrics.measure_block).
+evaluated in padded blocks of 16 states (dflsim.metrics.measure_block).
 The schedule decays every 10 rounds, so 40 rounds use four step sizes.
 """
 
