@@ -15,7 +15,7 @@ from .algorithms import (
     round_fednmut_array,
 )
 from .channel import StreamKey, derive_stream, sample_noise
-from .data import Dataset, Shard, generate, partition_iid
+from .data import Dataset, Problem, Shard, generate, partition_iid
 from .harness import (
     ALGORITHMS,
     AveragedResult,
@@ -51,6 +51,7 @@ __all__ = [
     "Dataset",
     "LrSchedule",
     "MixingMatrix",
+    "Problem",
     "RoundInputs",
     "RunConfig",
     "RunResult",

@@ -3,13 +3,14 @@
 Labels follow y = <w, x> + eps with standard normal features and weight
 vector and Gaussian label noise of a configurable variance. Regeneration
 from the same (m, d, variance, seed) tuple is bit-identical, so datasets
-are never persisted. Shards are contiguous equal (+-1) row ranges.
+are never persisted. Shards are contiguous equal (+-1) row ranges. A
+Problem is the objective: a dataset, its shards and the ridge penalty.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,24 +88,41 @@ def partition_iid(dataset: Dataset, n: int) -> list[Shard]:
     return shards
 
 
-def shard_runs(shards: list[Shard]):
-    """Split shards into maximal runs of adjacent, equal-sized row ranges.
+def _equal_runs(shards: tuple[Shard, ...]) -> tuple[tuple[int, ...], ...]:
+    """Maximal runs of adjacent equal-sized shards, each (i, k, size, lo, hi).
 
-    Yields (i, k, size, lo, hi) per run: its first shard's position i in
-    shards, its k shards of size rows each, and its rows [lo, hi). Raises
-    on an empty shard.
+    A run is its first shard's position i, its k shards of size rows each,
+    and its rows [lo, hi).
     """
-    i = 0
-    while i < len(shards):
-        first = shards[i]
-        if first.size <= 0:
-            raise ValueError(f"empty shard for client {first.client}")
-        k = 1
-        while (
-            i + k < len(shards)
-            and shards[i + k].size == first.size
-            and shards[i + k].start == shards[i + k - 1].stop
-        ):
-            k += 1
-        yield i, k, first.size, first.start, first.start + k * first.size
-        i += k
+    runs = []
+    for i, shard in enumerate(shards):
+        last = runs[-1] if runs else None
+        if last and shard.size == last[2] and shard.start == last[4]:
+            runs[-1] = (last[0], last[1] + 1, last[2], last[3], shard.stop)
+        else:
+            runs.append((i, 1, shard.size, shard.start, shard.stop))
+    return tuple(runs)
+
+
+@dataclass(frozen=True)
+class Problem:
+    """The objective sum_i f_i: client i's loss over dataset rows shards[i], penalty lam.
+
+    The constructor makes shards a tuple, rejects an empty list or shard, and
+    splits it once into runs for the kernels. It holds the dataset, not a copy.
+    """
+
+    dataset: Dataset
+    shards: tuple[Shard, ...]
+    lam: float
+    runs: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        shards = tuple(self.shards)
+        if not shards:
+            raise ValueError("shards must not be empty")
+        for shard in shards:
+            if shard.size <= 0:
+                raise ValueError(f"shards: empty shard for client {shard.client}")
+        object.__setattr__(self, "shards", shards)
+        object.__setattr__(self, "runs", _equal_runs(shards))

@@ -51,7 +51,7 @@ from .channel import (
     derive_stream,
     sample_noise,
 )
-from .data import Dataset, Shard, generate, partition_iid
+from .data import Problem, generate, partition_iid
 from .metrics import measure_block
 from .objective import batch_gradients, ridge_optimum, sample_batches
 from .theory_checks import (
@@ -175,8 +175,7 @@ class Setup:
     exact L included; it decides the step-size warning where it can.
     """
 
-    dataset: Dataset
-    shards: list[Shard]
+    problem: Problem
     smoothness_lower: float
     mixing: MixingMatrix | None = None
 
@@ -198,12 +197,17 @@ class AveragedResult:
 
 
 def _setup(config: RunConfig, shared: Setup | None = None) -> Setup:
-    """Validate config, then build whatever part of its set-up shared lacks."""
+    """Validate config and build what shared lacks; a given shared must hold config's problem."""
     config.validate()
     if shared is None:
         dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
-        shards = partition_iid(dataset, config.n)
-        shared = Setup(dataset, shards, smoothness_lower_bound(dataset, shards, config.lam))
+        problem = Problem(dataset, partition_iid(dataset, config.n), config.lam)
+        shared = Setup(problem, smoothness_lower_bound(problem))
+    p = shared.problem
+    given = {"lam": p.lam, "m": p.dataset.m, "d": p.dataset.d, "n": len(p.shards)}
+    for name, value in given.items():
+        if value != getattr(config, name):
+            raise ValueError(f"setup has {name}={value!r}, config has {getattr(config, name)!r}")
     if shared.mixing is None:
         shared = replace(shared, mixing=build_mixing(config.topology))
     return shared
@@ -216,7 +220,7 @@ def _warn_outside_theory(config: RunConfig, setup: Setup, L: float | None = None
     cap = step_size_cap(setup.smoothness_lower, rho)
     note = " (an upper bound, from a lower bound on L)"
     if eta0 <= cap:
-        L = estimate_smoothness(setup.dataset, setup.shards, config.lam) if L is None else L
+        L = estimate_smoothness(setup.problem) if L is None else L
         cap, note = step_size_cap(L, rho), ""
     outside = []
     if eta0 > cap:
@@ -243,12 +247,12 @@ def run_detailed(
     must be _initial_point(config), with the warnings decided by the caller.
     """
     setup = _setup(config, setup)
-    dataset, shards, mixing = setup.dataset, setup.shards, setup.mixing
+    problem, mixing = setup.problem, setup.mixing
     if x0 is None:
         _warn_outside_theory(config, setup)
     X = _initial_point(config) if x0 is None else x0
 
-    n, d, lam, seed = config.n, config.d, config.lam, config.master_seed
+    n, d, seed = config.n, config.d, config.master_seed
     # FedNMUT's last broadcasts and Deltas, zero before the first round
     y_tilde = delta = np.zeros((d, n))
 
@@ -263,11 +267,11 @@ def run_detailed(
         if k == METRICS_BLOCK - 1 or t == config.rounds - 1:
             # pad a partial last block with its last state, so every product has one shape
             block[k + 1 :] = block[k]
-            values.append(measure_block(block, dataset, lam, shards))
+            values.append(measure_block(block, problem))
 
     record(X, -1)
     bias_sq: list[float] = []
-    sizes = [shard.size for shard in shards]
+    sizes = [shard.size for shard in problem.shards]
     noise_stream = batch_stream = None
     if config.noise_variance > 0.0:
         noise_stream = derive_stream(StreamKey(seed, repeat_index, PURPOSE_CHANNEL_NOISE))
@@ -284,7 +288,7 @@ def run_detailed(
             picks = sample_batches(batch_stream, sizes, config.batch_size)
 
         def grads(Z: np.ndarray, picks: list | None = picks) -> np.ndarray:
-            return batch_gradients(Z, shards, dataset, lam, picks)
+            return batch_gradients(Z, problem, picks)
 
         inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises, mu=config.mu)
         if config.algorithm == "fedndl1":
@@ -359,32 +363,31 @@ class BoundSanity:
 def bound_sanity(config: RunConfig, setup: Setup | None = None) -> BoundSanity:
     """Run repeat 0 of config at half the exact L's step-size cap and check it against the theorem.
 
-    sigma^2 and zeta^2 are estimated at the initial point, x* and one
-    draw of default_rng(1234); B_bar^2 is the run's mean ||B_t||_F^2 / n,
+    sigma^2 and zeta^2 are estimated at client 0's initial point, x* and
+    one draw of default_rng(1234); B_bar^2 is the run's mean ||B_t||_F^2 / n,
     so any rule but FedNMUT is rejected before set-up.
     """
     if config.algorithm != "fednmut":
         raise ValueError(f"bound_sanity needs a fednmut config, got algorithm {config.algorithm!r}")
     setup = _setup(config, setup)
-    dataset, shards, rho = setup.dataset, setup.shards, setup.mixing.rho
-    L = estimate_smoothness(dataset, shards, config.lam)
+    problem, rho = setup.problem, setup.mixing.rho
+    L = estimate_smoothness(problem)
     eta = step_size_cap(L, rho) / 2.0
     config = replace(config, lr=LrSchedule(eta0=eta, gamma=1.0, decay_interval=1))
     _warn_outside_theory(config, setup, L)
-    result = run_detailed(config, 0, setup, _initial_point(config))
+    x0 = _initial_point(config)
+    result = run_detailed(config, 0, setup, x0)
     # entry k is the state entering round k
     grad_series = result.metrics["grad_norm_sq"][:-1]
 
-    d, lam = config.d, config.lam
-    x_star, f_star = ridge_optimum(dataset, lam)
-    init = derive_stream(StreamKey(config.master_seed, 0, PURPOSE_INIT)).standard_normal(d)
+    x_star, f_star = ridge_optimum(problem.dataset, problem.lam)
     rng = np.random.default_rng(1234)
-    x_samples = [init, x_star, rng.standard_normal(d)]
+    x_samples = [x0[:, 0].copy(), x_star, rng.standard_normal(config.d)]
     consts = ConstantsEstimate(
         L=L,
-        sigma_sq=estimate_sigma_sq(x_samples, shards, dataset, lam, config.batch_size, rng),
-        zeta_sq=estimate_zeta_sq(x_samples, shards, dataset, lam),
-        D_sq_total=d * config.noise_variance,
+        sigma_sq=estimate_sigma_sq(x_samples, problem, config.batch_size, rng),
+        zeta_sq=estimate_zeta_sq(x_samples, problem),
+        D_sq_total=config.d * config.noise_variance,
         B_bar_sq=float(np.mean(result.bias_sq)),
         f0_gap=result.metrics["loss"][0] - f_star,
     )

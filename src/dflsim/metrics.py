@@ -9,8 +9,8 @@ measure_block evaluates a block of B recorded states at once; the
 harness calls it on blocks of 16: each pass is bound by reading the
 data, so a block of 16 costs well under two blocks of 8. Its global pass
 is two matrix products, xbar @ A.T for the residuals and R @ A for the
-gradients, and its local pass one stacked product per run of adjacent
-equal-sized shards, on views of the block and data rows (no copies). The
+gradients, and its local pass one stacked product per run in problem.runs
+(adjacent equal-sized shards), on views of the block and data rows. The
 data matrix A stays the first factor BLAS sees: the form A @ X.T makes
 OpenBLAS pack A into a wide work panel, which raised peak RSS by 33 MiB
 at paper scale (d = 2000, m = 10000). xbar and the consensus error are
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, Shard, shard_runs
+from .data import Dataset, Problem
 
 
 def mean_iterate(X: np.ndarray) -> np.ndarray:
@@ -52,23 +52,21 @@ def _row_dots(V: np.ndarray) -> np.ndarray:
     return (V[..., None, :] @ V[..., :, None])[..., 0, 0]
 
 
-def _block_local_losses(
-    S: np.ndarray, dataset: Dataset, lam: float, shards: list[Shard]
-) -> np.ndarray:
+def _block_local_losses(S: np.ndarray, problem: Problem) -> np.ndarray:
     """Every client's local loss in every state of the (B, n, d) block, as (B, n).
 
-    Each run of adjacent equal-sized shards takes one stacked product over
-    views of the block and of its data rows; each r @ r and x @ x is one
-    dot product, so a one-state block equals the oracle local_loss bit for bit.
+    Each of problem.runs takes one stacked product over views of the block
+    and of its data rows; each r @ r and x @ x is one dot product, so a
+    one-state block equals the oracle local_loss bit for bit.
     """
     B, n, d = S.shape
     losses = np.empty((B, n))
-    for i, k, size, lo, hi in shard_runs(shards):
-        feats = dataset.features[lo:hi].reshape(k, size, d)
+    for i, k, size, lo, hi in problem.runs:
+        feats = problem.dataset.features[lo:hi].reshape(k, size, d)
         cols = S[:, i : i + k].transpose(1, 0, 2)
         residuals = cols @ feats.transpose(0, 2, 1)
-        residuals -= dataset.labels[lo:hi].reshape(k, 1, size)
-        losses[:, i : i + k] = (_row_dots(residuals) / size + lam * _row_dots(cols)).T
+        residuals -= problem.dataset.labels[lo:hi].reshape(k, 1, size)
+        losses[:, i : i + k] = (_row_dots(residuals) / size + problem.lam * _row_dots(cols)).T
     return losses
 
 
@@ -83,9 +81,7 @@ def _global_terms(xbar: np.ndarray, dataset: Dataset, lam: float):
     return _row_dots(residual) / dataset.m + lam * _row_dots(xbar), _row_dots(grad)
 
 
-def measure_block(
-    S: np.ndarray, dataset: Dataset, lam: float, shards: list[Shard]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def measure_block(S: np.ndarray, problem: Problem) -> tuple[np.ndarray, ...]:
     """The metrics of B states at once, one matrix product per pass.
 
     S is (B, n, d): row i of S[j] holds client i's parameters in state j.
@@ -102,6 +98,6 @@ def measure_block(
         X = S[j].T.copy()
         xbar[j] = mean_iterate(X)
         consensus[j] = consensus_error(X, xbar[j])
-    loss, grad_norm_sq = _global_terms(xbar, dataset, lam)
-    local = _block_local_losses(S, dataset, lam, shards)
+    loss, grad_norm_sq = _global_terms(xbar, problem.dataset, problem.lam)
+    local = _block_local_losses(S, problem)
     return loss, consensus, grad_norm_sq, local.mean(axis=1)

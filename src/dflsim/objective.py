@@ -16,9 +16,10 @@ round of a repeat draws its block from the repeat's one minibatch stream,
 in round order.
 
 _stacked_gradients is the one gradient formula. batch_gradients takes
-every client's gradient of a round in one pass, as stacked products over
-each run of adjacent equal-sized shards (views of whole shards, gathers
-of sampled rows in chunks of at most GATHER_BUDGET elements). The loss
+every client's gradient of a round in one pass over a Problem, as
+stacked products over each of its runs of adjacent equal-sized shards
+(views of whole shards, gathers of sampled rows in chunks of at most
+GATHER_BUDGET elements). The loss
 formula is dflsim.metrics'. The per-vector forms, stochastic_gradient,
 local_loss and global_loss, live in tests/oracles.py as the references
 both are tested against bit for bit.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, Shard, shard_runs
+from .data import Dataset, Problem
 from .metrics import _global_terms
 
 _MAX_SOLVE_DIM = 4096
@@ -73,50 +74,43 @@ def _stacked_gradients(
     return (2.0 / labels.shape[1]) * (feats.transpose(0, 2, 1) @ residual)[:, :, 0] + 2.0 * lam * Zs
 
 
-def gathered_gradients(
-    Zs: np.ndarray, rows: np.ndarray, dataset: Dataset, lam: float
-) -> np.ndarray:
-    """The gradient at Zs[j] over the dataset rows rows[j], for each j, as a (k, d) array.
+def gathered_gradients(Zs: np.ndarray, rows: np.ndarray, problem: Problem) -> np.ndarray:
+    """The gradient at Zs[j] over the problem's data rows rows[j], for each j, as a (k, d) array.
 
     The rows are gathered in chunks of at most GATHER_BUDGET elements (at
     least one gradient per chunk), so the gather's memory does not grow with k.
     """
     k, b = rows.shape
     out = np.empty(Zs.shape)
-    step = max(1, GATHER_BUDGET // (b * dataset.d))
+    step = max(1, GATHER_BUDGET // (b * problem.dataset.d))
     for j in range(0, k, step):
         chunk = rows[j : j + step]
-        feats, labels = dataset.features[chunk], dataset.labels[chunk]
-        out[j : j + step] = _stacked_gradients(Zs[j : j + step], feats, labels, lam)
+        feats, labels = problem.dataset.features[chunk], problem.dataset.labels[chunk]
+        out[j : j + step] = _stacked_gradients(Zs[j : j + step], feats, labels, problem.lam)
     return out
 
 
 def batch_gradients(
-    Z: np.ndarray,
-    shards: list[Shard],
-    dataset: Dataset,
-    lam: float,
-    picks: list[np.ndarray | None] | None = None,
+    Z: np.ndarray, problem: Problem, picks: list[np.ndarray | None] | None = None
 ) -> np.ndarray:
     """Every client's gradient at its column of the d x n point Z, as a d x n matrix.
 
-    Column i is the gradient over the rows picks[i] of shards[i], or over
-    the whole shard when picks or picks[i] is None; with picks from
-    sample_batches it is unbiased for the whole-shard gradient. Each run
-    of adjacent equal-sized shards is one stacked problem: whole shards
-    are reshaped views of the data, sampled batches one gathered_gradients
-    call.
+    Column i is the gradient over the rows picks[i] of problem.shards[i],
+    or over the whole shard when picks or picks[i] is None; with picks
+    from sample_batches it is unbiased for the whole-shard gradient. Each
+    of problem.runs is one stacked product: whole shards are reshaped
+    views of the data, sampled batches one gathered_gradients call.
     """
-    d = dataset.d
+    dataset, d = problem.dataset, problem.dataset.d
     out = np.empty(Z.shape)
-    for i, k, size, lo, hi in shard_runs(shards):
+    for i, k, size, lo, hi in problem.runs:
         Zs = Z.T[i : i + k]
         if picks is None or picks[i] is None:
             feats, labels = dataset.features[lo:hi].reshape(k, size, d), dataset.labels[lo:hi]
-            out.T[i : i + k] = _stacked_gradients(Zs, feats, labels.reshape(k, size), lam)
+            out.T[i : i + k] = _stacked_gradients(Zs, feats, labels.reshape(k, size), problem.lam)
         else:
             rows = np.arange(lo, hi, size)[:, None] + np.stack(picks[i : i + k])
-            out.T[i : i + k] = gathered_gradients(Zs, rows, dataset, lam)
+            out.T[i : i + k] = gathered_gradients(Zs, rows, problem)
     return out
 
 

@@ -1,8 +1,8 @@
 """Executable checks of the analysis behind the algorithms.
 
-The estimators here turn the analysis constants into measurable
-quantities: smoothness L, gradient-noise variance sigma^2, client
-heterogeneity zeta^2. L is exact to rounding: per shard, the Gram on
+The estimators here turn the analysis constants of a Problem into
+measurable quantities: smoothness L, gradient-noise variance sigma^2,
+client heterogeneity zeta^2. L is exact to rounding: per shard, the Gram on
 the shard's smaller side k = min(rows, d) is formed once and its
 largest eigenvalue is solved densely. Runs need L only to decide the
 step-size warning, so they start from smoothness_lower_bound, a few
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Shard
+from .data import Problem
 from .objective import batch_gradients, gathered_gradients, sample_batches
 
 # Power steps per shard in smoothness_lower_bound, and the relative shrink of
@@ -80,14 +80,7 @@ class ContractionReport:
     trials: int
 
 
-def _nonempty(**named) -> None:
-    """Raise ValueError naming the first argument that has no entries."""
-    for name, value in named.items():
-        if len(value) == 0:
-            raise ValueError(f"{name} must not be empty")
-
-
-def estimate_smoothness(dataset: Dataset, shards: list[Shard], lam: float) -> float:
+def estimate_smoothness(problem: Problem) -> float:
     """Smoothness constant L = max over shards of lambda_max(2 F^T F / m) + 2 lam.
 
     Exact to rounding. F^T F (d x d) and F F^T (rows x rows) share their
@@ -95,19 +88,18 @@ def estimate_smoothness(dataset: Dataset, shards: list[Shard], lam: float) -> fl
     k = min(rows, d): F F^T when rows < d, else F^T F (a square shard keeps
     F^T F). It is no larger than F, only one is alive at a time, and it is
     solved densely by eigvalsh; an all-zero shard gives 0. The value depends
-    on (dataset, shards, lam) only, so callers running several configs on
-    one problem compute it once. Runs need only smoothness_lower_bound.
+    on the problem only, so callers running several configs on one problem
+    compute it once. Runs need only smoothness_lower_bound.
     """
-    _nonempty(shards=shards)
     worst = 0.0
-    for shard in shards:
-        feats = dataset.features[shard.start : shard.stop]
+    for shard in problem.shards:
+        feats = problem.dataset.features[shard.start : shard.stop]
         side = feats if shard.size < feats.shape[1] else feats.T  # k x max(rows, d)
         worst = max(worst, float(np.linalg.eigvalsh(2.0 * (side @ side.T) / shard.size)[-1]))
-    return worst + 2.0 * lam
+    return worst + 2.0 * problem.lam
 
 
-def smoothness_lower_bound(dataset: Dataset, shards: list[Shard], lam: float) -> float:
+def smoothness_lower_bound(problem: Problem) -> float:
     """A certified lower bound on estimate_smoothness's L, matrix-free.
 
     Per shard, _POWER_STEPS power steps v -> F^T (F v) from a vector of
@@ -117,10 +109,9 @@ def smoothness_lower_bound(dataset: Dataset, shards: list[Shard], lam: float) ->
     returned. It costs 2 * _POWER_STEPS passes over the features and no
     Gram; on standard normal features it is 0.83-0.87 of L.
     """
-    _nonempty(shards=shards)
     worst = 0.0
-    for shard in shards:
-        feats = dataset.features[shard.start : shard.stop]
+    for shard in problem.shards:
+        feats = problem.dataset.features[shard.start : shard.stop]
         v = np.ones(feats.shape[1])
         quotient = 0.0
         for _ in range(_POWER_STEPS):
@@ -132,14 +123,12 @@ def smoothness_lower_bound(dataset: Dataset, shards: list[Shard], lam: float) ->
             v = feats.T @ u
             v /= np.linalg.norm(v)
         worst = max(worst, 2.0 * quotient / shard.size)
-    return worst * (1.0 - _ROUNDING_MARGIN) + 2.0 * lam
+    return worst * (1.0 - _ROUNDING_MARGIN) + 2.0 * problem.lam
 
 
 def estimate_sigma_sq(
     x_samples: list[np.ndarray],
-    shards: list[Shard],
-    dataset: Dataset,
-    lam: float,
+    problem: Problem,
     batch_size: int,
     rng: np.random.Generator,
     draws: int = 500,
@@ -153,36 +142,33 @@ def estimate_sigma_sq(
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    _nonempty(x_samples=x_samples, shards=shards)
+    if len(x_samples) == 0:
+        raise ValueError("x_samples must not be empty")
     worst = 0.0
     for x in x_samples:
-        mean_grads = batch_gradients(np.repeat(x[:, None], len(shards), 1), shards, dataset, lam)
-        for shard, mean_grad in zip(shards, mean_grads.T):
+        mean_grads = batch_gradients(np.repeat(x[:, None], len(problem.shards), 1), problem)
+        for shard, mean_grad in zip(problem.shards, mean_grads.T):
             if batch_size >= shard.size:
                 continue  # full batch has zero sampling variance
             picks = np.stack(sample_batches(rng, [shard.size] * draws, batch_size))
             xs = np.broadcast_to(x, (draws, x.size))
             acc = 0.0
-            for diff in gathered_gradients(xs, shard.start + picks, dataset, lam) - mean_grad:
+            for diff in gathered_gradients(xs, shard.start + picks, problem) - mean_grad:
                 acc += float(diff @ diff)
             worst = max(worst, acc / draws)
     return worst
 
 
-def estimate_zeta_sq(
-    x_samples: list[np.ndarray],
-    shards: list[Shard],
-    dataset: Dataset,
-    lam: float,
-) -> float:
+def estimate_zeta_sq(x_samples: list[np.ndarray], problem: Problem) -> float:
     """Worst observed client heterogeneity (1/n) sum_i ||grad_i - grad||^2."""
-    _nonempty(x_samples=x_samples, shards=shards)
+    if len(x_samples) == 0:
+        raise ValueError("x_samples must not be empty")
+    n = len(problem.shards)
     worst = 0.0
     for x in x_samples:
-        grads = batch_gradients(np.repeat(x[:, None], len(shards), 1), shards, dataset, lam)
-        mean = grads.mean(axis=1, keepdims=True)
-        dev = grads - mean
-        worst = max(worst, float((dev * dev).sum() / len(shards)))
+        grads = batch_gradients(np.repeat(x[:, None], n, 1), problem)
+        dev = grads - grads.mean(axis=1, keepdims=True)
+        worst = max(worst, float((dev * dev).sum() / n))
     return worst
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dflsim.algorithms import RoundInputs
-from dflsim.data import generate, partition_iid
+from dflsim.data import Problem, generate, partition_iid
 from dflsim.harness import LrSchedule, RunConfig, Setup, bound_sanity, run_averaged, sweep
 from dflsim.objective import batch_gradients, ridge_optimum
 from dflsim.theory_checks import check_bias_zero_mean, estimate_smoothness
@@ -39,9 +39,8 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def desk_problem():
     dataset = generate(DESK_M, DESK_D, 0.05, SEED)
-    shards = partition_iid(dataset, N)
     x_star, f_star = ridge_optimum(dataset, LAM)
-    return dataset, shards, x_star, f_star
+    return Problem(dataset, partition_iid(dataset, N), LAM), x_star, f_star
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +107,7 @@ def test_criterion_3_gradient_matches_finite_differences():
     worst = 0.0
     for _ in range(20):
         x = rng.standard_normal(20)
-        g = batch_gradients(x[:, None], [shard], dataset, lam)[:, 0]  # full batch
+        g = batch_gradients(x[:, None], Problem(dataset, [shard], lam))[:, 0]  # full batch
         fd = finite_difference_gradient(x, shard, dataset, lam)  # step 1e-5
         worst = max(worst, np.linalg.norm(g - fd) / np.linalg.norm(g))
     report(3, worst <= 1e-5, f"20 random points, worst relative error {worst:.2e}")
@@ -151,10 +150,10 @@ def test_criterion_5_bias_zero_mean_monte_carlo():
 
 
 def test_criterion_6_noise_free_convergence(desk_problem):
-    dataset, shards, _, f_star = desk_problem
+    problem, _, f_star = desk_problem
     start = time.time()
-    setup = Setup(dataset, shards, estimate_smoothness(dataset, shards, LAM),
-                  build_mixing(TopologySpec(FULLY_CONNECTED, N)))
+    mixing = build_mixing(TopologySpec(FULLY_CONNECTED, N))
+    setup = Setup(problem, estimate_smoothness(problem), mixing)
     finals = {}
     for algorithm in ("fedndl1", "fedndl2", "fedndl3", "fednmut"):
         config = RunConfig(
@@ -181,9 +180,9 @@ def test_criterion_6_noise_free_convergence(desk_problem):
 
 
 def test_criterion_7_figure_trends(desk_problem):
-    dataset, shards, _, _ = desk_problem
+    problem, _, _ = desk_problem
     start = time.time()
-    shared = Setup(dataset, shards, estimate_smoothness(dataset, shards, LAM))
+    shared = Setup(problem, estimate_smoothness(problem))
 
     def averaged(algorithm, kind):
         config = RunConfig(

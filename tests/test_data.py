@@ -1,11 +1,13 @@
-"""Dataset generation and IID partitioning."""
+"""Dataset generation, IID partitioning and the Problem that binds them."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dflsim.data import Shard, generate, partition_iid, shard_runs
+from dflsim.data import Problem, Shard, generate, partition_iid
 
 
 def test_regeneration_is_bit_identical():
@@ -91,7 +93,37 @@ def test_partition_covers_rows_disjointly(m, n):
 
 
 def test_shard_runs_group_adjacent_equal_shards():
-    shards = partition_iid(generate(11, 2, 0.0, seed=0), 4)  # sizes 3, 3, 3, 2
-    assert list(shard_runs(shards)) == [(0, 3, 3, 0, 9), (3, 1, 2, 9, 11)]
-    with pytest.raises(ValueError, match="empty shard for client 1"):
-        list(shard_runs([Shard(client=0, start=0, stop=2), Shard(client=1, start=2, stop=2)]))
+    ds = generate(11, 2, 0.0, seed=0)
+    problem = Problem(ds, partition_iid(ds, 4), 0.0)  # sizes 3, 3, 3, 2
+    assert problem.runs == ((0, 3, 3, 0, 9), (3, 1, 2, 9, 11))
+    with pytest.raises(ValueError, match="shards: empty shard for client 1"):
+        Problem(ds, [Shard(client=0, start=0, stop=2), Shard(client=1, start=2, stop=2)], 0.0)
+
+
+def test_problem_runs_of_a_ragged_split():
+    ds = generate(2001, 2, 0.0, seed=0)
+    problem = Problem(ds, partition_iid(ds, 16), 1e-4)  # one shard of 126, fifteen of 125
+    assert problem.runs == ((0, 1, 126, 0, 126), (1, 15, 125, 126, 2001))
+
+
+def test_overlapping_twin_shards_stay_legal():
+    ds = generate(50, 2, 0.0, seed=0)
+    twin = Shard(client=0, start=0, stop=50)
+    problem = Problem(ds, [twin, twin], 0.0)
+    # the second twin does not start where the first stops: two runs
+    assert problem.runs == ((0, 1, 50, 0, 50), (1, 1, 50, 0, 50))
+
+
+def test_problem_rejects_an_empty_shard_list():
+    with pytest.raises(ValueError, match="shards must not be empty"):
+        Problem(generate(4, 2, 0.0, seed=0), [], 0.0)
+
+
+def test_problem_is_frozen_and_holds_tuples_and_the_dataset_itself():
+    ds = generate(12, 3, 0.0, seed=0)
+    problem = Problem(ds, partition_iid(ds, 3), 0.5)
+    assert isinstance(problem.shards, tuple) and isinstance(problem.runs, tuple)
+    assert problem.dataset is ds
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.runs = ()
+

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dflsim import harness, objective
+from dflsim import data, harness, objective
 from dflsim.channel import (
     PURPOSE_CHANNEL_NOISE,
     PURPOSE_DATA_BATCH,
@@ -35,10 +35,15 @@ from dflsim.harness import (
     run_detailed,
     sweep,
 )
-from dflsim.data import generate, partition_iid
+from dflsim.data import Problem, generate, partition_iid
 from dflsim.metrics import measure_block
 from dflsim.objective import batch_gradients
-from dflsim.theory_checks import estimate_smoothness, smoothness_lower_bound, step_size_cap
+from dflsim.theory_checks import (
+    estimate_smoothness,
+    estimate_zeta_sq,
+    smoothness_lower_bound,
+    step_size_cap,
+)
 from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
 from oracles import metrics_row, stochastic_gradient, tiny_dataset
 
@@ -55,6 +60,12 @@ def no_setup(monkeypatch):
         raise AssertionError("set-up ran before validation")
 
     monkeypatch.setattr(harness, "generate", fail)
+
+
+def problem_of(config):
+    """The Problem _setup builds for config."""
+    dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
+    return Problem(dataset, partition_iid(dataset, config.n), config.lam)
 
 
 def small_config(**overrides):
@@ -193,11 +204,10 @@ class TestRunSingle:
         self, monkeypatch, where, warned
     ):
         config = small_config(rounds=1)
-        dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
-        shards = partition_iid(dataset, config.n)
+        problem = problem_of(config)
         rho = build_mixing(config.topology).rho
-        cap = step_size_cap(estimate_smoothness(dataset, shards, config.lam), rho)
-        cap_above = step_size_cap(smoothness_lower_bound(dataset, shards, config.lam), rho)
+        cap = step_size_cap(estimate_smoothness(problem), rho)
+        cap_above = step_size_cap(smoothness_lower_bound(problem), rho)
         assert cap < cap_above
         calls = []
 
@@ -234,8 +244,8 @@ class TestRunSingle:
         # lam = 0 and all-zero features: L = L_lo = 0, and no cap divides by it
         config = small_config(rounds=2, lam=0.0, noise_variance=0.0)
         dataset = tiny_dataset(np.zeros((config.m, config.d)), np.zeros(config.m))
-        shards = partition_iid(dataset, config.n)
-        setup = Setup(dataset, shards, smoothness_lower_bound(dataset, shards, 0.0))
+        problem = Problem(dataset, partition_iid(dataset, config.n), 0.0)
+        setup = Setup(problem, smoothness_lower_bound(problem))
         assert setup.smoothness_lower == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -372,9 +382,8 @@ class TestRunAveraged:
     def test_given_setup_is_reused(self, monkeypatch):
         config = small_config(repeats=2, rounds=5)
         tracked = replace(config, algorithm="fednmut", rounds=60)  # rate_fit needs 50 rounds
-        dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
-        shards = partition_iid(dataset, config.n)
-        setup = Setup(dataset, shards, smoothness_lower_bound(dataset, shards, config.lam))
+        problem = problem_of(config)
+        setup = Setup(problem, smoothness_lower_bound(problem))
         expected = run_averaged(config).columns
         expected_sanity = bound_sanity(tracked)
         mixings = []
@@ -395,6 +404,36 @@ class TestRunAveraged:
         assert {k: v.tolist() for k, v in columns.items()} == {
             k: v.tolist() for k, v in expected.items()
         }
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("lam", dict(lam=1e-3, d=12)),  # lam is checked first
+            ("m", dict(m=120)),
+            ("d", dict(d=12, topology=TopologySpec(RING, 5))),
+            ("n", dict(topology=TopologySpec(RING, 5))),
+        ],
+    )
+    def test_setup_of_another_problem_rejected(self, field, overrides):
+        config = small_config(rounds=2, repeats=1)
+        problem = problem_of(config)
+        setup = Setup(problem, smoothness_lower_bound(problem))
+        other = replace(config, **overrides)
+        for call in (run_averaged, lambda c, s: run_detailed(c, 0, s)):
+            with pytest.raises(ValueError, match=rf"^setup has {field}="):
+                call(other, setup)
+
+    def test_shards_split_into_runs_once_per_set_up(self, monkeypatch):
+        calls = []
+        split = data._equal_runs
+
+        def counting(shards):
+            calls.append(len(shards))
+            return split(shards)
+
+        monkeypatch.setattr(data, "_equal_runs", counting)
+        run_averaged(small_config(repeats=3, rounds=20))
+        assert calls == [4]  # not once per kernel call
 
     def test_largest_seed_accepted(self):
         rows = run_detailed(small_config(master_seed=2**64 - 1, rounds=2), 0).metrics
@@ -454,14 +493,43 @@ class TestStreams:
         assert np.array_equal(noises, noise_stream.normal(0.0, np.sqrt(0.005), (5, 4, 10)))
         assert np.array_equal(keys, batch_stream.random((5, 4, 20)))
 
+    def test_bound_sanity_derives_the_init_stream_once(self, monkeypatch):
+        keys = []
+
+        def recording(key):
+            keys.append(key)
+            return derive_stream(key)
+
+        monkeypatch.setattr(harness, "derive_stream", recording)
+        bound_sanity(small_config(algorithm="fednmut", rounds=60, noise_variance=0.0))
+        assert [k.purpose for k in keys] == [PURPOSE_INIT, PURPOSE_DATA_BATCH]
+
+    @pytest.mark.parametrize("x0_mode", ["zeros", "shared_random", "independent_random"])
+    def test_bound_sanity_samples_the_initial_point(self, monkeypatch, x0_mode):
+        samples = []
+
+        def recording(x_samples, problem):
+            samples.append(x_samples)
+            return estimate_zeta_sq(x_samples, problem)
+
+        monkeypatch.setattr(harness, "estimate_zeta_sq", recording)
+        config = small_config(algorithm="fednmut", rounds=60, x0_mode=x0_mode)
+        bound_sanity(config)
+        if x0_mode == "zeros":
+            expected = np.zeros(config.d)
+        else:  # client 0's start is the init stream's first draw
+            expected = derive_stream(StreamKey(5, 0, PURPOSE_INIT)).standard_normal(config.d)
+        assert samples[0][0].tolist() == expected.tolist()
+
     def test_ragged_shards_with_mixed_cap(self, monkeypatch):
         # 2001 rows over 16 clients: client 0 has 126 rows and samples 125,
         # the other fifteen have 125 and take the whole shard
         calls = []
 
-        def recording(Z, shards, dataset, lam, picks):
-            grads = batch_gradients(Z, shards, dataset, lam, picks)
-            cols = zip(Z.T, shards, picks)
+        def recording(Z, problem, picks):
+            grads = batch_gradients(Z, problem, picks)
+            dataset, lam = problem.dataset, problem.lam
+            cols = zip(Z.T, problem.shards, picks)
             oracle = [stochastic_gradient(z, s, dataset, lam, p) for z, s, p in cols]
             assert np.array_equal(grads, np.column_stack(oracle))
             calls.append(picks)
@@ -626,8 +694,8 @@ class TestSweep:
         axes = {"algorithm": ["fedndl1", "fednmut"], "topology": [RING, FULLY_CONNECTED]}
         rows = sweep(template, axes, tmp_path)
         assert len(rows) == 4
-        [(args, kwargs)] = calls["smoothness_lower_bound"]  # one call, positional
-        assert len(args) == 3 and not kwargs
+        [(args, kwargs)] = calls["smoothness_lower_bound"]  # one call, on the problem
+        assert [type(a) for a in args] == [Problem] and not kwargs
         assert calls["estimate_smoothness"] == []
 
     def test_mu_axis_sweep(self, tmp_path):

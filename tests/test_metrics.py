@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dflsim.data import generate, partition_iid
+from dflsim.data import Problem, generate, partition_iid
 from dflsim.harness import LrSchedule, RunConfig, run_detailed
 from dflsim.metrics import _block_local_losses, consensus_error, mean_iterate, measure_block
 from dflsim.objective import batch_gradients, ridge_optimum
@@ -52,7 +52,7 @@ def test_consensus_error_contracts_under_gossip():
 
 def measure_one(X, ds, lam, shards):
     """measure_block on the one state X (d x n): loss, consensus error, |grad|^2, local loss."""
-    return [float(v[0]) for v in measure_block(X.T[None], ds, lam, shards)]
+    return [float(v[0]) for v in measure_block(X.T[None], Problem(ds, shards, lam))]
 
 
 def test_measure_at_ridge_optimum_consensus():
@@ -77,7 +77,7 @@ def test_grad_norm_matches_average_of_client_gradients():
     X = np.random.default_rng(4).standard_normal((10, 8))
     grad_norm_sq = measure_one(X, ds, 1e-3, shards)[2]
     xbar = mean_iterate(X)
-    avg = batch_gradients(np.repeat(xbar[:, None], 8, 1), shards, ds, 1e-3).mean(axis=1)
+    avg = batch_gradients(np.repeat(xbar[:, None], 8, 1), Problem(ds, shards, 1e-3)).mean(axis=1)
     np.testing.assert_allclose(grad_norm_sq, float(avg @ avg), atol=1e-10)
 
 
@@ -110,7 +110,7 @@ def test_fused_measure_is_bit_identical_to_objective_calls(m):
     X = np.random.default_rng(6).standard_normal((200, 16))
     assert measure_one(X, ds, 1e-4, shards) == metrics_row(X, ds, 1e-4, shards)
     local = [local_loss(X[:, i], s, ds, 1e-4) for i, s in enumerate(shards)]
-    assert _block_local_losses(X.T[None], ds, 1e-4, shards)[0].tolist() == local
+    assert _block_local_losses(X.T[None], Problem(ds, shards, 1e-4))[0].tolist() == local
 
 
 @pytest.mark.parametrize("m, d, n", [(2000, 200, 16), (2001, 200, 16), (1280, 40, 64)])
@@ -118,7 +118,7 @@ def test_block_matches_per_state_measure(m, d, n):
     ds = generate(m, d, 0.05, seed=12)
     shards = partition_iid(ds, n)
     S = np.random.default_rng(7).standard_normal((8, n, d))
-    block = np.array(measure_block(S, ds, 1e-4, shards)).T
+    block = np.array(measure_block(S, Problem(ds, shards, 1e-4))).T
     for values, state in zip(block, S):
         # a C-ordered d x n state, the layout the harness keeps
         expected = metrics_row(state.T.copy(), ds, 1e-4, shards)
@@ -129,8 +129,9 @@ def test_block_matches_per_state_measure(m, d, n):
 def test_block_of_identical_states_gives_identical_rows():
     ds = generate(2001, 50, 0.05, seed=13)
     shards = partition_iid(ds, 16)
+    problem = Problem(ds, shards, 1e-4)
     state = np.tile(np.random.default_rng(8).standard_normal(50), (16, 1))
-    for column in measure_block(np.tile(state, (8, 1, 1)), ds, 1e-4, shards):
+    for column in measure_block(np.tile(state, (8, 1, 1)), problem):
         assert np.all(column == column[0])
     # a consensus state has an exact zero consensus error
-    assert measure_block(state[None], ds, 1e-4, shards)[1][0] == 0.0
+    assert measure_block(state[None], problem)[1][0] == 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dflsim import objective
-from dflsim.data import Shard, generate, partition_iid
+from dflsim.data import Problem, Shard, generate, partition_iid
 from dflsim.objective import batch_gradients, ridge_optimum, sample_batches
 from oracles import finite_difference_gradient, global_loss, local_loss, stochastic_gradient, tiny_dataset
 
@@ -15,7 +15,7 @@ def whole(dataset):
 
 def gradient(x, shard, dataset, lam, picks=None):
     """batch_gradients' column for one client at x."""
-    return batch_gradients(x[:, None], [shard], dataset, lam, [picks])[:, 0]
+    return batch_gradients(x[:, None], Problem(dataset, [shard], lam), [picks])[:, 0]
 
 
 def draw_gradient(x, shard, dataset, lam, batch_size, rng):
@@ -168,7 +168,7 @@ class TestBatchGradients:
         rng = np.random.default_rng(4)
         Z = rng.standard_normal((d, n))
         picks = sample_batches(rng, [s.size for s in shards], batch_size)
-        got = batch_gradients(Z, shards, dataset, 1e-4, picks)
+        got = batch_gradients(Z, Problem(dataset, shards, 1e-4), picks)
         assert got.flags.c_contiguous
         assert np.array_equal(got, self.oracle(Z, shards, dataset, picks))
 
@@ -176,7 +176,7 @@ class TestBatchGradients:
         dataset = generate(2001, 20, 0.05, seed=3)
         shards = partition_iid(dataset, 16)
         Z = np.random.default_rng(4).standard_normal((20, 16))
-        got = batch_gradients(Z, shards, dataset, 1e-4)
+        got = batch_gradients(Z, Problem(dataset, shards, 1e-4))
         assert np.array_equal(got, self.oracle(Z, shards, dataset, [None] * 16))
 
     def test_one_client_per_chunk_at_the_smallest_budget(self, monkeypatch):
@@ -185,9 +185,10 @@ class TestBatchGradients:
         rng = np.random.default_rng(4)
         Z = rng.standard_normal((200, 16))
         picks = sample_batches(rng, [s.size for s in shards], 32)
-        full = batch_gradients(Z, shards, dataset, 1e-4, picks)
+        problem = Problem(dataset, shards, 1e-4)
+        full = batch_gradients(Z, problem, picks)
         monkeypatch.setattr(objective, "GATHER_BUDGET", 1)
-        assert np.array_equal(batch_gradients(Z, shards, dataset, 1e-4, picks), full)
+        assert np.array_equal(batch_gradients(Z, problem, picks), full)
 
 
 class TestSmoothnessAndConvexity:
@@ -200,7 +201,7 @@ class TestSmoothnessAndConvexity:
         rng = np.random.default_rng(0)
         for _ in range(100):
             x, y = rng.standard_normal((2, 50))
-            gx, gy = batch_gradients(np.column_stack([x, y]), [shard, shard], ds, lam).T
+            gx, gy = batch_gradients(np.column_stack([x, y]), Problem(ds, [shard, shard], lam)).T
             lhs = np.linalg.norm(gx - gy)
             assert lhs <= L * np.linalg.norm(x - y) * (1 + 1e-12)
 
@@ -241,12 +242,12 @@ class TestRidgeOptimum:
         ds = generate(96, 12, 0.05, seed=37)
         shards = partition_iid(ds, 8)
         x = np.random.default_rng(9).standard_normal(12)
-        avg = batch_gradients(np.repeat(x[:, None], 8, 1), shards, ds, 1e-3).mean(axis=1)
+        avg = batch_gradients(np.repeat(x[:, None], 8, 1), Problem(ds, shards, 1e-3)).mean(axis=1)
         np.testing.assert_allclose(avg, gradient(x, whole(ds), ds, 1e-3), atol=1e-10)
 
     def test_gradient_norm_small_at_optimum_average(self):
         ds = generate(128, 16, 0.05, seed=41)
         shards = partition_iid(ds, 8)
         x, _ = ridge_optimum(ds, 1e-3)
-        avg = batch_gradients(np.repeat(x[:, None], 8, 1), shards, ds, 1e-3).mean(axis=1)
+        avg = batch_gradients(np.repeat(x[:, None], 8, 1), Problem(ds, shards, 1e-3)).mean(axis=1)
         assert np.linalg.norm(avg) <= 1e-8

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dflsim import objective
-from dflsim.data import Shard, generate, partition_iid
+from dflsim.data import Problem, Shard, generate, partition_iid
 from dflsim.objective import sample_batches
 from dflsim.theory_checks import (
     ConstantsEstimate,
@@ -21,6 +21,11 @@ from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
 from oracles import stochastic_gradient, tiny_dataset
 
 
+def whole(ds, lam):
+    """The Problem of one client that owns every row of ds."""
+    return Problem(ds, [Shard(0, 0, ds.m)], lam)
+
+
 def consts(**overrides):
     base = dict(L=2.0, sigma_sq=0.0, zeta_sq=0.0, D_sq_total=0.0, B_bar_sq=0.0, f0_gap=1.0)
     base.update(overrides)
@@ -30,23 +35,23 @@ def consts(**overrides):
 class TestSmoothness:
     def test_single_sample(self):
         ds = tiny_dataset([[1.0, 0.0]], [0.0])
-        assert estimate_smoothness(ds, [Shard(0, 0, 1)], 0.0) == pytest.approx(2.0)
+        assert estimate_smoothness(whole(ds, 0.0)) == pytest.approx(2.0)
 
     def test_identity_features(self):
         d = 6
         ds = tiny_dataset(np.eye(d), np.zeros(d))
-        assert estimate_smoothness(ds, [Shard(0, 0, d)], 0.0) == pytest.approx(2.0 / d)
+        assert estimate_smoothness(whole(ds, 0.0)) == pytest.approx(2.0 / d)
 
     def test_ridge_term_added(self):
         ds = tiny_dataset([[1.0, 0.0]], [0.0])
-        assert estimate_smoothness(ds, [Shard(0, 0, 1)], 0.5) == pytest.approx(3.0)
+        assert estimate_smoothness(whole(ds, 0.5)) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("rows, d", [(80, 600), (600, 700), (700, 600), (600, 600)])
     def test_matches_dense_oracle(self, rows, d):
         # the smaller-side Gram is formed and solved densely in every case:
         # F F^T at k = 80 and 600, F^T F for a taller or square shard
         ds = generate(rows, d, 0.0, seed=3)
-        value = estimate_smoothness(ds, [Shard(0, 0, rows)], 0.0)
+        value = estimate_smoothness(whole(ds, 0.0))
         gram = 2.0 * ds.features.T @ ds.features / rows
         oracle = float(np.linalg.eigvalsh(gram)[-1])
         assert value == pytest.approx(oracle, rel=1e-10)
@@ -55,7 +60,7 @@ class TestSmoothness:
         # one shard of the paper's scale: 10000 rows over 16 clients, d=2000
         rows, d = 625, 2000
         ds = generate(rows, d, 0.05, seed=7)
-        value = estimate_smoothness(ds, [Shard(0, 0, rows)], 1e-4)
+        value = estimate_smoothness(whole(ds, 1e-4))
         oracle = float(np.linalg.eigvalsh(2.0 * ds.features @ ds.features.T / rows)[-1])
         assert value == pytest.approx(oracle + 2e-4, rel=1e-12)
 
@@ -65,13 +70,13 @@ class TestSmoothness:
         lam = 1e-4
         side = ds.features if rows < d else ds.features.T
         expected = float(np.linalg.eigvalsh(2.0 * (side @ side.T) / rows)[-1]) + 2.0 * lam
-        assert estimate_smoothness(ds, [Shard(0, 0, rows)], lam) == expected
+        assert estimate_smoothness(whole(ds, lam)) == expected
 
     @pytest.mark.parametrize("rows, d", [(3, 5), (600, 700)])
     def test_all_zero_features_give_ridge_term(self, rows, d):
         ds = tiny_dataset(np.zeros((rows, d)), np.zeros(rows))
         with np.errstate(divide="raise", invalid="raise"):
-            value = estimate_smoothness(ds, [Shard(0, 0, rows)], 0.25)
+            value = estimate_smoothness(whole(ds, 0.25))
         assert value == 2 * 0.25
 
 
@@ -95,11 +100,10 @@ class TestSmoothnessLowerBound:
     )
     @pytest.mark.parametrize("lam", [0.0, 1e-4])
     def test_never_exceeds_exact_smoothness(self, features, lam):
-        ds = tiny_dataset(features, np.zeros(len(features)))
-        shards = [Shard(0, 0, len(features))]
+        problem = whole(tiny_dataset(features, np.zeros(len(features))), lam)
         with np.errstate(divide="raise", invalid="raise"):
-            lower = smoothness_lower_bound(ds, shards, lam)
-        assert 2.0 * lam <= lower <= estimate_smoothness(ds, shards, lam)
+            lower = smoothness_lower_bound(problem)
+        assert 2.0 * lam <= lower <= estimate_smoothness(problem)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_rank_one_shards_stay_below_exact(self, seed):
@@ -107,37 +111,35 @@ class TestSmoothnessLowerBound:
         # lift the quotient above eigvalsh's value
         rng = np.random.default_rng(seed)
         features = np.outer(rng.standard_normal(int(rng.integers(1, 30))), rng.standard_normal(50))
-        ds = tiny_dataset(features, np.zeros(len(features)))
-        shards = [Shard(0, 0, len(features))]
-        exact = estimate_smoothness(ds, shards, 0.0)
-        assert exact * (1 - 1e-11) <= smoothness_lower_bound(ds, shards, 0.0) <= exact
+        problem = whole(tiny_dataset(features, np.zeros(len(features))), 0.0)
+        exact = estimate_smoothness(problem)
+        assert exact * (1 - 1e-11) <= smoothness_lower_bound(problem) <= exact
 
     @pytest.mark.parametrize("m, n", [(2000, 16), (8192, 64)], ids=["desk", "wide"])
     def test_within_a_fifth_of_exact_at_workload_sizes(self, m, n):
         ds = generate(m, 200, 0.05, seed=3)
-        shards = partition_iid(ds, n)
-        exact = estimate_smoothness(ds, shards, 1e-4)
-        assert 0.8 * exact <= smoothness_lower_bound(ds, shards, 1e-4) <= exact
+        problem = Problem(ds, partition_iid(ds, n), 1e-4)
+        exact = estimate_smoothness(problem)
+        assert 0.8 * exact <= smoothness_lower_bound(problem) <= exact
 
     def test_max_over_shards(self):
         ds = tiny_dataset([[1.0, 0.0], [0.0, 3.0]], [0.0, 0.0])
-        shards = [Shard(0, 0, 1), Shard(1, 1, 2)]
+        problem = Problem(ds, [Shard(0, 0, 1), Shard(1, 1, 2)], 0.5)
         # one-row shards converge at once: 2 ||a||^2, largest from the second
-        assert smoothness_lower_bound(ds, shards, 0.5) == pytest.approx(18.0 + 1.0, rel=1e-11)
+        assert smoothness_lower_bound(problem) == pytest.approx(18.0 + 1.0, rel=1e-11)
 
 
 class TestSigmaSq:
     def test_full_batch_is_zero(self):
         ds = generate(32, 4, 0.05, seed=1)
-        shards = partition_iid(ds, 2)
-        value = estimate_sigma_sq([np.zeros(4)], shards, ds, 0.0, 64, np.random.default_rng(0))
+        problem = Problem(ds, partition_iid(ds, 2), 0.0)
+        value = estimate_sigma_sq([np.zeros(4)], problem, 64, np.random.default_rng(0))
         assert value == 0.0
 
     def test_two_sample_shard_matches_enumeration(self):
         # batch size 1 on a 2-sample shard: exactly two equally likely
         # gradients u, v; variance = (||u-m||^2 + ||v-m||^2) / 2, m = (u+v)/2
         ds = generate(2, 3, 0.1, seed=5)
-        shard = Shard(0, 0, 2)
         x = np.array([0.3, -1.0, 0.7])
         lam = 0.01
         grads = []
@@ -147,15 +149,15 @@ class TestSigmaSq:
         u, v = grads
         m = (u + v) / 2
         exact = float(((u - m) @ (u - m) + (v - m) @ (v - m)) / 2)
-        est = estimate_sigma_sq([x], [shard], ds, lam, 1, np.random.default_rng(2), draws=4000)
+        est = estimate_sigma_sq([x], whole(ds, lam), 1, np.random.default_rng(2), draws=4000)
         assert est == pytest.approx(exact, rel=0.1)
 
     def test_estimate_stable_across_seeds(self):
         ds = generate(128, 8, 0.05, seed=7)
-        shards = partition_iid(ds, 4)
+        problem = Problem(ds, partition_iid(ds, 4), 1e-3)
         x = [np.random.default_rng(0).standard_normal(8)]
-        a = estimate_sigma_sq(x, shards, ds, 1e-3, 16, np.random.default_rng(1), draws=2000)
-        b = estimate_sigma_sq(x, shards, ds, 1e-3, 16, np.random.default_rng(2), draws=2000)
+        a = estimate_sigma_sq(x, problem, 16, np.random.default_rng(1), draws=2000)
+        b = estimate_sigma_sq(x, problem, 16, np.random.default_rng(2), draws=2000)
         assert abs(a - b) <= 0.1 * max(a, b)
 
     @pytest.mark.parametrize("budget", [objective.GATHER_BUDGET, 1])
@@ -176,26 +178,27 @@ class TestSigmaSq:
                     acc += float(diff @ diff)
                 worst = max(worst, acc / 600)
         monkeypatch.setattr(objective, "GATHER_BUDGET", budget)
-        estimate = estimate_sigma_sq(xs, shards, ds, 1e-4, 32, np.random.default_rng(0), draws=600)
+        problem = Problem(ds, shards, 1e-4)
+        estimate = estimate_sigma_sq(xs, problem, 32, np.random.default_rng(0), draws=600)
         assert estimate == worst
 
 
 class TestZetaSq:
     def test_single_client_zero(self):
         ds = generate(50, 4, 0.05, seed=9)
-        assert estimate_zeta_sq([np.zeros(4)], [Shard(0, 0, 50)], ds, 0.0) == 0.0
+        assert estimate_zeta_sq([np.zeros(4)], whole(ds, 0.0)) == 0.0
 
     def test_duplicated_shards_zero(self):
         ds = generate(40, 4, 0.05, seed=11)
         shard = Shard(0, 0, 40)
-        twins = [shard, Shard(1, 0, 40)]
+        twins = Problem(ds, [shard, Shard(1, 0, 40)], 1e-3)
         x = np.random.default_rng(1).standard_normal(4)
-        assert estimate_zeta_sq([x], twins, ds, 1e-3) <= 1e-12
+        assert estimate_zeta_sq([x], twins) <= 1e-12
 
     def test_iid_split_positive_finite(self):
         ds = generate(2000, 50, 0.05, seed=13)
-        shards = partition_iid(ds, 16)
-        value = estimate_zeta_sq([np.random.default_rng(2).standard_normal(50)], shards, ds, 1e-4)
+        problem = Problem(ds, partition_iid(ds, 16), 1e-4)
+        value = estimate_zeta_sq([np.random.default_rng(2).standard_normal(50)], problem)
         assert 0.0 < value < np.inf
 
 
@@ -227,15 +230,12 @@ class TestBiasZeroMean:
 @pytest.mark.parametrize(
     "check, message",
     [
-        # nothing but draws is read before the check
-        (lambda rng: estimate_sigma_sq([], [], None, 0.0, 1, rng, draws=0), "draws must be >= 1, got 0"),
-        (lambda rng: estimate_sigma_sq([], [], None, 0.0, 1, rng, draws=-3), "draws must be >= 1"),
-        (lambda _: estimate_zeta_sq([np.zeros(4)], [], None, 0.0), "shards must not be empty"),
-        (lambda _: estimate_zeta_sq([], [Shard(0, 0, 1)], None, 0.0), "x_samples must not be"),
-        (lambda rng: estimate_sigma_sq([], [Shard(0, 0, 1)], None, 0.0, 1, rng), "x_samples must"),
-        (lambda rng: estimate_sigma_sq([np.zeros(4)], [], None, 0.0, 1, rng), "shards must"),
-        (lambda _: estimate_smoothness(None, [], 0.5), "shards must not be empty"),
-        (lambda _: smoothness_lower_bound(None, [], 0.5), "shards must not be empty"),
+        # nothing but draws and x_samples is read before the check; an
+        # empty shard list is rejected earlier, by Problem (tests/test_data.py)
+        (lambda rng: estimate_sigma_sq([], None, 1, rng, draws=0), "draws must be >= 1, got 0"),
+        (lambda rng: estimate_sigma_sq([], None, 1, rng, draws=-3), "draws must be >= 1"),
+        (lambda _: estimate_zeta_sq([], None), "x_samples must not be"),
+        (lambda rng: estimate_sigma_sq([], None, 1, rng), "x_samples must"),
         (lambda _: check_contraction(np.eye(4), 0.1, trials=0, seed=0), "trials must be >= 1"),
         (lambda _: check_bias_zero_mean(0.0, 0.1, 4, 2, T=5, trials=1, seed=0), "trials must be >= 2"),
         (lambda _: check_bias_zero_mean(0.0, 0.1, 4, 2, T=0, trials=9, seed=0), "T must be >= 1"),
@@ -243,8 +243,7 @@ class TestBiasZeroMean:
         (lambda _: check_bias_zero_mean(0.0, 0.1, 4, 0, T=5, trials=9, seed=0), "d must be >= 1"),
     ],
     ids=[
-        "sigma-draws-0", "sigma-draws-neg", "zeta-no-shards", "zeta-no-samples",
-        "sigma-no-samples", "sigma-no-shards", "smoothness-no-shards", "lower-bound-no-shards",
+        "sigma-draws-0", "sigma-draws-neg", "zeta-no-samples", "sigma-no-samples",
         "contraction-0", "bias-trials-1", "bias-T-0", "bias-n-0", "bias-d-0",
     ],
 )
