@@ -42,7 +42,7 @@ from .theory_checks import (
     evaluate_theorem_bound,
     smoothness_lower_bound,
 )
-from .topology import MixingMatrix, TopologySpec, build_mixing, spectral_contraction
+from .topology import MixingMatrix, TopologySpec, build_mixing
 
 __all__ = [
     "ALGORITHMS",
@@ -87,7 +87,6 @@ __all__ = [
     "sample_batches",
     "sample_noise",
     "smoothness_lower_bound",
-    "spectral_contraction",
     "sweep",
 ]
 

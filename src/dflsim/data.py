@@ -48,8 +48,10 @@ def generate(m: int, d: int, label_noise_variance: float, seed: int) -> Dataset:
     """
     if m < 1 or d < 1:
         raise ValueError(f"need m >= 1 and d >= 1, got m={m}, d={d}")
-    if label_noise_variance < 0:
-        raise ValueError(f"label noise variance must be >= 0, got {label_noise_variance}")
+    if not 0 <= label_noise_variance < math.inf:
+        raise ValueError(
+            f"label_noise_variance must be >= 0 and finite, got {label_noise_variance}"
+        )
     rng = np.random.default_rng(seed)
     true_w = rng.standard_normal(d)
     features = rng.standard_normal((m, d))

@@ -27,6 +27,7 @@ bits would then depend on where the run ends.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -101,8 +102,8 @@ class LrSchedule:
     decay_interval: int = 10
 
     def __post_init__(self) -> None:
-        if self.eta0 <= 0:
-            raise ValueError(f"eta0 must be > 0, got {self.eta0}")
+        if not 0 < self.eta0 < math.inf:
+            raise ValueError(f"eta0 must be > 0 and finite, got {self.eta0}")
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if self.decay_interval < 1:
@@ -143,9 +144,10 @@ class RunConfig:
             raise ValueError(f"unknown x0 mode {self.x0_mode!r}, expected one of {X0_MODES}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.label_noise_variance < 0:
+        # "not 0 <= x < inf" also rejects nan, which fails every comparison
+        if not 0 <= self.label_noise_variance < math.inf:
             raise ValueError(
-                f"label_noise_variance must be >= 0, got {self.label_noise_variance}"
+                f"label_noise_variance must be >= 0 and finite, got {self.label_noise_variance}"
             )
         # derive_stream keys on the seed modulo 2**64, and generate on the
         # seed itself: only this range gives one seed per stream set.
@@ -155,12 +157,12 @@ class RunConfig:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-        if self.noise_variance < 0:
-            raise ValueError(f"noise variance must be >= 0, got {self.noise_variance}")
+        if not 0 <= self.noise_variance < math.inf:
+            raise ValueError(f"noise_variance must be >= 0 and finite, got {self.noise_variance}")
         if not 0.0 <= self.mu < 1.0:
             raise ValueError(f"mu must be in [0, 1), got {self.mu}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be >= 0 and finite, got {self.lam}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.m < self.n:
@@ -204,7 +206,14 @@ def _setup(config: RunConfig, shared: Setup | None = None) -> Setup:
         problem = Problem(dataset, partition_iid(dataset, config.n), config.lam)
         shared = Setup(problem, smoothness_lower_bound(problem))
     p = shared.problem
-    given = {"lam": p.lam, "m": p.dataset.m, "d": p.dataset.d, "n": len(p.shards)}
+    given = {
+        "lam": p.lam,
+        "m": p.dataset.m,
+        "d": p.dataset.d,
+        "n": len(p.shards),
+        "master_seed": p.dataset.seed,
+        "label_noise_variance": p.dataset.label_noise_variance,
+    }
     for name, value in given.items():
         if value != getattr(config, name):
             raise ValueError(f"setup has {name}={value!r}, config has {getattr(config, name)!r}")

@@ -8,7 +8,12 @@ rho measures how much one gossip step shrinks client disagreement:
     ||(X - Xbar) W||_F^2 <= (1 - rho) ||X - Xbar||_F^2
 
 with rho = 1 - lambda2^2, where lambda2 is the largest absolute
-eigenvalue of W on the subspace orthogonal to the all-ones vector.
+eigenvalue of W on the subspace orthogonal to the all-ones vector. Each
+W is circulant or a Kronecker sum of circulants, so its spectrum is
+known in closed form (Xiao & Boyd 2004; Boyd et al. 2006):
+(1 + 2cos(2 pi j/n))/3 for j = 1..n-1 on the ring,
+(1 + 2cos(2 pi a/k) + 2cos(2 pi b/k))/5 for (a, b) != (0, 0) on the k x k
+torus, and 0 on the fully connected graph.
 
 All functions here are pure and safe to call from any thread.
 """
@@ -24,9 +29,6 @@ RING = "ring"
 TORUS = "torus"
 FULLY_CONNECTED = "fully_connected"
 KINDS = (RING, TORUS, FULLY_CONNECTED)
-
-# lambda2 >= 1 - this means the gossip graph is effectively disconnected
-_DEGENERATE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,54 +55,37 @@ class TopologySpec:
 class MixingMatrix:
     """Symmetric doubly stochastic gossip weights plus their contraction factor."""
 
-    n: int
     weights: np.ndarray
     rho: float
 
 
 def build_mixing(spec: TopologySpec) -> MixingMatrix:
-    """Construct the mixing matrix for a topology spec.
+    """The mixing matrix of a topology spec, with rho from its closed-form spectrum.
 
     Ring row i has nonzeros 1/3 at {i-1, i, i+1} mod n. Torus rows have
     1/5 at self plus the four neighbors of a row-major k x k wrap-around
-    grid. Fully connected is uniform 1/n.
+    grid. Fully connected is uniform 1/n. Each neighbor offset is one
+    indexed assignment over all rows.
     """
     n = spec.n
-    w = np.zeros((n, n))
+    # others: W's eigenvalues besides the 1 of the all-ones direction
     if spec.kind == FULLY_CONNECTED:
-        w[:] = 1.0 / n
-    elif spec.kind == RING:
-        for i in range(n):
-            w[i, i] = 1.0 / 3.0
-            w[i, (i - 1) % n] = 1.0 / 3.0
-            w[i, (i + 1) % n] = 1.0 / 3.0
+        w, others = np.full((n, n), 1.0 / n), np.zeros(1)
     else:
-        k = math.isqrt(n)
-        for r in range(k):
-            for c in range(k):
-                i = r * k + c
-                w[i, i] = 0.2
-                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                    w[i, (rr % k) * k + (cc % k)] = 0.2
+        idx = np.arange(n)
+        w = np.zeros((n, n))
+        if spec.kind == RING:
+            weight, cols = 1.0 / 3.0, [idx, (idx - 1) % n, (idx + 1) % n]
+            others = (1.0 + 2.0 * np.cos(2.0 * np.pi * idx[1:] / n)) / 3.0
+        else:
+            k = math.isqrt(n)
+            r, c = divmod(idx, k)
+            steps = ((-1, 0), (1, 0), (0, -1), (0, 1))
+            weight, cols = 0.2, [idx] + [(r + dr) % k * k + (c + dc) % k for dr, dc in steps]
+            cos2 = 2.0 * np.cos(2.0 * np.pi * np.arange(k) / k)
+            others = ((1.0 + cos2[:, None] + cos2[None, :]) / 5.0).ravel()[1:]  # drop (0, 0)
+        for col in cols:
+            w[idx, col] = weight
     w.flags.writeable = False
-    return MixingMatrix(n=n, weights=w, rho=spectral_contraction(w))
-
-
-def spectral_contraction(weights: np.ndarray) -> float:
-    """Contraction factor rho = 1 - lambda2^2 of a symmetric doubly stochastic matrix.
-
-    Raises ValueError when lambda2 = 1 within tolerance (disconnected
-    graph, no contraction).
-    """
-    w = np.asarray(weights, dtype=float)
-    n = w.shape[0]
-    if n == 1:
-        return 1.0
-    # Subtracting the projector onto the all-ones direction replaces the
-    # trivial eigenvalue 1 with 0, leaving the spectrum on its complement.
-    deflated = w - np.full((n, n), 1.0 / n)
-    lambda2 = float(np.max(np.abs(np.linalg.eigvalsh(deflated))))
-    if lambda2 >= 1.0 - _DEGENERATE_TOL:
-        raise ValueError(f"degenerate mixing matrix: lambda2={lambda2!r} gives rho <= 0 (disconnected graph)")
-    return 1.0 - lambda2 * lambda2
-
+    lambda2 = float(np.max(np.abs(others)))
+    return MixingMatrix(weights=w, rho=1.0 - lambda2 * lambda2)

@@ -1,4 +1,4 @@
-"""Test oracles: two independent forms of the FedNMUT round, and the per-vector objective.
+"""Test oracles: two forms of the FedNMUT round, the per-vector objective, eigensolved rho.
 
 Runs use dflsim.algorithms.round_fednmut_array. round_fednmut computes
 the same round client by client, with each client's copies x_hat of its
@@ -17,6 +17,10 @@ local_loss, global_loss and stochastic_gradient are the per-vector
 objective, the references for dflsim.metrics' block passes and
 dflsim.objective.batch_gradients. metrics_row computes a state's metrics
 from them, the reference for dflsim.metrics.measure_block.
+
+spectral_contraction takes rho from a dense eigensolve of any symmetric
+doubly stochastic matrix, the reference for the closed-form rho of
+dflsim.topology.build_mixing.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ from dflsim.algorithms import RoundInputs, _check_shapes, _gradients
 from dflsim.data import Dataset, Shard
 from dflsim.metrics import consensus_error, mean_iterate
 from dflsim.topology import MixingMatrix
+
+# lambda2 >= 1 - this means the gossip graph is effectively disconnected
+_DEGENERATE_TOL = 1e-12
 
 
 def tiny_dataset(features, labels) -> Dataset:
@@ -214,3 +221,22 @@ def metrics_row(X: np.ndarray, dataset: Dataset, lam: float, shards: list[Shard]
     grad = stochastic_gradient(xbar, Shard(client=-1, start=0, stop=dataset.m), dataset, lam)
     local = [local_loss(X[:, i], s, dataset, lam) for i, s in enumerate(shards)]
     return [global_loss(xbar, dataset, lam), consensus_error(X), float(grad @ grad), float(np.mean(local))]
+
+
+def spectral_contraction(weights: np.ndarray) -> float:
+    """Contraction factor rho = 1 - lambda2^2 of a symmetric doubly stochastic matrix.
+
+    Raises ValueError when lambda2 = 1 within tolerance (disconnected
+    graph, no contraction).
+    """
+    w = np.asarray(weights, dtype=float)
+    n = w.shape[0]
+    if n == 1:
+        return 1.0
+    # Subtracting the projector onto the all-ones direction replaces the
+    # trivial eigenvalue 1 with 0, leaving the spectrum on its complement.
+    deflated = w - np.full((n, n), 1.0 / n)
+    lambda2 = float(np.max(np.abs(np.linalg.eigvalsh(deflated))))
+    if lambda2 >= 1.0 - _DEGENERATE_TOL:
+        raise ValueError(f"degenerate mixing matrix: lambda2={lambda2!r} gives rho <= 0 (disconnected graph)")
+    return 1.0 - lambda2 * lambda2

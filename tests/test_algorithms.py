@@ -27,7 +27,7 @@ def states_from_columns(X):
 
 def identity_mixing(n):
     # unit fixture only; a disconnected graph is not a valid gossip matrix
-    return MixingMatrix(n=n, weights=np.eye(n), rho=0.0)
+    return MixingMatrix(weights=np.eye(n), rho=0.0)
 
 
 def single_client_mixing():
@@ -44,7 +44,7 @@ class TestFedNDL1:
 
     def test_two_clients_average(self):
         # post-SGD parameters [1], [3] under uniform weights land both at [2]
-        w = MixingMatrix(n=2, weights=np.full((2, 2), 0.5), rho=1.0)
+        w = MixingMatrix(weights=np.full((2, 2), 0.5), rho=1.0)
         inputs = fixed_inputs(1.0, w, np.zeros((1, 2)), np.zeros((1, 2)))
         out = round_fedndl1(np.array([[1.0, 3.0]]), inputs)
         np.testing.assert_array_equal(out, [[2.0, 2.0]])

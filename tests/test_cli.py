@@ -213,10 +213,12 @@ def test_config_file_rejects_unknown_key(tmp_path):
          r"paper-scale sets dim=2000 and samples=10000; .* with dim or samples"),
         ("paper-scale = true", ["--samples", "300"], r"paper-scale .* with samples"),
         ("dim = 50", ["--paper-scale"], r"paper-scale .* with dim"),
+        (None, ["--lr0", "nan"], r"eta0 must be > 0 and finite, got nan"),
+        ("lambda = inf", [], r"lam must be >= 0 and finite, got inf"),
     ],
     ids=["file-int", "file-bool", "file-axis", "file-choice", "flag-float", "flag-list",
          "flag-topology", "flag-paper-scale-dim", "file-paper-scale-samples",
-         "file-dim-flag-paper-scale"],
+         "file-dim-flag-paper-scale", "flag-lr0-nan", "file-lambda-inf"],
 )
 def test_bad_value_names_its_option_before_any_setup(tmp_path, monkeypatch, capsys,
                                                       config_line, flags, names):

@@ -1,5 +1,6 @@
 """Schedules, runs, averaging, rate fit, sweeps."""
 
+import math
 import os
 import re
 import warnings
@@ -242,7 +243,9 @@ class TestRunSingle:
 
     def test_zero_smoothness_is_inside_every_cap(self):
         # lam = 0 and all-zero features: L = L_lo = 0, and no cap divides by it
-        config = small_config(rounds=2, lam=0.0, noise_variance=0.0)
+        config = small_config(
+            rounds=2, lam=0.0, noise_variance=0.0, master_seed=0, label_noise_variance=0.0
+        )
         dataset = tiny_dataset(np.zeros((config.m, config.d)), np.zeros(config.m))
         problem = Problem(dataset, partition_iid(dataset, config.n), 0.0)
         setup = Setup(problem, smoothness_lower_bound(problem))
@@ -350,6 +353,22 @@ class TestRunAveraged:
         with pytest.raises(ValueError, match=message):
             run_averaged(small_config(**{field: value}))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field, call",
+        [
+            ("eta0", lambda v: LrSchedule(eta0=v)),
+            ("lam", lambda v: run_averaged(small_config(lam=v))),
+            ("noise_variance", lambda v: run_averaged(small_config(noise_variance=v))),
+            ("label_noise_variance", lambda v: run_averaged(small_config(label_noise_variance=v))),
+            ("label_noise_variance", lambda v: data.generate(10, 2, v, 0)),
+        ],
+        ids=["eta0", "lam", "noise_variance", "label_noise_variance", "generate"],
+    )
+    def test_non_finite_value_rejected_before_setup(self, no_setup, field, call, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be >=? 0 and finite, got {value}$"):
+            call(value)
+
     @pytest.mark.parametrize("algorithm", ["fedndl1", "fedndl2", "fedndl3"])
     def test_bound_sanity_rejects_other_rules_before_setup(self, no_setup, algorithm):
         with pytest.raises(ValueError, match=f"fednmut config, got algorithm '{algorithm}'"):
@@ -412,6 +431,8 @@ class TestRunAveraged:
             ("m", dict(m=120)),
             ("d", dict(d=12, topology=TopologySpec(RING, 5))),
             ("n", dict(topology=TopologySpec(RING, 5))),
+            ("master_seed", dict(master_seed=6)),
+            ("label_noise_variance", dict(label_noise_variance=0.0)),
         ],
     )
     def test_setup_of_another_problem_rejected(self, field, overrides):

@@ -1,7 +1,10 @@
-"""Mixing matrix construction, spectral contraction, neighbor sets."""
+"""Mixing matrix construction, closed-form contraction factor, neighbor sets."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from oracles import spectral_contraction
 
 from dflsim.topology import (
     FULLY_CONNECTED,
@@ -10,7 +13,14 @@ from dflsim.topology import (
     MixingMatrix,
     TopologySpec,
     build_mixing,
-    spectral_contraction,
+)
+
+# every valid spec with n <= 256, plus the ring and torus at n = 1024
+VALID_SPECS = (
+    [TopologySpec(RING, n) for n in range(3, 257)]
+    + [TopologySpec(TORUS, k * k) for k in range(3, 17)]
+    + [TopologySpec(FULLY_CONNECTED, n) for n in range(1, 257)]
+    + [TopologySpec(RING, 1024), TopologySpec(TORUS, 1024)]
 )
 
 
@@ -53,11 +63,12 @@ def test_fully_connected_single_client():
     assert m.rho == 1.0
 
 
-def test_ring_structure():
-    w = build_mixing(TopologySpec(RING, 16)).weights
-    for i in range(16):
-        hood = {(i - 1) % 16, i, (i + 1) % 16}
-        for j in range(16):
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 64])
+def test_ring_structure(n):
+    w = build_mixing(TopologySpec(RING, n)).weights
+    for i in range(n):
+        hood = {(i - 1) % n, i, (i + 1) % n}
+        for j in range(n):
             assert w[i, j] == (1.0 / 3.0 if j in hood else 0.0)
 
 
@@ -91,9 +102,9 @@ def test_neighbor_sets():
     assert set(np.nonzero(torus[0] > 0)[0]) == {0, 1, 3, 4, 12}
 
 
-def test_torus_neighbors_match_grid_adjacency_oracle():
-    k = 4
-    torus = build_mixing(TopologySpec(TORUS, 16))
+@pytest.mark.parametrize("k", [3, 4, 5, 8])
+def test_torus_neighbors_match_grid_adjacency_oracle(k):
+    torus = build_mixing(TopologySpec(TORUS, k * k))
     for r in range(k):
         for c in range(k):
             i = r * k + c
@@ -156,7 +167,21 @@ def test_gossip_preserves_mean(kind):
     np.testing.assert_allclose(ones @ mixing.weights, ones, atol=1e-12)
 
 
-def test_spectral_contraction_accepts_mixing_or_array():
-    mixing = build_mixing(TopologySpec(RING, 8))
-    assert spectral_contraction(mixing.weights) == mixing.rho
-    assert isinstance(mixing, MixingMatrix)
+def test_rho_matches_eigensolver_oracle():
+    worst = max(abs(m.rho - spectral_contraction(m.weights)) for m in map(build_mixing, VALID_SPECS))
+    assert worst <= 1e-12
+
+
+def test_mixing_holds_weights_and_rho_only():
+    assert [f.name for f in dataclasses.fields(MixingMatrix)] == ["weights", "rho"]
+
+
+@pytest.mark.parametrize("kind", [RING, TORUS, FULLY_CONNECTED])
+def test_build_needs_no_eigensolver(kind, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_mixing must not call an eigensolver")
+
+    for name in ("eigvalsh", "eigh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    mixing = build_mixing(TopologySpec(kind, 1024))
+    assert mixing.weights.shape == (1024, 1024) and 0.0 < mixing.rho <= 1.0
