@@ -15,13 +15,14 @@ the CSV columns, both result types and the averaging derive from it.
 Every run is set up by _setup, which reuses what a given Setup holds.
 bound_sanity checks one run against the convergence theorem's bound.
 
-Metrics never feed back into the trajectory, so run_detailed copies each
-recorded state into a block of METRICS_BLOCK states and evaluates the
-block with one measure_block call (looked up here, as
-dflsim.harness.measure_block) when it is full. The last block is padded
-to full width with copies of the final state and the pad rows are
-dropped: a narrower product could take another BLAS kernel, and a row's
-bits would then depend on where the run ends.
+The generator _rounds alone steps rounds: it owns a repeat's streams,
+each round's gradients and the rule dispatch. No rule writes into its
+input, so no state it yields is written again and consumers may hold it.
+run_detailed, the consumer, owns the metrics: it copies each state into
+a block of METRICS_BLOCK states for one measure_block call, and pads the
+last block with copies of the final state, dropping the pad rows: a
+narrower product could take another BLAS kernel, and a row's bits would
+then depend on where the run ends.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import itertools
 import math
 import os
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -155,6 +157,9 @@ class RunConfig:
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        # the step never grows (gamma <= 1), so the last round's is the smallest
+        if not eta_at(self.lr, self.rounds - 1) > 0:
+            raise ValueError(f"step size underflows to 0 by round {self.rounds - 1}: {self.lr}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if not 0 <= self.noise_variance < math.inf:
@@ -214,6 +219,8 @@ def _setup(config: RunConfig, shared: Setup | None = None) -> Setup:
         "master_seed": p.dataset.seed,
         "label_noise_variance": p.dataset.label_noise_variance,
     }
+    if shared.mixing is not None:
+        given["topology"] = shared.mixing.spec
     for name, value in given.items():
         if value != getattr(config, name):
             raise ValueError(f"setup has {name}={value!r}, config has {getattr(config, name)!r}")
@@ -222,7 +229,8 @@ def _setup(config: RunConfig, shared: Setup | None = None) -> Setup:
     return shared
 
 
-def _warn_outside_theory(config: RunConfig, setup: Setup, L: float | None = None) -> None:
+def _start_point(config: RunConfig, setup: Setup, L: float | None = None) -> np.ndarray:
+    """Warn if config is outside the analysis; return the x0 that all repeats share."""
     eta0, rho = config.lr.eta0, setup.mixing.rho
     # L, if given, is exact. The cap falls as L grows, so the lower bound's
     # cap is at least the exact one: a step above it is outside either way.
@@ -239,12 +247,46 @@ def _warn_outside_theory(config: RunConfig, setup: Setup, L: float | None = None
         outside.append(f"mu={config.mu:.4g} violates mu/(1-mu) <= rho/42 for rho={rho:.4g}")
     for message in outside:
         warnings.warn(f"{message}; running anyway", RuntimeWarning, stacklevel=3)
-
-
-def _initial_point(config: RunConfig) -> np.ndarray:
-    """The d x n state every repeat starts from; repeats differ in batches and noise only."""
     init_stream = derive_stream(StreamKey(config.master_seed, 0, PURPOSE_INIT))
     return init_states(config.n, config.d, config.x0_mode, init_stream)
+
+
+def _rounds(
+    config: RunConfig, repeat_index: int, setup: Setup, x0: np.ndarray
+) -> Iterator[tuple[int, float, np.ndarray, np.ndarray | None]]:
+    """Yield (t, eta, X, B) at the start (t = -1, round 0's eta) and after each round t.
+
+    B is fednmut's d x n correction, else None. No yielded X is written again.
+    """
+    problem, n, d, seed = setup.problem, config.n, config.d, config.master_seed
+    sizes = [shard.size for shard in problem.shards]
+    noise_stream = batch_stream = None
+    if config.noise_variance > 0.0:
+        noise_stream = derive_stream(StreamKey(seed, repeat_index, PURPOSE_CHANNEL_NOISE))
+    if config.batch_size < max(sizes):
+        batch_stream = derive_stream(StreamKey(seed, repeat_index, PURPOSE_DATA_BATCH))
+    noises = np.zeros((d, n))  # every round's noise when there is no noise stream
+    picks = B = None
+    # FedNMUT's last broadcasts and Deltas, zero before the first round
+    X, y_tilde, delta = x0, np.zeros((d, n)), np.zeros((d, n))
+    rules = {"fedndl1": round_fedndl1, "fedndl2": round_fedndl2, "fedndl3": round_fedndl3}
+
+    def grads(Z: np.ndarray) -> np.ndarray:  # at the current round's picks
+        return batch_gradients(Z, problem, picks)
+
+    yield -1, eta_at(config.lr, 0), X, None
+    for t in range(config.rounds):
+        eta = eta_at(config.lr, t)
+        if noise_stream is not None:
+            noises = sample_noise(noise_stream, (n, d), config.noise_variance).T
+        if batch_stream is not None:
+            picks = sample_batches(batch_stream, sizes, config.batch_size)
+        inputs = RoundInputs(eta=eta, W=setup.mixing, grads=grads, noises=noises, mu=config.mu)
+        if config.algorithm == "fednmut":
+            X, y_tilde, delta, B = round_fednmut_array(X, y_tilde, delta, inputs)
+        else:
+            X = rules[config.algorithm](X, inputs)
+        yield t, eta, X, B
 
 
 def run_detailed(
@@ -253,63 +295,23 @@ def run_detailed(
     """One simulated run, bit-reproducible per (config, repeat_index).
 
     A given setup must have been built for config's problem; a given x0
-    must be _initial_point(config), with the warnings decided by the caller.
+    must be _start_point(config, setup), with the warnings decided then.
     """
     setup = _setup(config, setup)
-    problem, mixing = setup.problem, setup.mixing
-    if x0 is None:
-        _warn_outside_theory(config, setup)
-    X = _initial_point(config) if x0 is None else x0
-
-    n, d, seed = config.n, config.d, config.master_seed
-    # FedNMUT's last broadcasts and Deltas, zero before the first round
-    y_tilde = delta = np.zeros((d, n))
-
-    # row t + 1 of the metrics records the state after round t
-    etas = [eta_at(config.lr, max(t, 0)) for t in range(-1, config.rounds)]
-    block = np.empty((METRICS_BLOCK, n, d))
+    x0 = _start_point(config, setup) if x0 is None else x0
+    block = np.empty((METRICS_BLOCK, config.n, config.d))
     values: list[tuple[np.ndarray, ...]] = []  # measure_block's output per block
-
-    def record(X: np.ndarray, t: int) -> None:
+    etas, bias_sq = [], []  # per state; per fednmut round, ||B||_F^2 / n
+    for t, eta, X, B in _rounds(config, repeat_index, setup, x0):
         k = (t + 1) % METRICS_BLOCK
         block[k] = X.T
         if k == METRICS_BLOCK - 1 or t == config.rounds - 1:
             # pad a partial last block with its last state, so every product has one shape
             block[k + 1 :] = block[k]
-            values.append(measure_block(block, problem))
-
-    record(X, -1)
-    bias_sq: list[float] = []
-    sizes = [shard.size for shard in problem.shards]
-    noise_stream = batch_stream = None
-    if config.noise_variance > 0.0:
-        noise_stream = derive_stream(StreamKey(seed, repeat_index, PURPOSE_CHANNEL_NOISE))
-    if config.batch_size < max(sizes):
-        batch_stream = derive_stream(StreamKey(seed, repeat_index, PURPOSE_DATA_BATCH))
-    noises = np.zeros((d, n))  # every round's noise when there is no noise stream
-    picks = None
-
-    for t in range(config.rounds):
-        eta = etas[t + 1]
-        if noise_stream is not None:
-            noises = sample_noise(noise_stream, (n, d), config.noise_variance).T
-        if batch_stream is not None:
-            picks = sample_batches(batch_stream, sizes, config.batch_size)
-
-        def grads(Z: np.ndarray, picks: list | None = picks) -> np.ndarray:
-            return batch_gradients(Z, problem, picks)
-
-        inputs = RoundInputs(eta=eta, W=mixing, grads=grads, noises=noises, mu=config.mu)
-        if config.algorithm == "fedndl1":
-            X = round_fedndl1(X, inputs)
-        elif config.algorithm == "fedndl2":
-            X = round_fedndl2(X, inputs)
-        elif config.algorithm == "fedndl3":
-            X = round_fedndl3(X, inputs)
-        else:
-            X, y_tilde, delta, bias = round_fednmut_array(X, y_tilde, delta, inputs)
-            bias_sq.append(float((bias * bias).sum() / n))
-        record(X, t)
+            values.append(measure_block(block, setup.problem))
+        etas.append(eta)
+        if B is not None:
+            bias_sq.append(float((B * B).sum() / config.n))
 
     metrics = {"round": np.arange(-1, config.rounds), "eta": np.array(etas)}
     for name, *parts in zip(METRICS, *values):
@@ -320,8 +322,7 @@ def run_detailed(
 def run_averaged(config: RunConfig, setup: Setup | None = None) -> AveragedResult:
     """Each metric's mean and sample standard deviation per round across repeats."""
     setup = _setup(config, setup)
-    _warn_outside_theory(config, setup)
-    x0 = _initial_point(config)
+    x0 = _start_point(config, setup)
     per_repeat = [run_detailed(config, r, setup, x0).metrics for r in range(config.repeats)]
     columns = {"round": per_repeat[0]["round"], "eta": per_repeat[0]["eta"]}
     for name, stats in METRICS.items():
@@ -383,8 +384,7 @@ def bound_sanity(config: RunConfig, setup: Setup | None = None) -> BoundSanity:
     L = estimate_smoothness(problem)
     eta = step_size_cap(L, rho) / 2.0
     config = replace(config, lr=LrSchedule(eta0=eta, gamma=1.0, decay_interval=1))
-    _warn_outside_theory(config, setup, L)
-    x0 = _initial_point(config)
+    x0 = _start_point(config, setup, L)
     result = run_detailed(config, 0, setup, x0)
     # entry k is the state entering round k
     grad_series = result.metrics["grad_norm_sq"][:-1]

@@ -53,10 +53,11 @@ class TopologySpec:
 
 @dataclass
 class MixingMatrix:
-    """Symmetric doubly stochastic gossip weights plus their contraction factor."""
+    """Symmetric doubly stochastic gossip weights, their contraction factor and their graph."""
 
     weights: np.ndarray
     rho: float
+    spec: TopologySpec | None = None  # None for a matrix built by hand
 
 
 def build_mixing(spec: TopologySpec) -> MixingMatrix:
@@ -88,4 +89,4 @@ def build_mixing(spec: TopologySpec) -> MixingMatrix:
             w[idx, col] = weight
     w.flags.writeable = False
     lambda2 = float(np.max(np.abs(others)))
-    return MixingMatrix(weights=w, rho=1.0 - lambda2 * lambda2)
+    return MixingMatrix(weights=w, rho=1.0 - lambda2 * lambda2, spec=spec)

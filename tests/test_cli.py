@@ -387,6 +387,8 @@ def test_verify_rejects_bad_seed_before_any_check(tmp_path, monkeypatch, capsys)
 
 @pytest.mark.parametrize("argv, named", [
     (["run", "--rounds", "0"], "rounds must be >= 1, got 0"),
+    (["run", "--rounds", "1100", "--lr0", "0.01", "--lr-gamma", "0.5", "--lr-interval", "1"],
+     r"step size underflows to 0 by round 1099: LrSchedule\(eta0=0.01, gamma=0.5, decay_interval=1\)"),
     (["run", "--config", "missing.cfg"], "No such file or directory: 'missing.cfg'"),
     (["sweep", "--mu", "0.02,1.5"], r"mu must be in \[0, 1\), got 1.5"),
     (["sweep", "--mu", "0.02,0.0200000001"], "share cell_id"),
@@ -394,7 +396,7 @@ def test_verify_rejects_bad_seed_before_any_check(tmp_path, monkeypatch, capsys)
     (["run", "--out", os.devnull], "File exists"),
     (["sweep", "--out", os.devnull], "File exists"),
     (["verify", "--out", os.devnull], "File exists"),
-], ids=["run-invalid-config", "run-missing-config", "sweep-invalid-cell",
+], ids=["run-invalid-config", "run-step-underflow", "run-missing-config", "sweep-invalid-cell",
         "sweep-cell-collision", "rate-missing-csv", "run-out-file", "sweep-out-file",
         "verify-out-file"])
 def test_bad_input_exits_2_before_any_setup(tmp_path, monkeypatch, capsys, argv, named):

@@ -45,7 +45,7 @@ from dflsim.theory_checks import (
     smoothness_lower_bound,
     step_size_cap,
 )
-from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
+from dflsim.topology import FULLY_CONNECTED, RING, MixingMatrix, TopologySpec, build_mixing
 from oracles import metrics_row, stochastic_gradient, tiny_dataset
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -108,6 +108,16 @@ class TestSchedule:
     def test_formula(self, t, k):
         sched = LrSchedule(eta0=0.3, gamma=0.95, decay_interval=k)
         assert eta_at(sched, t) == pytest.approx(0.3 * 0.95 ** (t // k))
+
+    def test_step_size_that_underflows_rejected_before_setup(self, no_setup):
+        # 0.01 * 0.5**k is 0.0 in floating point from k = 1069 on
+        lr = LrSchedule(eta0=0.01, gamma=0.5, decay_interval=1)
+        small_config(lr=lr, rounds=1069).validate()
+        message = r"^step size underflows to 0 by round 1069: LrSchedule\(eta0=0.01, gamma=0.5,"
+        with pytest.raises(ValueError, match=message):
+            small_config(lr=lr, rounds=1070).validate()
+        with pytest.raises(ValueError, match=message):
+            run_averaged(small_config(lr=lr, rounds=1070))
 
     def test_invalid_schedules_rejected(self):
         with pytest.raises(ValueError):
@@ -305,6 +315,37 @@ class TestBlockMetrics:
         }
 
 
+class TestRounds:
+    """_rounds steps every run; run_detailed only records what it yields."""
+
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHMS)
+    def test_yields_the_states_run_detailed_records(self, monkeypatch, algorithm):
+        # a ring with channel noise and sampled batches (8 of each client's 20 rows)
+        config = small_config(algorithm=algorithm, rounds=BLOCK + 3, repeats=1)
+        setup = harness._setup(config)
+        x0 = harness._start_point(config, setup)
+        yielded = list(harness._rounds(config, 1, setup, x0))  # kept without copying
+        ts = list(range(-1, config.rounds))
+        assert [t for t, *_ in yielded] == ts
+        assert [eta for _, eta, *_ in yielded] == [eta_at(config.lr, max(t, 0)) for t in ts]
+        assert [B is not None for *_, B in yielded] == [algorithm == "fednmut" and t >= 0 for t in ts]
+        assert len({id(X) for _, _, X, _ in yielded}) == len(ts)  # each state its own array
+
+        recorded = []
+
+        def recording(S, problem):
+            recorded.extend(S.copy())
+            return measure_block(S, problem)
+
+        monkeypatch.setattr(harness, "measure_block", recording)
+        result = run_detailed(config, 1, setup, x0)
+        assert len(recorded) == 2 * BLOCK  # BLOCK + 4 states: one full block, one padded
+        for (t, _, X, _), state in zip(yielded, recorded):
+            assert np.array_equal(X.T, state), t
+        bias = [B for *_, B in yielded if B is not None]
+        assert result.bias_sq == [float((B * B).sum() / config.n) for B in bias]
+
+
 class TestRunAveraged:
     def test_single_repeat_mean_is_run_std_zero(self):
         config = small_config(repeats=1, rounds=10)
@@ -433,16 +474,24 @@ class TestRunAveraged:
             ("n", dict(topology=TopologySpec(RING, 5))),
             ("master_seed", dict(master_seed=6)),
             ("label_noise_variance", dict(label_noise_variance=0.0)),
+            ("topology", dict(topology=TopologySpec(FULLY_CONNECTED, 4))),
         ],
     )
     def test_setup_of_another_problem_rejected(self, field, overrides):
         config = small_config(rounds=2, repeats=1)
         problem = problem_of(config)
-        setup = Setup(problem, smoothness_lower_bound(problem))
+        setup = Setup(problem, smoothness_lower_bound(problem), build_mixing(config.topology))
         other = replace(config, **overrides)
         for call in (run_averaged, lambda c, s: run_detailed(c, 0, s)):
             with pytest.raises(ValueError, match=rf"^setup has {field}="):
                 call(other, setup)
+
+    def test_setup_mixing_built_by_hand_rejected(self):
+        config = small_config(rounds=2, repeats=1)
+        problem = problem_of(config)
+        by_hand = MixingMatrix(build_mixing(config.topology).weights, rho=0.5)
+        with pytest.raises(ValueError, match=r"^setup has topology=None, config has TopologySpec"):
+            run_detailed(config, 0, Setup(problem, smoothness_lower_bound(problem), by_hand))
 
     def test_shards_split_into_runs_once_per_set_up(self, monkeypatch):
         calls = []
