@@ -57,7 +57,7 @@ X0_INDEPENDENT = "independent_random"
 X0_MODES = (X0_ZEROS, X0_SHARED, X0_INDEPENDENT)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundInputs:
     """Everything one synchronous round consumes.
 

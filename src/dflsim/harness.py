@@ -32,7 +32,7 @@ import math
 import os
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class DegenerateSeriesError(ValueError):
     """Rate fit on an identically zero series: exact convergence."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LrSchedule:
     """Step size eta0 * gamma^floor(t / decay_interval)."""
 
@@ -118,14 +118,16 @@ def eta_at(schedule: LrSchedule, t: int) -> float:
     return schedule.eta0 * schedule.gamma ** (t // schedule.decay_interval)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's inputs, checked when built; derive a changed one with dataclasses.replace."""
+
     algorithm: str = "fednmut"
-    topology: TopologySpec = field(default_factory=lambda: TopologySpec(FULLY_CONNECTED, 16))
+    topology: TopologySpec = TopologySpec(FULLY_CONNECTED, 16)
     d: int = 200
     m: int = 2000
     rounds: int = 500
-    lr: LrSchedule = field(default_factory=LrSchedule)
+    lr: LrSchedule = LrSchedule()
     mu: float = 0.02
     noise_variance: float = 0.0
     lam: float = 1e-4
@@ -139,7 +141,7 @@ class RunConfig:
     def n(self) -> int:
         return self.topology.n
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
         if self.x0_mode not in X0_MODES:
@@ -204,8 +206,7 @@ class AveragedResult:
 
 
 def _setup(config: RunConfig, shared: Setup | None = None) -> Setup:
-    """Validate config and build what shared lacks; a given shared must hold config's problem."""
-    config.validate()
+    """Build what shared lacks for config; a given shared must hold config's problem."""
     if shared is None:
         dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
         problem = Problem(dataset, partition_iid(dataset, config.n), config.lam)
@@ -426,12 +427,11 @@ def cell_id(config: RunConfig) -> str:
 
 
 def sweep_cells(template: RunConfig, axes: dict) -> dict[str, RunConfig]:
-    """Every cell config of a sweep, validated and keyed by its cell_id.
+    """Every cell config of a sweep, each checked when built, keyed by its cell_id.
 
     Raises ValueError on a bad axis, an invalid cell or colliding cell_ids.
     Topology values are kinds, built at the template's n.
     """
-    template.validate()
     for key in axes:
         if key not in SWEEP_AXES:
             raise ValueError(f"unknown sweep axis {key!r}, expected subset of {SWEEP_AXES}")
@@ -446,7 +446,6 @@ def sweep_cells(template: RunConfig, axes: dict) -> dict[str, RunConfig]:
     cells: dict[str, RunConfig] = {}
     for values in itertools.product(*pools):
         config = replace(template, **dict(zip(SWEEP_AXES, values)))
-        config.validate()
         cid = cell_id(config)
         if cid in cells:
             clash = [f"{k}={getattr(cells[cid], k)!r} vs {getattr(config, k)!r}" for k in axes]

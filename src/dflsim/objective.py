@@ -8,12 +8,12 @@ so gradients carry a factor 2:
 
 Batches are drawn uniformly without replacement from each client's shard
 by one routine, sample_batches, for all clients of a round at once: row i
-of one uniform block ranks client i's shard rows, and the batch is the
-first batch_size of them. A batch covering the whole shard takes the
-shard in order; when every shard is covered, sample_batches draws nothing
-from the random stream. Under stream layout 3 (see dflsim.channel) every
-round of a repeat draws its block from the repeat's one minibatch stream,
-in round order.
+of one uniform block ranks client i's shard rows, and row i of the
+(n, batch_size) block it returns is the first batch_size of them. A shard
+no larger than the batch is taken whole, in order, and its row is not
+read; when every shard is, sample_batches returns None and draws nothing.
+Under stream layout 3 (see dflsim.channel) every round of a repeat draws
+its block from the repeat's one minibatch stream, in round order.
 
 _stacked_gradients is the one gradient formula. batch_gradients takes
 every client's gradient of a round in one pass over a Problem, as
@@ -41,24 +41,23 @@ GATHER_BUDGET = 1 << 16
 
 def sample_batches(
     rng: np.random.Generator, sizes: list[int], batch_size: int
-) -> list[np.ndarray | None]:
-    """Minibatch row offsets for shards of the given sizes, one entry per shard.
+) -> np.ndarray | None:
+    """Minibatch row offsets for shards of the given sizes, one (len(sizes), batch_size) block.
 
     One rng.random((len(sizes), max(sizes))) block is drawn, the padding
-    past each shard's size sorts last, and a shard's batch is the first
-    batch_size entries of its row's argsort: a uniform subset without
-    replacement. A shard with size <= batch_size gets None (the whole
-    shard, in order); when every shard does, rng is left untouched.
+    past each shard's size sorts last, and row i is the first batch_size
+    entries of key row i's argsort: a uniform subset without replacement,
+    read only when sizes[i] > batch_size (a smaller shard is taken whole).
+    None, with rng untouched, when no shard is larger than the batch.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     width = max(sizes)
     if width <= batch_size:
-        return [None] * len(sizes)
+        return None
     keys = rng.random((len(sizes), width))
     keys[np.arange(width) >= np.asarray(sizes)[:, None]] = 2.0
-    order = np.argsort(keys, axis=1)[:, :batch_size]
-    return [order[i] if batch_size < size else None for i, size in enumerate(sizes)]
+    return np.argsort(keys, axis=1)[:, :batch_size]
 
 
 def _stacked_gradients(
@@ -91,25 +90,28 @@ def gathered_gradients(Zs: np.ndarray, rows: np.ndarray, problem: Problem) -> np
 
 
 def batch_gradients(
-    Z: np.ndarray, problem: Problem, picks: list[np.ndarray | None] | None = None
+    Z: np.ndarray, problem: Problem, picks: np.ndarray | None = None
 ) -> np.ndarray:
     """Every client's gradient at its column of the d x n point Z, as a d x n matrix.
 
-    Column i is the gradient over the rows picks[i] of problem.shards[i],
-    or over the whole shard when picks or picks[i] is None; with picks
-    from sample_batches it is unbiased for the whole-shard gradient. Each
-    of problem.runs is one stacked product: whole shards are reshaped
-    views of the data, sampled batches one gathered_gradients call.
+    Column i is the gradient over the rows picks[i] of problem.shards[i]
+    when the shard is larger than picks.shape[1], else over the whole
+    shard (every shard for picks None); with a sample_batches block it is
+    unbiased for the whole-shard gradient. Each of problem.runs is one
+    stacked product: whole shards are reshaped views of the data, sampled
+    batches one gathered_gradients call.
     """
+    if picks is not None and len(picks) != len(problem.shards):
+        raise ValueError(f"picks needs one row per shard, got {len(picks)} for {len(problem.shards)}")
     dataset, d = problem.dataset, problem.dataset.d
     out = np.empty(Z.shape)
     for i, k, size, lo, hi in problem.runs:
         Zs = Z.T[i : i + k]
-        if picks is None or picks[i] is None:
+        if picks is None or size <= picks.shape[1]:
             feats, labels = dataset.features[lo:hi].reshape(k, size, d), dataset.labels[lo:hi]
             out.T[i : i + k] = _stacked_gradients(Zs, feats, labels.reshape(k, size), problem.lam)
         else:
-            rows = np.arange(lo, hi, size)[:, None] + np.stack(picks[i : i + k])
+            rows = np.arange(lo, hi, size)[:, None] + picks[i : i + k]
             out.T[i : i + k] = gathered_gradients(Zs, rows, problem)
     return out
 

@@ -68,8 +68,6 @@ class BiasMeanReport:
     max_se_ratio: float
     empirical_variance: float
     predicted_variance: float
-    trials: int
-    rounds: int
 
 
 @dataclass
@@ -77,7 +75,6 @@ class ContractionReport:
     passed: bool
     max_ratio: float
     allowed: float
-    trials: int
 
 
 def estimate_smoothness(problem: Problem) -> float:
@@ -137,7 +134,7 @@ def estimate_sigma_sq(
 
     A point's whole-shard gradients are one batch_gradients call at the
     point tiled across clients. A (point, shard) pair's batches are one
-    sample_batches call of `draws` rows (the keys of one call per draw) and
+    sample_batches block of `draws` rows (the keys of one call per draw) and
     one gathered_gradients call; squared deviations are summed in draw order.
     """
     if draws < 1:
@@ -150,7 +147,7 @@ def estimate_sigma_sq(
         for shard, mean_grad in zip(problem.shards, mean_grads.T):
             if batch_size >= shard.size:
                 continue  # full batch has zero sampling variance
-            picks = np.stack(sample_batches(rng, [shard.size] * draws, batch_size))
+            picks = sample_batches(rng, [shard.size] * draws, batch_size)
             xs = np.broadcast_to(x, (draws, x.size))
             acc = 0.0
             for diff in gathered_gradients(xs, shard.start + picks, problem) - mean_grad:
@@ -214,8 +211,6 @@ def check_bias_zero_mean(
             max_se_ratio=0.0,
             empirical_variance=0.0,
             predicted_variance=0.0,
-            trials=trials,
-            rounds=T,
         )
     ses = b.std(axis=0, ddof=1) / math.sqrt(trials)
     ratios = np.abs(means) / ses
@@ -226,8 +221,6 @@ def check_bias_zero_mean(
         max_se_ratio=float(ratios.max()),
         empirical_variance=float(b.var(axis=0, ddof=1).mean()),
         predicted_variance=per_coord_variance / n * geometric,
-        trials=trials,
-        rounds=T,
     )
 
 
@@ -311,9 +304,4 @@ def check_contraction(
             continue
         mixed = dev @ w
         max_ratio = max(max_ratio, float((mixed * mixed).sum()) / denom)
-    return ContractionReport(
-        passed=max_ratio <= allowed,
-        max_ratio=max_ratio,
-        allowed=allowed,
-        trials=trials,
-    )
+    return ContractionReport(passed=max_ratio <= allowed, max_ratio=max_ratio, allowed=allowed)

@@ -51,7 +51,7 @@ class TopologySpec:
             raise ValueError(f"fully_connected requires n >= 1, got n={self.n}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MixingMatrix:
     """Symmetric doubly stochastic gossip weights, their contraction factor and their graph."""
 

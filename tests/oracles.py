@@ -15,7 +15,8 @@ It agrees only at a constant step size from a consensus start.
 
 local_loss, global_loss and stochastic_gradient are the per-vector
 objective, the references for dflsim.metrics' block passes and
-dflsim.objective.batch_gradients. metrics_row computes a state's metrics
+dflsim.objective.batch_gradients (client_picks turns a minibatch block
+into each client's picks). metrics_row computes a state's metrics
 from them, the reference for dflsim.metrics.measure_block.
 
 spectral_contraction takes rho from a dense eigensolve of any symmetric
@@ -76,6 +77,17 @@ def stochastic_gradient(
         labels = labels[picks]
     residual = feats @ x - labels
     return (2.0 / residual.size) * (feats.T @ residual) + 2.0 * lam * x
+
+
+def client_picks(picks: np.ndarray | None, shards: list[Shard]) -> list[np.ndarray | None]:
+    """Each shard's picks for stochastic_gradient: its row of the block, None when taken whole.
+
+    batch_gradients reads row i of a sample_batches block only when shard i
+    is larger than the batch, picks.shape[1].
+    """
+    if picks is None:
+        return [None] * len(shards)
+    return [row if shard.size > picks.shape[1] else None for shard, row in zip(shards, picks)]
 
 
 def finite_difference_gradient(x, shard, dataset, lam, step=1e-5):

@@ -1,5 +1,7 @@
 """Round updates: hand cases, oracle equivalence, shared invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,13 @@ def test_grads_called_once_per_round_at_the_rules_point(rule):
     expected = (X + noises) @ mixing.weights if rule == "fedndl2" else X
     assert len(points) == 1
     np.testing.assert_array_equal(points[0], expected)
+
+
+def test_round_inputs_are_frozen():
+    inputs = fixed_inputs(0.1, single_client_mixing(), np.zeros((2, 1)), np.zeros((2, 1)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inputs.eta = -1.0
+    assert inputs.eta == 0.1
 
 
 def test_dimension_mismatch_rejected():

@@ -1,5 +1,6 @@
 """Schedules, runs, averaging, rate fit, sweeps."""
 
+import dataclasses
 import math
 import os
 import re
@@ -46,7 +47,7 @@ from dflsim.theory_checks import (
     step_size_cap,
 )
 from dflsim.topology import FULLY_CONNECTED, RING, MixingMatrix, TopologySpec, build_mixing
-from oracles import metrics_row, stochastic_gradient, tiny_dataset
+from oracles import client_picks, metrics_row, stochastic_gradient, tiny_dataset
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -112,12 +113,12 @@ class TestSchedule:
     def test_step_size_that_underflows_rejected_before_setup(self, no_setup):
         # 0.01 * 0.5**k is 0.0 in floating point from k = 1069 on
         lr = LrSchedule(eta0=0.01, gamma=0.5, decay_interval=1)
-        small_config(lr=lr, rounds=1069).validate()
+        config = small_config(lr=lr, rounds=1069)
         message = r"^step size underflows to 0 by round 1069: LrSchedule\(eta0=0.01, gamma=0.5,"
         with pytest.raises(ValueError, match=message):
-            small_config(lr=lr, rounds=1070).validate()
+            small_config(lr=lr, rounds=1070)
         with pytest.raises(ValueError, match=message):
-            run_averaged(small_config(lr=lr, rounds=1070))
+            replace(config, rounds=1070)
 
     def test_invalid_schedules_rejected(self):
         with pytest.raises(ValueError):
@@ -128,6 +129,15 @@ class TestSchedule:
             LrSchedule(gamma=1.5)
         with pytest.raises(ValueError):
             LrSchedule(decay_interval=0)
+
+    def test_config_and_schedule_are_frozen(self):
+        # a field set after the checks could hold what they reject (gamma = 3 diverges)
+        config = small_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.lr.gamma = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.rounds = 0
+        assert config == small_config()
 
 
 class TestRunSingle:
@@ -552,7 +562,7 @@ class TestStreams:
 
         def batches(stream, sizes, batch_size):
             keys.append(stream.random((len(sizes), max(sizes))))
-            return [np.argsort(row)[:batch_size] for row in keys[-1]]
+            return np.argsort(keys[-1], axis=1)[:, :batch_size]
 
         monkeypatch.setattr(harness, "sample_noise", noise)
         monkeypatch.setattr(harness, "sample_batches", batches)
@@ -599,7 +609,7 @@ class TestStreams:
         def recording(Z, problem, picks):
             grads = batch_gradients(Z, problem, picks)
             dataset, lam = problem.dataset, problem.lam
-            cols = zip(Z.T, problem.shards, picks)
+            cols = zip(Z.T, problem.shards, client_picks(picks, problem.shards))
             oracle = [stochastic_gradient(z, s, dataset, lam, p) for z, s, p in cols]
             assert np.array_equal(grads, np.column_stack(oracle))
             calls.append(picks)
@@ -613,9 +623,8 @@ class TestStreams:
         assert all(np.isfinite(result.metrics["loss"]))
         assert len(calls) == 3
         for picks in calls:
-            assert picks[0].size == 125 and np.unique(picks[0]).size == 125
+            assert picks.shape == (16, 125) and np.unique(picks[0]).size == 125
             assert picks[0].min() >= 0 and picks[0].max() < 126
-            assert picks[1:] == [None] * 15
 
 
 @pytest.mark.parametrize("algorithm", ["fedndl2", "fednmut"])

@@ -6,7 +6,14 @@ import pytest
 from dflsim import objective
 from dflsim.data import Problem, Shard, generate, partition_iid
 from dflsim.objective import batch_gradients, ridge_optimum, sample_batches
-from oracles import finite_difference_gradient, global_loss, local_loss, stochastic_gradient, tiny_dataset
+from oracles import (
+    client_picks,
+    finite_difference_gradient,
+    global_loss,
+    local_loss,
+    stochastic_gradient,
+    tiny_dataset,
+)
 
 
 def whole(dataset):
@@ -14,12 +21,12 @@ def whole(dataset):
 
 
 def gradient(x, shard, dataset, lam, picks=None):
-    """batch_gradients' column for one client at x."""
-    return batch_gradients(x[:, None], Problem(dataset, [shard], lam), [picks])[:, 0]
+    """batch_gradients' column for one client at x, picks a (1, batch) block or None."""
+    return batch_gradients(x[:, None], Problem(dataset, [shard], lam), picks)[:, 0]
 
 
 def draw_gradient(x, shard, dataset, lam, batch_size, rng):
-    return gradient(x, shard, dataset, lam, sample_batches(rng, [shard.size], batch_size)[0])
+    return gradient(x, shard, dataset, lam, sample_batches(rng, [shard.size], batch_size))
 
 
 class TestLocalLoss:
@@ -89,7 +96,7 @@ class TestStochasticGradient:
         shard = whole(ds)
         rng = np.random.default_rng(5)
         state_before = rng.bit_generator.state
-        assert sample_batches(rng, [16, 9, 16], 16) == [None, None, None]
+        assert sample_batches(rng, [16, 9, 16], 16) is None
         g = draw_gradient(np.ones(4), shard, ds, 0.0, 99, rng)
         assert rng.bit_generator.state == state_before
         np.testing.assert_array_equal(g, gradient(np.ones(4), shard, ds, 0.0))
@@ -141,9 +148,9 @@ class TestSampleBatches:
 
     def test_mixed_cap_takes_capped_shards_whole(self):
         picks = sample_batches(np.random.default_rng(3), [126] + [125] * 15, 125)
-        assert picks[0].size == 125 and np.unique(picks[0]).size == 125
-        assert picks[0].max() < 126
-        assert picks[1:] == [None] * 15
+        assert isinstance(picks, np.ndarray) and picks.shape == (16, 125)
+        assert np.unique(picks[0]).size == 125
+        assert picks[0].max() < 126  # rows 1-15 go unread: those shards are taken whole
 
 
 class TestBatchGradients:
@@ -170,7 +177,26 @@ class TestBatchGradients:
         picks = sample_batches(rng, [s.size for s in shards], batch_size)
         got = batch_gradients(Z, Problem(dataset, shards, 1e-4), picks)
         assert got.flags.c_contiguous
-        assert np.array_equal(got, self.oracle(Z, shards, dataset, picks))
+        assert np.array_equal(got, self.oracle(Z, shards, dataset, client_picks(picks, shards)))
+
+    def test_mixed_cap_block_equals_oracle_with_capped_clients_whole(self):
+        # client 0 samples 125 of its 126 rows; the fifteen 125-row shards are capped
+        dataset = generate(2001, 200, 0.05, seed=3)
+        shards = partition_iid(dataset, 16)
+        rng = np.random.default_rng(4)
+        Z = rng.standard_normal((200, 16))
+        picks = sample_batches(rng, [s.size for s in shards], 125)
+        assert picks.shape == (16, 125)
+        got = batch_gradients(Z, Problem(dataset, shards, 1e-4), picks)
+        assert np.array_equal(got, self.oracle(Z, shards, dataset, [picks[0]] + [None] * 15))
+
+    def test_block_of_another_row_count_rejected(self):
+        # a (1, b) block would otherwise broadcast over the run of 16 equal shards
+        dataset = generate(2000, 20, 0.05, seed=3)
+        problem = Problem(dataset, partition_iid(dataset, 16), 1e-4)
+        picks = sample_batches(np.random.default_rng(4), [125], 32)
+        with pytest.raises(ValueError, match="^picks needs one row per shard, got 1 for 16$"):
+            batch_gradients(np.zeros((20, 16)), problem, picks)
 
     def test_whole_ragged_shards_without_picks(self):
         dataset = generate(2001, 20, 0.05, seed=3)

@@ -177,6 +177,13 @@ def test_mixing_holds_weights_rho_and_spec_only():
     assert [build_mixing(spec).spec for spec in VALID_SPECS] == list(VALID_SPECS)
 
 
+def test_mixing_is_frozen():
+    mixing = build_mixing(TopologySpec(RING, 9))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mixing.rho = 1.0
+    assert mixing.rho == build_mixing(TopologySpec(RING, 9)).rho
+
+
 @pytest.mark.parametrize("kind", [RING, TORUS, FULLY_CONNECTED])
 def test_build_needs_no_eigensolver(kind, monkeypatch):
     def refuse(*args, **kwargs):
