@@ -22,7 +22,6 @@ from .harness import (
     LrSchedule,
     RunConfig,
     RunResult,
-    Setup,
     bound_sanity,
     eta_at,
     rate_fit,
@@ -55,7 +54,6 @@ __all__ = [
     "RoundInputs",
     "RunConfig",
     "RunResult",
-    "Setup",
     "Shard",
     "StreamKey",
     "TopologySpec",

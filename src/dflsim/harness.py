@@ -12,7 +12,7 @@ t's update; a leading row at t = -1 records the common initial state.
 
 Results are named arrays: METRICS lists each per-round metric once, and
 the CSV columns, both result types and the averaging derive from it.
-Every run is set up by _setup, which reuses what a given Setup holds.
+_setup builds every run's set-up from its config alone; runs on one problem share it.
 bound_sanity checks one run against the convergence theorem's bound.
 
 The generator _rounds alone steps rounds: it owns a repeat's streams,
@@ -27,6 +27,7 @@ then depend on where the run ends.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -178,15 +179,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Setup:
-    """What runs of one problem share; mixing=None is built from each config's topology.
-
-    smoothness_lower is any lower bound on the smoothness constant L, the
-    exact L included; it decides the step-size warning where it can.
-    """
+    """What _setup builds for a config: its problem, smoothness_lower_bound and mixing."""
 
     problem: Problem
     smoothness_lower: float
-    mixing: MixingMatrix | None = None
+    mixing: MixingMatrix
 
 
 @dataclass
@@ -205,29 +202,21 @@ class AveragedResult:
     per_repeat: list[dict[str, np.ndarray]]
 
 
-def _setup(config: RunConfig, shared: Setup | None = None) -> Setup:
-    """Build what shared lacks for config; a given shared must hold config's problem."""
-    if shared is None:
-        dataset = generate(config.m, config.d, config.label_noise_variance, config.master_seed)
-        problem = Problem(dataset, partition_iid(dataset, config.n), config.lam)
-        shared = Setup(problem, smoothness_lower_bound(problem))
-    p = shared.problem
-    given = {
-        "lam": p.lam,
-        "m": p.dataset.m,
-        "d": p.dataset.d,
-        "n": len(p.shards),
-        "master_seed": p.dataset.seed,
-        "label_noise_variance": p.dataset.label_noise_variance,
-    }
-    if shared.mixing is not None:
-        given["topology"] = shared.mixing.spec
-    for name, value in given.items():
-        if value != getattr(config, name):
-            raise ValueError(f"setup has {name}={value!r}, config has {getattr(config, name)!r}")
-    if shared.mixing is None:
-        shared = replace(shared, mixing=build_mixing(config.topology))
-    return shared
+@functools.lru_cache(maxsize=1)
+def _problem(
+    m: int, d: int, label_noise_variance: float, master_seed: int, n: int, lam: float
+) -> tuple[Problem, float]:
+    """The problem of these config fields and its smoothness lower bound, memo keyed by all."""
+    dataset = generate(m, d, label_noise_variance, master_seed)
+    problem = Problem(dataset, partition_iid(dataset, n), lam)
+    return problem, smoothness_lower_bound(problem)
+
+
+def _setup(config: RunConfig) -> Setup:
+    """The only place a set-up is made; the last problem built is kept for the next run."""
+    key = (config.m, config.d, config.label_noise_variance, config.master_seed, config.n, config.lam)
+    problem, smoothness_lower = _problem(*key)
+    return Setup(problem, smoothness_lower, build_mixing(config.topology))
 
 
 def _start_point(config: RunConfig, setup: Setup, L: float | None = None) -> np.ndarray:
@@ -290,15 +279,13 @@ def _rounds(
         yield t, eta, X, B
 
 
-def run_detailed(
-    config: RunConfig, repeat_index: int, setup: Setup | None = None, x0: np.ndarray | None = None
-) -> RunResult:
+def run_detailed(config: RunConfig, repeat_index: int, x0: np.ndarray | None = None) -> RunResult:
     """One simulated run, bit-reproducible per (config, repeat_index).
 
-    A given setup must have been built for config's problem; a given x0
-    must be _start_point(config, setup), with the warnings decided then.
+    A given x0 must be _start_point(config, _setup(config)), with the
+    warnings decided then.
     """
-    setup = _setup(config, setup)
+    setup = _setup(config)
     x0 = _start_point(config, setup) if x0 is None else x0
     block = np.empty((METRICS_BLOCK, config.n, config.d))
     values: list[tuple[np.ndarray, ...]] = []  # measure_block's output per block
@@ -320,11 +307,10 @@ def run_detailed(
     return RunResult(metrics=metrics, bias_sq=bias_sq)
 
 
-def run_averaged(config: RunConfig, setup: Setup | None = None) -> AveragedResult:
+def run_averaged(config: RunConfig) -> AveragedResult:
     """Each metric's mean and sample standard deviation per round across repeats."""
-    setup = _setup(config, setup)
-    x0 = _start_point(config, setup)
-    per_repeat = [run_detailed(config, r, setup, x0).metrics for r in range(config.repeats)]
+    x0 = _start_point(config, _setup(config))
+    per_repeat = [run_detailed(config, r, x0).metrics for r in range(config.repeats)]
     columns = {"round": per_repeat[0]["round"], "eta": per_repeat[0]["eta"]}
     for name, stats in METRICS.items():
         vals = np.array([rep[name] for rep in per_repeat])
@@ -371,7 +357,7 @@ class BoundSanity:
     slope: float
 
 
-def bound_sanity(config: RunConfig, setup: Setup | None = None) -> BoundSanity:
+def bound_sanity(config: RunConfig) -> BoundSanity:
     """Run repeat 0 of config at half the exact L's step-size cap and check it against the theorem.
 
     sigma^2 and zeta^2 are estimated at client 0's initial point, x* and
@@ -380,13 +366,13 @@ def bound_sanity(config: RunConfig, setup: Setup | None = None) -> BoundSanity:
     """
     if config.algorithm != "fednmut":
         raise ValueError(f"bound_sanity needs a fednmut config, got algorithm {config.algorithm!r}")
-    setup = _setup(config, setup)
+    setup = _setup(config)
     problem, rho = setup.problem, setup.mixing.rho
     L = estimate_smoothness(problem)
     eta = step_size_cap(L, rho) / 2.0
     config = replace(config, lr=LrSchedule(eta0=eta, gamma=1.0, decay_interval=1))
     x0 = _start_point(config, setup, L)
-    result = run_detailed(config, 0, setup, x0)
+    result = run_detailed(config, 0, x0)
     # entry k is the state entering round k
     grad_series = result.metrics["grad_norm_sq"][:-1]
 
@@ -458,19 +444,16 @@ def sweep(template: RunConfig, axes: dict, out_dir) -> list[dict]:
     """Run the cartesian product of the requested axes, one CSV per cell.
 
     Writes manifest.csv listing every cell and returns the manifest rows.
-    Every cell is checked before the output directory is made. n and lam
-    are not sweep axes, so all cells share one dataset, partition and
-    smoothness lower bound; each builds its own mixing.
+    Every cell is checked before the output directory is made. No sweep
+    axis changes the problem, so every cell runs on the one _setup builds
+    first.
     """
     cells = sweep_cells(template, axes)
     os.makedirs(out_dir, exist_ok=True)
-    shared = None
     manifest_rows = []
     for cid, config in cells.items():
-        setup = _setup(config, shared)
-        shared = replace(setup, mixing=None)
         csv_name = cid + ".csv"
-        write_cell_csv(os.path.join(out_dir, csv_name), run_averaged(config, setup))
+        write_cell_csv(os.path.join(out_dir, csv_name), run_averaged(config))
         manifest_rows.append(
             {
                 "cell_id": cid,

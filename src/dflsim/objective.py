@@ -61,31 +61,36 @@ def sample_batches(
 
 
 def _stacked_gradients(
-    Zs: np.ndarray, feats: np.ndarray, labels: np.ndarray, lam: float
-) -> np.ndarray:
-    """The gradient at each row of Zs (k, d), over feats (k, b, d), labels (k, b).
+    Zs: np.ndarray, feats: np.ndarray, labels: np.ndarray, lam: float, out: np.ndarray
+) -> None:
+    """Write the gradient at each row of Zs (k, d), over feats (k, b, d), labels (k, b), to out.
 
     Each stacked product runs one BLAS call per item, with the item's
     shapes and strides, so a row's bits do not depend on the other items.
     """
     residual = feats @ Zs[:, :, None]
     residual -= labels[:, :, None]
-    return (2.0 / labels.shape[1]) * (feats.transpose(0, 2, 1) @ residual)[:, :, 0] + 2.0 * lam * Zs
+    grads = feats.transpose(0, 2, 1) @ residual
+    grads *= 2.0 / labels.shape[1]
+    np.add(grads[:, :, 0], 2.0 * lam * Zs, out=out)
 
 
-def gathered_gradients(Zs: np.ndarray, rows: np.ndarray, problem: Problem) -> np.ndarray:
-    """The gradient at Zs[j] over the problem's data rows rows[j], for each j, as a (k, d) array.
+def gathered_gradients(
+    Zs: np.ndarray, rows: np.ndarray, problem: Problem, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The gradient at Zs[j] over the problem's data rows rows[j], for each j, into a (k, d) out.
 
-    The rows are gathered in chunks of at most GATHER_BUDGET elements (at
+    Feature rows are gathered in chunks of at most GATHER_BUDGET elements (at
     least one gradient per chunk), so the gather's memory does not grow with k.
     """
     k, b = rows.shape
-    out = np.empty(Zs.shape)
+    out = np.empty(Zs.shape) if out is None else out
+    labels = problem.dataset.labels[rows]
     step = max(1, GATHER_BUDGET // (b * problem.dataset.d))
     for j in range(0, k, step):
-        chunk = rows[j : j + step]
-        feats, labels = problem.dataset.features[chunk], problem.dataset.labels[chunk]
-        out[j : j + step] = _stacked_gradients(Zs[j : j + step], feats, labels, problem.lam)
+        part = slice(j, j + step)
+        feats = problem.dataset.features[rows[part]]
+        _stacked_gradients(Zs[part], feats, labels[part], problem.lam, out[part])
     return out
 
 
@@ -109,10 +114,10 @@ def batch_gradients(
         Zs = Z.T[i : i + k]
         if picks is None or size <= picks.shape[1]:
             feats, labels = dataset.features[lo:hi].reshape(k, size, d), dataset.labels[lo:hi]
-            out.T[i : i + k] = _stacked_gradients(Zs, feats, labels.reshape(k, size), problem.lam)
+            _stacked_gradients(Zs, feats, labels.reshape(k, size), problem.lam, out.T[i : i + k])
         else:
             rows = np.arange(lo, hi, size)[:, None] + picks[i : i + k]
-            out.T[i : i + k] = gathered_gradients(Zs, rows, problem)
+            gathered_gradients(Zs, rows, problem, out.T[i : i + k])
     return out
 
 

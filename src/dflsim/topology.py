@@ -53,11 +53,10 @@ class TopologySpec:
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Symmetric doubly stochastic gossip weights, their contraction factor and their graph."""
+    """Symmetric doubly stochastic gossip weights and their contraction factor."""
 
     weights: np.ndarray
     rho: float
-    spec: TopologySpec | None = None  # None for a matrix built by hand
 
 
 def build_mixing(spec: TopologySpec) -> MixingMatrix:
@@ -89,4 +88,4 @@ def build_mixing(spec: TopologySpec) -> MixingMatrix:
             w[idx, col] = weight
     w.flags.writeable = False
     lambda2 = float(np.max(np.abs(others)))
-    return MixingMatrix(weights=w, rho=1.0 - lambda2 * lambda2, spec=spec)
+    return MixingMatrix(weights=w, rho=1.0 - lambda2 * lambda2)

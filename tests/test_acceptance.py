@@ -14,9 +14,9 @@ import pytest
 
 from dflsim.algorithms import RoundInputs
 from dflsim.data import Problem, generate, partition_iid
-from dflsim.harness import LrSchedule, RunConfig, Setup, bound_sanity, run_averaged, sweep
+from dflsim.harness import LrSchedule, RunConfig, bound_sanity, run_averaged, sweep
 from dflsim.objective import batch_gradients, ridge_optimum
-from dflsim.theory_checks import check_bias_zero_mean, estimate_smoothness
+from dflsim.theory_checks import check_bias_zero_mean
 from dflsim.topology import FULLY_CONNECTED, RING, TORUS, TopologySpec, build_mixing
 from oracles import ClientState, init_network_state, round_fednmut, round_fednmut_matrix, stack_states
 from oracles import finite_difference_gradient
@@ -34,13 +34,6 @@ TREND_ETA0 = 0.1  # inside the stable step-size window, see module docstring
 def report(criterion: int, passed: bool, detail: str) -> None:
     print(f"criterion {criterion}: {'PASS' if passed else 'FAIL'} - {detail}")
     assert passed, f"criterion {criterion} failed: {detail}"
-
-
-@pytest.fixture(scope="module")
-def desk_problem():
-    dataset = generate(DESK_M, DESK_D, 0.05, SEED)
-    x_star, f_star = ridge_optimum(dataset, LAM)
-    return Problem(dataset, partition_iid(dataset, N), LAM), x_star, f_star
 
 
 @pytest.fixture(scope="module")
@@ -149,11 +142,9 @@ def test_criterion_5_bias_zero_mean_monte_carlo():
                       f"vs predicted {result.predicted_variance:.2e})")
 
 
-def test_criterion_6_noise_free_convergence(desk_problem):
-    problem, _, f_star = desk_problem
+def test_criterion_6_noise_free_convergence():
+    _, f_star = ridge_optimum(generate(DESK_M, DESK_D, 0.05, SEED), LAM)
     start = time.time()
-    mixing = build_mixing(TopologySpec(FULLY_CONNECTED, N))
-    setup = Setup(problem, estimate_smoothness(problem), mixing)
     finals = {}
     for algorithm in ("fedndl1", "fedndl2", "fedndl3", "fednmut"):
         config = RunConfig(
@@ -170,7 +161,7 @@ def test_criterion_6_noise_free_convergence(desk_problem):
             repeats=3,
             master_seed=SEED,
         )
-        avg = run_averaged(config, setup)
+        avg = run_averaged(config)
         finals[algorithm] = float(avg.columns["loss_mean"][-1])
     elapsed = time.time() - start
     ratios = {a: v / f_star for a, v in finals.items()}
@@ -179,10 +170,8 @@ def test_criterion_6_noise_free_convergence(desk_problem):
            ", ".join(f"{a}={r:.4f}" for a, r in ratios.items()) + f"; {elapsed:.0f}s")
 
 
-def test_criterion_7_figure_trends(desk_problem):
-    problem, _, _ = desk_problem
+def test_criterion_7_figure_trends():
     start = time.time()
-    shared = Setup(problem, estimate_smoothness(problem))
 
     def averaged(algorithm, kind):
         config = RunConfig(
@@ -199,7 +188,7 @@ def test_criterion_7_figure_trends(desk_problem):
             repeats=3,
             master_seed=SEED,
         )
-        return run_averaged(config, shared)
+        return run_averaged(config)
 
     nmut_ring = averaged("fednmut", RING)
     ndl1_ring = averaged("fedndl1", RING)

@@ -27,7 +27,6 @@ from dflsim.harness import (
     DegenerateSeriesError,
     LrSchedule,
     RunConfig,
-    Setup,
     bound_sanity,
     cell_id,
     csv_lines,
@@ -46,7 +45,7 @@ from dflsim.theory_checks import (
     smoothness_lower_bound,
     step_size_cap,
 )
-from dflsim.topology import FULLY_CONNECTED, RING, MixingMatrix, TopologySpec, build_mixing
+from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
 from oracles import client_picks, metrics_row, stochastic_gradient, tiny_dataset
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -261,18 +260,15 @@ class TestRunSingle:
         bound_sanity(config)
         assert len(calls) == 1
 
-    def test_zero_smoothness_is_inside_every_cap(self):
+    def test_zero_smoothness_is_inside_every_cap(self, monkeypatch):
         # lam = 0 and all-zero features: L = L_lo = 0, and no cap divides by it
-        config = small_config(
-            rounds=2, lam=0.0, noise_variance=0.0, master_seed=0, label_noise_variance=0.0
-        )
-        dataset = tiny_dataset(np.zeros((config.m, config.d)), np.zeros(config.m))
-        problem = Problem(dataset, partition_iid(dataset, config.n), 0.0)
-        setup = Setup(problem, smoothness_lower_bound(problem))
-        assert setup.smoothness_lower == 0.0
+        config = small_config(rounds=2, lam=0.0, noise_variance=0.0)
+        zeros = tiny_dataset(np.zeros((config.m, config.d)), np.zeros(config.m))
+        monkeypatch.setattr(harness, "generate", lambda *args: zeros)
+        assert harness._setup(config).smoothness_lower == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = run_detailed(config, 0, setup).metrics
+            rows = run_detailed(config, 0).metrics
         assert rows["loss"].tolist() == [0.0] * 3
 
 
@@ -348,7 +344,7 @@ class TestRounds:
             return measure_block(S, problem)
 
         monkeypatch.setattr(harness, "measure_block", recording)
-        result = run_detailed(config, 1, setup, x0)
+        result = run_detailed(config, 1, x0)
         assert len(recorded) == 2 * BLOCK  # BLOCK + 4 states: one full block, one padded
         for (t, _, X, _), state in zip(yielded, recorded):
             assert np.array_equal(X.T, state), t
@@ -452,56 +448,44 @@ class TestRunAveraged:
     def test_given_setup_is_reused(self, monkeypatch):
         config = small_config(repeats=2, rounds=5)
         tracked = replace(config, algorithm="fednmut", rounds=60)  # rate_fit needs 50 rounds
-        problem = problem_of(config)
-        setup = Setup(problem, smoothness_lower_bound(problem))
         expected = run_averaged(config).columns
         expected_sanity = bound_sanity(tracked)
-        mixings = []
 
         def no_setup(*args):
             raise AssertionError("a shared part of the set-up was built again")
 
-        def counting(spec):
-            mixings.append(spec)
-            return build_mixing(spec)
-
         monkeypatch.setattr(harness, "generate", no_setup)
         monkeypatch.setattr(harness, "smoothness_lower_bound", no_setup)
-        monkeypatch.setattr(harness, "build_mixing", counting)
-        columns = run_averaged(config, setup).columns
-        assert bound_sanity(tracked, setup) == expected_sanity
-        assert mixings == [config.topology, tracked.topology]  # once per call, shared by repeats
+        columns = run_averaged(config).columns
+        assert bound_sanity(tracked) == expected_sanity
         assert {k: v.tolist() for k, v in columns.items()} == {
             k: v.tolist() for k, v in expected.items()
         }
 
     @pytest.mark.parametrize(
-        "field, overrides",
+        "overrides",
         [
-            ("lam", dict(lam=1e-3, d=12)),  # lam is checked first
-            ("m", dict(m=120)),
-            ("d", dict(d=12, topology=TopologySpec(RING, 5))),
-            ("n", dict(topology=TopologySpec(RING, 5))),
-            ("master_seed", dict(master_seed=6)),
-            ("label_noise_variance", dict(label_noise_variance=0.0)),
-            ("topology", dict(topology=TopologySpec(FULLY_CONNECTED, 4))),
+            dict(m=120),
+            dict(d=12),
+            dict(label_noise_variance=0.0),
+            dict(master_seed=6),
+            dict(topology=TopologySpec(RING, 5)),
+            dict(lam=1e-3),
+            dict(topology=TopologySpec(FULLY_CONNECTED, 4)),  # same n, so the same problem
         ],
+        ids=["m", "d", "label_noise_variance", "master_seed", "n", "lam", "topology"],
     )
-    def test_setup_of_another_problem_rejected(self, field, overrides):
-        config = small_config(rounds=2, repeats=1)
-        problem = problem_of(config)
-        setup = Setup(problem, smoothness_lower_bound(problem), build_mixing(config.topology))
-        other = replace(config, **overrides)
-        for call in (run_averaged, lambda c, s: run_detailed(c, 0, s)):
-            with pytest.raises(ValueError, match=rf"^setup has {field}="):
-                call(other, setup)
-
-    def test_setup_mixing_built_by_hand_rejected(self):
-        config = small_config(rounds=2, repeats=1)
-        problem = problem_of(config)
-        by_hand = MixingMatrix(build_mixing(config.topology).weights, rho=0.5)
-        with pytest.raises(ValueError, match=r"^setup has topology=None, config has TopologySpec"):
-            run_detailed(config, 0, Setup(problem, smoothness_lower_bound(problem), by_hand))
+    def test_run_after_another_problem_equals_fresh_run(self, overrides):
+        # every field the problem is built from is in the memo's key
+        base = small_config(rounds=5, repeats=2)
+        other = replace(base, **overrides)
+        run_averaged(base)
+        after = run_averaged(other).columns
+        harness._problem.cache_clear()
+        fresh = run_averaged(other).columns
+        assert {k: v.tolist() for k, v in after.items()} == {
+            k: v.tolist() for k, v in fresh.items()
+        }
 
     def test_shards_split_into_runs_once_per_set_up(self, monkeypatch):
         calls = []
