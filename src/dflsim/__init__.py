@@ -14,7 +14,7 @@ from .algorithms import (
     round_fedndl3,
     round_fednmut_array,
 )
-from .channel import StreamKey, derive_stream, sample_noise
+from .channel import derive_stream, sample_noise
 from .data import Dataset, Problem, Shard, generate, partition_iid
 from .harness import (
     ALGORITHMS,
@@ -55,7 +55,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "Shard",
-    "StreamKey",
     "TopologySpec",
     "batch_gradients",
     "bound_sanity",

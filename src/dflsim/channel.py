@@ -16,7 +16,7 @@ per-coordinate variance of the noise, so E||delta||^2 = d * variance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 import numpy as np
 
@@ -27,23 +27,16 @@ PURPOSE_INIT = 2
 _SEED_MASK = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class StreamKey:
-    master_seed: int
-    repeat: int
-    purpose: int
-
-
-def derive_stream(key: StreamKey) -> np.random.Generator:
-    """Deterministic, collision-resistant mapping from key to a fresh stream.
+def derive_stream(master_seed: int, repeat: int, purpose: int) -> np.random.Generator:
+    """Deterministic, collision-resistant mapping from the key's three fields to a fresh stream.
 
     Distinct keys give statistically independent streams; identical keys
     give byte-identical output.
     """
     seq = np.random.SeedSequence(
-        entropy=key.master_seed & _SEED_MASK,
+        entropy=operator.index(master_seed) & _SEED_MASK,
         # layout 2's round and client fields, fixed at 0 (see the module docstring)
-        spawn_key=(key.repeat, 0, 0, key.purpose),
+        spawn_key=(repeat, 0, 0, purpose),
     )
     return np.random.default_rng(seq)
 
@@ -55,8 +48,8 @@ def sample_noise(
 
     Variance zero returns exact zeros without consuming the stream.
     """
-    if variance < 0:
-        raise ValueError(f"variance must be >= 0, got {variance}")
+    if not 0 <= variance < math.inf:
+        raise ValueError(f"variance must be >= 0 and finite, got {variance}")
     if variance == 0.0:
         return np.zeros(shape)
     return stream.normal(0.0, math.sqrt(variance), size=shape)

@@ -299,7 +299,7 @@ def _verify_battery(config: RunConfig) -> list[dict]:
             sym == 0.0 and row <= 1e-12 and col <= 1e-12 and rho_err <= 1e-3,
             f"sym={sym:.3g} row={row:.3g} col={col:.3g} rho={mixing.rho:.6g}",
         )
-        report = check_contraction(mixing, mixing.rho, trials=400, seed=7)
+        report = check_contraction(mixing, trials=400, seed=7)
         record(
             f"contraction[{kind}]",
             report.passed,

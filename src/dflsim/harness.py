@@ -51,7 +51,6 @@ from .channel import (
     PURPOSE_CHANNEL_NOISE,
     PURPOSE_DATA_BATCH,
     PURPOSE_INIT,
-    StreamKey,
     derive_stream,
     sample_noise,
 )
@@ -68,7 +67,7 @@ from .theory_checks import (
     step_size_cap,
     tracking_condition,
 )
-from .topology import FULLY_CONNECTED, MixingMatrix, TopologySpec, build_mixing
+from .topology import FULLY_CONNECTED, MixingMatrix, TopologySpec, build_mixing, require_integer
 
 ALGORITHMS = ("fedndl1", "fedndl2", "fedndl3", "fednmut")
 
@@ -105,6 +104,7 @@ class LrSchedule:
     decay_interval: int = 10
 
     def __post_init__(self) -> None:
+        require_integer("decay_interval", self.decay_interval)
         if not 0 < self.eta0 < math.inf:
             raise ValueError(f"eta0 must be > 0 and finite, got {self.eta0}")
         if not 0.0 < self.gamma <= 1.0:
@@ -143,6 +143,8 @@ class RunConfig:
         return self.topology.n
 
     def __post_init__(self) -> None:
+        for name in ("d", "m", "rounds", "repeats", "batch_size", "master_seed"):
+            require_integer(name, getattr(self, name))
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
         if self.x0_mode not in X0_MODES:
@@ -237,7 +239,7 @@ def _start_point(config: RunConfig, setup: Setup, L: float | None = None) -> np.
         outside.append(f"mu={config.mu:.4g} violates mu/(1-mu) <= rho/42 for rho={rho:.4g}")
     for message in outside:
         warnings.warn(f"{message}; running anyway", RuntimeWarning, stacklevel=3)
-    init_stream = derive_stream(StreamKey(config.master_seed, 0, PURPOSE_INIT))
+    init_stream = derive_stream(config.master_seed, 0, PURPOSE_INIT)
     return init_states(config.n, config.d, config.x0_mode, init_stream)
 
 
@@ -252,9 +254,9 @@ def _rounds(
     sizes = [shard.size for shard in problem.shards]
     noise_stream = batch_stream = None
     if config.noise_variance > 0.0:
-        noise_stream = derive_stream(StreamKey(seed, repeat_index, PURPOSE_CHANNEL_NOISE))
+        noise_stream = derive_stream(seed, repeat_index, PURPOSE_CHANNEL_NOISE)
     if config.batch_size < max(sizes):
-        batch_stream = derive_stream(StreamKey(seed, repeat_index, PURPOSE_DATA_BATCH))
+        batch_stream = derive_stream(seed, repeat_index, PURPOSE_DATA_BATCH)
     noises = np.zeros((d, n))  # every round's noise when there is no noise stream
     picks = B = None
     # FedNMUT's last broadcasts and Deltas, zero before the first round

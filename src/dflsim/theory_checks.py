@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Problem
+from .metrics import consensus_error
 from .objective import batch_gradients, gathered_gradients, sample_batches
+from .topology import MixingMatrix
 
 # Power steps per shard in smoothness_lower_bound, and the relative shrink of
 # its quotient: once the steps converge (a rank-1 shard's do at once), rounding
@@ -157,15 +159,14 @@ def estimate_sigma_sq(
 
 
 def estimate_zeta_sq(x_samples: list[np.ndarray], problem: Problem) -> float:
-    """Worst observed client heterogeneity (1/n) sum_i ||grad_i - grad||^2."""
+    """Worst observed client heterogeneity (1/n) sum_i ||grad_i - grad||^2, a consensus_error."""
     if len(x_samples) == 0:
         raise ValueError("x_samples must not be empty")
     n = len(problem.shards)
     worst = 0.0
     for x in x_samples:
         grads = batch_gradients(np.repeat(x[:, None], n, 1), problem)
-        dev = grads - grads.mean(axis=1, keepdims=True)
-        worst = max(worst, float((dev * dev).sum() / n))
+        worst = max(worst, consensus_error(grads))
     return worst
 
 
@@ -183,11 +184,13 @@ def check_bias_zero_mean(
     Simulates the column-mean recursion b_t = mu * b_{t-1} + mean of the
     round's n client noise draws, starting from zero, over independent
     noise sequences. Each coordinate's sample mean after T rounds must
-    sit within 4 standard errors of zero. The variance is reported but
-    not asserted.
+    sit within 4 standard errors of zero; one with no spread, as at zero
+    noise, passes. The variance is reported but not asserted.
     """
     if not 0.0 <= mu < 1.0:
         raise ValueError(f"mu must be in [0, 1), got {mu}")
+    if not 0 <= per_coord_variance < math.inf:
+        raise ValueError(f"per_coord_variance must be >= 0 and finite, got {per_coord_variance}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if d < 1:
@@ -198,22 +201,13 @@ def check_bias_zero_mean(
         raise ValueError(f"trials must be >= 2, got {trials}")
     rng = np.random.default_rng(seed)
     b = np.zeros((trials, d))
-    if per_coord_variance > 0:
-        scale = math.sqrt(per_coord_variance)
-        for _ in range(T):
-            delta_bar = rng.normal(0.0, scale, size=(trials, n, d)).mean(axis=1)
-            b = mu * b + delta_bar
+    scale = math.sqrt(per_coord_variance)
+    for _ in range(T):
+        delta_bar = rng.normal(0.0, scale, size=(trials, n, d)).mean(axis=1)
+        b = mu * b + delta_bar
     means = b.mean(axis=0)
-    if per_coord_variance == 0:
-        return BiasMeanReport(
-            passed=bool(np.all(b == 0.0)),
-            max_abs_mean=float(np.max(np.abs(means))),
-            max_se_ratio=0.0,
-            empirical_variance=0.0,
-            predicted_variance=0.0,
-        )
     ses = b.std(axis=0, ddof=1) / math.sqrt(trials)
-    ratios = np.abs(means) / ses
+    ratios = np.divide(np.abs(means), ses, out=np.zeros(d), where=ses > 0)
     geometric = (1.0 - mu ** (2 * T)) / (1.0 - mu * mu)
     return BiasMeanReport(
         passed=bool(np.all(ratios <= 4.0)),
@@ -282,19 +276,13 @@ def evaluate_theorem_bound(
     return term_init + term_bias + term_sigma + term_zeta + term_noise
 
 
-def check_contraction(
-    mixing,
-    rho: float,
-    trials: int,
-    seed: int,
-) -> ContractionReport:
-    """Check ||(X - Xbar) W||_F^2 <= (1 - rho + 1e-9) ||X - Xbar||_F^2 on random X."""
+def check_contraction(mixing: MixingMatrix, trials: int, seed: int) -> ContractionReport:
+    """Check the mixing's ||(X - Xbar) W||_F^2 <= (1 - rho + 1e-9) ||X - Xbar||_F^2 on random X."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    w = np.asarray(getattr(mixing, "weights", mixing), dtype=float)
-    n = w.shape[0]
+    n = len(mixing.weights)
     rng = np.random.default_rng(seed)
-    allowed = 1.0 - rho + 1e-9
+    allowed = 1.0 - mixing.rho + 1e-9
     max_ratio = 0.0
     for _ in range(trials):
         X = rng.standard_normal((_CONTRACTION_DIM, n))
@@ -302,6 +290,6 @@ def check_contraction(
         denom = float((dev * dev).sum())
         if denom == 0.0:
             continue
-        mixed = dev @ w
+        mixed = dev @ mixing.weights
         max_ratio = max(max_ratio, float((mixed * mixed).sum()) / denom)
     return ContractionReport(passed=max_ratio <= allowed, max_ratio=max_ratio, allowed=allowed)

@@ -31,6 +31,13 @@ FULLY_CONNECTED = "fully_connected"
 KINDS = (RING, TORUS, FULLY_CONNECTED)
 
 
+# harness checks its config fields with this too; it sits here because harness imports topology
+def require_integer(name: str, value) -> None:
+    """Raise a TypeError naming the field unless value is an int or numpy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """Which communication graph to build and for how many clients."""
@@ -39,6 +46,7 @@ class TopologySpec:
     n: int
 
     def __post_init__(self) -> None:
+        require_integer("n", self.n)
         if self.kind not in KINDS:
             raise ValueError(f"unknown topology kind {self.kind!r}, expected one of {KINDS}")
         if self.kind == RING and self.n < 3:

@@ -301,22 +301,42 @@ def test_flag_not_taken_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, n
     assert os.listdir(tmp_path) == []
 
 
-def test_readme_commands_parse():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```bash\n(.*?)```", readme, flags=re.DOTALL)
-    commands = [
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every dflsim line in README's bash blocks, continuations joined."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.DOTALL)
+    return [
         shlex.split(line, comments=True)[1:]
         for block in blocks
         for line in block.replace("\\\n", " ").splitlines()
         if line.startswith("dflsim ")
     ]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
     assert {argv[0] for argv in commands} == {"run", "sweep", "verify", "rate"}
     for argv in commands:
         build_parser().parse_args(argv)
 
 
+def test_readme_config_example_resolves(tmp_path, monkeypatch):
+    readme = README.read_text(encoding="utf-8")
+    example = re.search(r"```\n(# exp\.cfg\n.*?)```", readme, flags=re.DOTALL).group(1)
+    monkeypatch.chdir(tmp_path)
+    Path("exp.cfg").write_text(example, encoding="utf-8")
+    values = {"algorithm": "fednmut", "topology": "torus", "noise_var": "0.005", "lr0": 0.1}
+    assert read_config_file("exp.cfg") == values
+    [argv] = [argv for argv in readme_commands() if "--config" in argv]
+    config = config_from_options(resolve_options(build_parser().parse_args(argv)))
+    assert config.topology.kind == "torus" and config.noise_variance == 0.005
+    assert (config.algorithm, config.lr.eta0, config.master_seed) == ("fednmut", 0.1, 7)
+
+
 def test_readme_lower_level_names_exist():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     paragraph = re.search(r"Lower-level pieces.*?(?:\n\n|\Z)", readme, flags=re.DOTALL).group(0)
     names = []
     for span in re.findall(r"`([^`]+)`", paragraph):

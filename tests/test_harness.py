@@ -18,7 +18,6 @@ from dflsim.channel import (
     PURPOSE_CHANNEL_NOISE,
     PURPOSE_DATA_BATCH,
     PURPOSE_INIT,
-    StreamKey,
     derive_stream,
     sample_noise,
 )
@@ -421,6 +420,37 @@ class TestRunAveraged:
         with pytest.raises(ValueError, match=f"fednmut config, got algorithm '{algorithm}'"):
             bound_sanity(small_config(algorithm=algorithm, rounds=60))
 
+    @pytest.mark.parametrize("value", [5.0, 5.5, True], ids=["integral-float", "float", "bool"])
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            *[
+                (name, lambda v, name=name: small_config(**{name: v}))
+                for name in ("d", "m", "rounds", "repeats", "batch_size", "master_seed")
+            ],
+            ("decay_interval", lambda v: LrSchedule(decay_interval=v)),
+            ("n", lambda v: TopologySpec(RING, v)),
+        ],
+        ids=["d", "m", "rounds", "repeats", "batch_size", "master_seed", "decay_interval", "n"],
+    )
+    def test_integer_field_rejects_non_integer_when_built(self, no_setup, field, build, value):
+        with pytest.raises(TypeError, match=rf"^{field} must be an integer, got {value!r}$"):
+            build(value)
+
+    def test_numpy_integer_fields_run_as_python_ints(self):
+        counts = dict(d=10, m=80, rounds=5, repeats=2, batch_size=8, master_seed=5)
+        expected = run_averaged(small_config(**counts)).columns
+        harness._problem.cache_clear()  # set-up, too, sees the numpy integers
+        config = small_config(
+            **{name: np.int64(value) for name, value in counts.items()},
+            topology=TopologySpec(RING, np.int64(4)),
+            lr=LrSchedule(eta0=0.05, gamma=0.9, decay_interval=np.int64(10)),
+        )
+        columns = run_averaged(config).columns
+        assert {k: v.tolist() for k, v in columns.items()} == {
+            k: v.tolist() for k, v in expected.items()
+        }
+
     @pytest.mark.parametrize("repeats", [1, 3])
     def test_every_column_is_the_mean_or_std_of_the_repeats(self, repeats):
         config = small_config(algorithm="fednmut", repeats=repeats, rounds=12)
@@ -510,9 +540,9 @@ class TestStreams:
     def keys_of_run(self, monkeypatch, **overrides):
         keys = []
 
-        def recording(key):
+        def recording(*key):
             keys.append(key)
-            return derive_stream(key)
+            return derive_stream(*key)
 
         monkeypatch.setattr(harness, "derive_stream", recording)
         run_averaged(small_config(**overrides))
@@ -522,20 +552,18 @@ class TestStreams:
         # the shared initial point is drawn once per run_averaged call
         keys = self.keys_of_run(monkeypatch, algorithm="fednmut", rounds=5, repeats=3)
         purposes = (PURPOSE_CHANNEL_NOISE, PURPOSE_DATA_BATCH)
-        assert keys == [StreamKey(5, 0, PURPOSE_INIT)] + [
-            StreamKey(5, r, p) for r in range(3) for p in purposes
-        ]
+        assert keys == [(5, 0, PURPOSE_INIT)] + [(5, r, p) for r in range(3) for p in purposes]
 
     def test_all_capped_round_derives_no_batch_stream(self, monkeypatch):
         # 80 rows over 4 clients: 20 per shard, all at or under the batch size
         keys = self.keys_of_run(monkeypatch, batch_size=20, repeats=1)
-        assert [k.purpose for k in keys] == [PURPOSE_INIT, PURPOSE_CHANNEL_NOISE]
+        assert [purpose for *_, purpose in keys] == [PURPOSE_INIT, PURPOSE_CHANNEL_NOISE]
         keys = self.keys_of_run(monkeypatch, batch_size=20, noise_variance=0.0, repeats=1)
-        assert [k.purpose for k in keys] == [PURPOSE_INIT]
+        assert [purpose for *_, purpose in keys] == [PURPOSE_INIT]
 
     def test_noise_free_run_derives_no_noise_stream(self, monkeypatch):
         keys = self.keys_of_run(monkeypatch, noise_variance=0.0, repeats=1)
-        assert [k.purpose for k in keys] == [PURPOSE_INIT, PURPOSE_DATA_BATCH]
+        assert [purpose for *_, purpose in keys] == [PURPOSE_INIT, PURPOSE_DATA_BATCH]
 
     def test_rounds_draw_in_order_from_the_repeat_streams(self, monkeypatch):
         noises, keys = [], []
@@ -551,8 +579,8 @@ class TestStreams:
         monkeypatch.setattr(harness, "sample_noise", noise)
         monkeypatch.setattr(harness, "sample_batches", batches)
         run_detailed(small_config(algorithm="fednmut", rounds=5), 1)
-        noise_stream = derive_stream(StreamKey(5, 1, PURPOSE_CHANNEL_NOISE))
-        batch_stream = derive_stream(StreamKey(5, 1, PURPOSE_DATA_BATCH))
+        noise_stream = derive_stream(5, 1, PURPOSE_CHANNEL_NOISE)
+        batch_stream = derive_stream(5, 1, PURPOSE_DATA_BATCH)
         # a generator fills an array in order, so one draw of all rounds equals the per-round draws
         assert np.array_equal(noises, noise_stream.normal(0.0, np.sqrt(0.005), (5, 4, 10)))
         assert np.array_equal(keys, batch_stream.random((5, 4, 20)))
@@ -560,13 +588,13 @@ class TestStreams:
     def test_bound_sanity_derives_the_init_stream_once(self, monkeypatch):
         keys = []
 
-        def recording(key):
+        def recording(*key):
             keys.append(key)
-            return derive_stream(key)
+            return derive_stream(*key)
 
         monkeypatch.setattr(harness, "derive_stream", recording)
         bound_sanity(small_config(algorithm="fednmut", rounds=60, noise_variance=0.0))
-        assert [k.purpose for k in keys] == [PURPOSE_INIT, PURPOSE_DATA_BATCH]
+        assert [purpose for *_, purpose in keys] == [PURPOSE_INIT, PURPOSE_DATA_BATCH]
 
     @pytest.mark.parametrize("x0_mode", ["zeros", "shared_random", "independent_random"])
     def test_bound_sanity_samples_the_initial_point(self, monkeypatch, x0_mode):
@@ -582,7 +610,7 @@ class TestStreams:
         if x0_mode == "zeros":
             expected = np.zeros(config.d)
         else:  # client 0's start is the init stream's first draw
-            expected = derive_stream(StreamKey(5, 0, PURPOSE_INIT)).standard_normal(config.d)
+            expected = derive_stream(5, 0, PURPOSE_INIT).standard_normal(config.d)
         assert samples[0][0].tolist() == expected.tolist()
 
     def test_ragged_shards_with_mixed_cap(self, monkeypatch):

@@ -17,7 +17,7 @@ from dflsim.theory_checks import (
     evaluate_theorem_bound,
     smoothness_lower_bound,
 )
-from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
+from dflsim.topology import FULLY_CONNECTED, RING, MixingMatrix, TopologySpec, build_mixing
 from oracles import stochastic_gradient, tiny_dataset
 
 
@@ -226,6 +226,12 @@ class TestBiasZeroMean:
         with pytest.raises(ValueError):
             check_bias_zero_mean(1.0, 0.01, n=2, d=2, T=5, trials=10, seed=0)
 
+    @pytest.mark.parametrize("variance", [-0.1, np.nan, np.inf])
+    def test_negative_or_non_finite_variance_rejected(self, variance):
+        message = rf"^per_coord_variance must be >= 0 and finite, got {variance}$"
+        with pytest.raises(ValueError, match=message):
+            check_bias_zero_mean(0.5, variance, n=4, d=3, T=20, trials=100, seed=0)
+
 
 @pytest.mark.parametrize(
     "check, message",
@@ -236,7 +242,7 @@ class TestBiasZeroMean:
         (lambda rng: estimate_sigma_sq([], None, 1, rng, draws=-3), "draws must be >= 1"),
         (lambda _: estimate_zeta_sq([], None), "x_samples must not be"),
         (lambda rng: estimate_sigma_sq([], None, 1, rng), "x_samples must"),
-        (lambda _: check_contraction(np.eye(4), 0.1, trials=0, seed=0), "trials must be >= 1"),
+        (lambda _: check_contraction(MixingMatrix(np.eye(4), 0.1), trials=0, seed=0), "trials must be >= 1"),
         (lambda _: check_bias_zero_mean(0.0, 0.1, 4, 2, T=5, trials=1, seed=0), "trials must be >= 2"),
         (lambda _: check_bias_zero_mean(0.0, 0.1, 4, 2, T=0, trials=9, seed=0), "T must be >= 1"),
         (lambda _: check_bias_zero_mean(0.0, 0.1, 0, 2, T=5, trials=9, seed=0), "n must be >= 1"),
@@ -294,18 +300,18 @@ class TestTheoremBound:
 class TestContraction:
     def test_fully_connected_annihilates_deviation(self):
         mixing = build_mixing(TopologySpec(FULLY_CONNECTED, 16))
-        report = check_contraction(mixing, mixing.rho, trials=200, seed=0)
+        report = check_contraction(mixing, trials=200, seed=0)
         assert report.passed
         assert report.max_ratio <= 1e-25
 
     def test_identity_fixture_fails_any_positive_rho(self):
-        report = check_contraction(np.eye(8), 0.1, trials=50, seed=1)
+        report = check_contraction(MixingMatrix(np.eye(8), 0.1), trials=50, seed=1)
         assert not report.passed
         assert report.max_ratio == pytest.approx(1.0)
 
     def test_ring_bound_and_tightness_witness(self):
         mixing = build_mixing(TopologySpec(RING, 16))
-        report = check_contraction(mixing, mixing.rho, trials=1000, seed=2)
+        report = check_contraction(mixing, trials=1000, seed=2)
         assert report.passed
         # rows aligned with the second eigenvector achieve the bound
         deflated = mixing.weights - np.full((16, 16), 1.0 / 16.0)
