@@ -22,6 +22,7 @@ from .harness import (
     LrSchedule,
     RunConfig,
     RunResult,
+    analysis_regime,
     bound_sanity,
     eta_at,
     rate_fit,
@@ -56,6 +57,7 @@ __all__ = [
     "RunResult",
     "Shard",
     "TopologySpec",
+    "analysis_regime",
     "batch_gradients",
     "bound_sanity",
     "build_mixing",

@@ -16,6 +16,7 @@ from .harness import (
     DegenerateSeriesError,
     LrSchedule,
     RunConfig,
+    analysis_regime,
     bound_sanity,
     cell_id,
     rate_fit,
@@ -213,11 +214,19 @@ def _bad_input(args: argparse.Namespace):
         raise SystemExit(2) from None
 
 
+def _report_regimes(*configs: RunConfig) -> None:
+    """Each config's analysis_regime as one stderr line: dflsim: <cell_id>: k=v ..."""
+    for config in configs:
+        facts = " ".join(f"{key}={value:.6g}" for key, value in analysis_regime(config).items())
+        sys.stderr.write(f"dflsim: {cell_id(config)}: {facts}\n")
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     with _bad_input(args):
         opts = resolve_options(args)
         config = config_from_options(opts)
         os.makedirs(opts["out"], exist_ok=True)
+    _report_regimes(config)
     avg = run_averaged(config)
     path = os.path.join(opts["out"], cell_id(config) + ".csv")
     write_cell_csv(path, avg)
@@ -237,8 +246,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         axes = _sweep_axes(opts)
         template = _template(opts, axes)
         axes = {k: v for k, v in axes.items() if len(v) > 1}
-        sweep_cells(template, axes)
+        cells = sweep_cells(template, axes)
         os.makedirs(opts["out"], exist_ok=True)
+    _report_regimes(*cells.values())
     rows = sweep(template, axes, opts["out"])
     print(f"wrote {len(rows)} cells + manifest.csv under {opts['out']}")
     return 0

@@ -22,8 +22,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     true_w: np.ndarray
-    label_noise_variance: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -58,15 +56,7 @@ def generate(m: int, d: int, label_noise_variance: float, seed: int) -> Dataset:
     labels = features @ true_w
     if label_noise_variance > 0:
         labels = labels + rng.normal(0.0, math.sqrt(label_noise_variance), size=m)
-    return Dataset(
-        m=m,
-        d=d,
-        features=features,
-        labels=labels,
-        true_w=true_w,
-        label_noise_variance=label_noise_variance,
-        seed=seed,
-    )
+    return Dataset(m=m, d=d, features=features, labels=labels, true_w=true_w)
 
 
 def partition_iid(dataset: Dataset, n: int) -> list[Shard]:

@@ -1,19 +1,21 @@
 """Experiment driver: single runs, seed-averaged repeats, sweeps, CSV output.
 
 A run is fully determined by its config and master seed. Random streams
-follow stream layout 3: each repeat derives at most two, one per purpose,
-keyed by (repeat, purpose), and every round draws from each, in round
-order, one block whose row i belongs to client i: an n x d channel-noise
-block (no stream at noise 0) and the minibatch keys of sample_batches (no
-stream when every client takes its whole shard). Each round's gradients
-are one batch_gradients call. Results do not depend on scheduling and
-re-runs are byte-identical. Metrics row t records the state after round
-t's update; a leading row at t = -1 records the common initial state.
+follow stream layout 3: each repeat draws its x0 from the init stream of key
+(master_seed, 0, init), the same in every repeat, and derives at most two
+round streams, one per purpose, keyed by (repeat, purpose). Every round draws
+from each, in round order, one block whose row i belongs to client i: an
+n x d channel-noise block (no stream at noise 0) and the minibatch keys of
+sample_batches (no stream when every client takes its whole shard). Each
+round's gradients are one batch_gradients call. Results do not depend on
+scheduling and re-runs are byte-identical. Metrics row t records the state
+after round t's update; a leading row at t = -1 records the common initial state.
 
 Results are named arrays: METRICS lists each per-round metric once, and
 the CSV columns, both result types and the averaging derive from it.
 _setup builds every run's set-up from its config alone; runs on one problem share it.
-bound_sanity checks one run against the convergence theorem's bound.
+analysis_regime records a config against the convergence theorem's conditions,
+and bound_sanity checks one run against the theorem's bound.
 
 The generator _rounds alone steps rounds: it owns a repeat's streams,
 each round's gradients and the rule dispatch. No rule writes into its
@@ -31,7 +33,6 @@ import functools
 import itertools
 import math
 import os
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -190,10 +191,11 @@ class Setup:
 
 @dataclass
 class RunResult:
-    """Per-state arrays ("round", "eta", each of METRICS), and fednmut's ||B_t||_F^2 / n."""
+    """Per-state arrays ("round", "eta", each of METRICS), fednmut's ||B_t||_F^2 / n, and x0."""
 
     metrics: dict[str, np.ndarray]
     bias_sq: list[float]
+    x0: np.ndarray
 
 
 @dataclass
@@ -221,36 +223,34 @@ def _setup(config: RunConfig) -> Setup:
     return Setup(problem, smoothness_lower, build_mixing(config.topology))
 
 
-def _start_point(config: RunConfig, setup: Setup, L: float | None = None) -> np.ndarray:
-    """Warn if config is outside the analysis; return the x0 that all repeats share."""
-    eta0, rho = config.lr.eta0, setup.mixing.rho
-    # L, if given, is exact. The cap falls as L grows, so the lower bound's
-    # cap is at least the exact one: a step above it is outside either way.
-    cap = step_size_cap(setup.smoothness_lower, rho)
-    note = " (an upper bound, from a lower bound on L)"
-    if eta0 <= cap:
-        L = estimate_smoothness(setup.problem) if L is None else L
-        cap, note = step_size_cap(L, rho), ""
-    outside = []
-    if eta0 > cap:
-        outside.append(f"eta0={eta0:.4g} exceeds the analyzed step-size cap {cap:.4g}{note}")
-    ratio, limit = tracking_condition(config.mu, rho)
-    if config.algorithm == "fednmut" and ratio > limit:
-        outside.append(f"mu={config.mu:.4g} violates mu/(1-mu) <= rho/42 for rho={rho:.4g}")
-    for message in outside:
-        warnings.warn(f"{message}; running anyway", RuntimeWarning, stacklevel=3)
+def analysis_regime(config: RunConfig) -> dict[str, float]:
+    """config against the theorem's conditions, read from its set-up; no exact L is computed.
+
+    eta_cap is the step-size cap at L_lo = smoothness_lower_bound, so an upper
+    bound on the exact cap; mu_ratio <= mu_limit is tracking_condition.
+    """
+    setup = _setup(config)
+    L_lo, rho = setup.smoothness_lower, setup.mixing.rho
+    mu_ratio, mu_limit = tracking_condition(config.mu, rho)
+    return dict(L_lo=L_lo, rho=rho, eta0=config.lr.eta0, eta_cap=step_size_cap(L_lo, rho),
+                mu_ratio=mu_ratio, mu_limit=mu_limit)
+
+
+def _start_point(config: RunConfig) -> np.ndarray:
+    """The x0 of every repeat: one draw from the stream of key (master_seed, 0, init)."""
     init_stream = derive_stream(config.master_seed, 0, PURPOSE_INIT)
     return init_states(config.n, config.d, config.x0_mode, init_stream)
 
 
 def _rounds(
-    config: RunConfig, repeat_index: int, setup: Setup, x0: np.ndarray
+    config: RunConfig, repeat_index: int, setup: Setup
 ) -> Iterator[tuple[int, float, np.ndarray, np.ndarray | None]]:
     """Yield (t, eta, X, B) at the start (t = -1, round 0's eta) and after each round t.
 
     B is fednmut's d x n correction, else None. No yielded X is written again.
     """
     problem, n, d, seed = setup.problem, config.n, config.d, config.master_seed
+    X = _start_point(config)
     sizes = [shard.size for shard in problem.shards]
     noise_stream = batch_stream = None
     if config.noise_variance > 0.0:
@@ -260,7 +260,7 @@ def _rounds(
     noises = np.zeros((d, n))  # every round's noise when there is no noise stream
     picks = B = None
     # FedNMUT's last broadcasts and Deltas, zero before the first round
-    X, y_tilde, delta = x0, np.zeros((d, n)), np.zeros((d, n))
+    y_tilde, delta = np.zeros((d, n)), np.zeros((d, n))
     rules = {"fedndl1": round_fedndl1, "fedndl2": round_fedndl2, "fedndl3": round_fedndl3}
 
     def grads(Z: np.ndarray) -> np.ndarray:  # at the current round's picks
@@ -281,18 +281,15 @@ def _rounds(
         yield t, eta, X, B
 
 
-def run_detailed(config: RunConfig, repeat_index: int, x0: np.ndarray | None = None) -> RunResult:
-    """One simulated run, bit-reproducible per (config, repeat_index).
-
-    A given x0 must be _start_point(config, _setup(config)), with the
-    warnings decided then.
-    """
+def run_detailed(config: RunConfig, repeat_index: int) -> RunResult:
+    """One simulated run, bit-reproducible per (config, repeat_index)."""
     setup = _setup(config)
-    x0 = _start_point(config, setup) if x0 is None else x0
     block = np.empty((METRICS_BLOCK, config.n, config.d))
     values: list[tuple[np.ndarray, ...]] = []  # measure_block's output per block
     etas, bias_sq = [], []  # per state; per fednmut round, ||B||_F^2 / n
-    for t, eta, X, B in _rounds(config, repeat_index, setup, x0):
+    for t, eta, X, B in _rounds(config, repeat_index, setup):
+        if t < 0:
+            x0 = X  # no later round writes it
         k = (t + 1) % METRICS_BLOCK
         block[k] = X.T
         if k == METRICS_BLOCK - 1 or t == config.rounds - 1:
@@ -306,13 +303,12 @@ def run_detailed(config: RunConfig, repeat_index: int, x0: np.ndarray | None = N
     metrics = {"round": np.arange(-1, config.rounds), "eta": np.array(etas)}
     for name, *parts in zip(METRICS, *values):
         metrics[name] = np.concatenate(parts)[: len(etas)]
-    return RunResult(metrics=metrics, bias_sq=bias_sq)
+    return RunResult(metrics=metrics, bias_sq=bias_sq, x0=x0)
 
 
 def run_averaged(config: RunConfig) -> AveragedResult:
     """Each metric's mean and sample standard deviation per round across repeats."""
-    x0 = _start_point(config, _setup(config))
-    per_repeat = [run_detailed(config, r, x0).metrics for r in range(config.repeats)]
+    per_repeat = [run_detailed(config, r).metrics for r in range(config.repeats)]
     columns = {"round": per_repeat[0]["round"], "eta": per_repeat[0]["eta"]}
     for name, stats in METRICS.items():
         vals = np.array([rep[name] for rep in per_repeat])
@@ -373,14 +369,13 @@ def bound_sanity(config: RunConfig) -> BoundSanity:
     L = estimate_smoothness(problem)
     eta = step_size_cap(L, rho) / 2.0
     config = replace(config, lr=LrSchedule(eta0=eta, gamma=1.0, decay_interval=1))
-    x0 = _start_point(config, setup, L)
-    result = run_detailed(config, 0, x0)
+    result = run_detailed(config, 0)
     # entry k is the state entering round k
     grad_series = result.metrics["grad_norm_sq"][:-1]
 
     x_star, f_star = ridge_optimum(problem.dataset, problem.lam)
     rng = np.random.default_rng(1234)
-    x_samples = [x0[:, 0].copy(), x_star, rng.standard_normal(config.d)]
+    x_samples = [result.x0[:, 0].copy(), x_star, rng.standard_normal(config.d)]
     consts = ConstantsEstimate(
         L=L,
         sigma_sq=estimate_sigma_sq(x_samples, problem, config.batch_size, rng),

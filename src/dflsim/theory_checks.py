@@ -4,10 +4,10 @@ The estimators here turn the analysis constants of a Problem into
 measurable quantities: smoothness L, gradient-noise variance sigma^2,
 client heterogeneity zeta^2. L is exact to rounding: per shard, the Gram on
 the shard's smaller side k = min(rows, d) is formed once and its
-largest eigenvalue is solved densely. Runs need L only to decide the
-step-size warning, so they start from smoothness_lower_bound, a few
-matrix-free power steps whose Rayleigh quotient can only fall below L,
-and compute the exact L only when that bound cannot decide. The sigma^2 and
+largest eigenvalue is solved densely; only bound_sanity and verify need
+it. Runs use only smoothness_lower_bound, a few matrix-free power steps
+whose Rayleigh quotient can only fall below L, for the record of their
+analysis regime (harness.analysis_regime). The sigma^2 and
 zeta^2 values are maxima over sampled points, so they are estimated
 lower envelopes of the assumed uniform bounds, and the worst-case bound
 evaluation built on them is a sanity check rather than a certificate.
@@ -88,7 +88,8 @@ def estimate_smoothness(problem: Problem) -> float:
     F^T F). It is no larger than F, only one is alive at a time, and it is
     solved densely by eigvalsh; an all-zero shard gives 0. The value depends
     on the problem only, so callers running several configs on one problem
-    compute it once. Runs need only smoothness_lower_bound.
+    compute it once. Only bound_sanity and verify call it; runs use only
+    smoothness_lower_bound, for their analysis_regime record.
     """
     worst = 0.0
     for shard in problem.shards:

@@ -44,9 +44,7 @@ def tiny_dataset(features, labels) -> Dataset:
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     m, d = features.shape
-    return Dataset(
-        m=m, d=d, features=features, labels=labels, true_w=np.zeros(d), label_noise_variance=0.0, seed=0
-    )
+    return Dataset(m=m, d=d, features=features, labels=labels, true_w=np.zeros(d))
 
 
 def _shard_view(shard: Shard, dataset: Dataset):

@@ -21,8 +21,6 @@ from dflsim.topology import FULLY_CONNECTED, RING, TORUS, TopologySpec, build_mi
 from oracles import ClientState, init_network_state, round_fednmut, round_fednmut_matrix, stack_states
 from oracles import finite_difference_gradient
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 DESK_D = 200
 DESK_M = 2000
 N = 16

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,15 @@ from dflsim.cli import (
     read_config_file,
     resolve_options,
 )
-from dflsim.harness import RunConfig, rate_fit, run_averaged
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+from dflsim.harness import (
+    RunConfig,
+    analysis_regime,
+    cell_id,
+    rate_fit,
+    run_averaged,
+    write_cell_csv,
+)
+from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec
 
 TINY = [
     "--clients", "4", "--dim", "8", "--samples", "40", "--rounds", "10",
@@ -52,6 +59,36 @@ def test_run_writes_csv(tmp_path, capsys):
     assert files == ["fedndl3_ring_var0_mu0.02.csv"]
     header = (tmp_path / files[0]).read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("round,eta,loss_mean")
+
+
+def regime_line(config):
+    facts = " ".join(f"{key}={value:.6g}" for key, value in analysis_regime(config).items())
+    return f"dflsim: {cell_id(config)}: {facts}"
+
+
+def test_run_reports_its_analysis_regime_on_one_stderr_line(tmp_path, capsys):
+    argv = ["run", "--algorithm", "fednmut", "--topology", "ring", *TINY]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    [line] = capsys.readouterr().err.splitlines()
+    config = config_from_options(resolve_options(build_parser().parse_args(argv)))
+    assert line == regime_line(config)
+    keys = re.findall(r" (\w+)=", line)
+    assert keys == ["L_lo", "rho", "eta0", "eta_cap", "mu_ratio", "mu_limit"]
+    # the line goes to stderr only: the CSV is the library run's, byte for byte
+    write_cell_csv(tmp_path / "library.csv", run_averaged(config))
+    [written] = (tmp_path / "a").glob("*.csv")
+    assert written.read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
+def test_sweep_reports_one_regime_line_per_cell(tmp_path, capsys):
+    argv = ["sweep", "--topology", "ring,full", *TINY, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    template = config_from_options(resolve_options(build_parser().parse_args(["run", *TINY])))
+    expected = [
+        regime_line(replace(template, topology=TopologySpec(kind, 4)))
+        for kind in (RING, FULLY_CONNECTED)
+    ]
+    assert capsys.readouterr().err.splitlines() == expected
 
 
 def test_sweep_comma_lists(tmp_path):
@@ -123,6 +160,7 @@ def test_rate_names_a_missing_column(tmp_path, capsys):
 
 def test_rate_names_a_series_too_short_to_fit(tmp_path, capsys):
     assert main(["run", *TINY, "--out", str(tmp_path)]) == 0  # 10 rounds
+    capsys.readouterr()  # the run's own output
     [path] = tmp_path.glob("*.csv")
     assert_exits_2_naming(capsys, ["rate", "--csv", str(path)],
                           rf"{re.escape(str(path))}: need a series of at least 50 rounds, got 10")

@@ -4,7 +4,6 @@ import dataclasses
 import math
 import os
 import re
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,11 +42,10 @@ from dflsim.theory_checks import (
     estimate_zeta_sq,
     smoothness_lower_bound,
     step_size_cap,
+    tracking_condition,
 )
-from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec, build_mixing
+from dflsim.topology import FULLY_CONNECTED, RING, TORUS, TopologySpec, build_mixing
 from oracles import client_picks, metrics_row, stochastic_gradient, tiny_dataset
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 BLOCK = harness.METRICS_BLOCK
 
@@ -200,75 +198,50 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="x0"):
             run_detailed(small_config(x0_mode="hot"), 0)
 
-    @pytest.mark.parametrize(
-        "overrides, phrase, warned",
-        [
-            (dict(lr=LrSchedule(eta0=1.0)), "exceeds the analyzed step-size cap", True),
-            (dict(lr=LrSchedule(eta0=1e-4)), "exceeds the analyzed step-size cap", False),
-            (dict(algorithm="fednmut", topology=TopologySpec(RING, 8), mu=0.02), "rho/42", True),
-            (dict(algorithm="fedndl1", topology=TopologySpec(RING, 8), mu=0.02), "rho/42", False),
-        ],
-        ids=["eta0-above-cap", "eta0-below-cap", "fednmut-mu", "fedndl1-mu"],
-    )
-    def test_outside_theory_warnings(self, overrides, phrase, warned):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_detailed(small_config(rounds=1, **overrides), 0)
-        assert any(phrase in str(w.message) for w in caught) == warned
-
-    @pytest.mark.parametrize(
-        "where, warned", [(0.5, True), (0.0, False)], ids=["eta0-between-caps", "eta0-at-cap"]
-    )
-    def test_step_the_lower_bound_cannot_place_uses_exact_smoothness(
-        self, monkeypatch, where, warned
-    ):
-        config = small_config(rounds=1)
-        problem = problem_of(config)
+    @pytest.mark.parametrize("kind", [RING, TORUS, FULLY_CONNECTED])
+    def test_analysis_regime_reads_the_lower_bound_and_the_mixing(self, monkeypatch, kind):
+        monkeypatch.setattr(harness, "estimate_smoothness", None)  # a call would fail
+        config = small_config(algorithm="fednmut", topology=TopologySpec(kind, 9), mu=0.01)
+        lower = smoothness_lower_bound(problem_of(config))
         rho = build_mixing(config.topology).rho
-        cap = step_size_cap(estimate_smoothness(problem), rho)
-        cap_above = step_size_cap(smoothness_lower_bound(problem), rho)
-        assert cap < cap_above
+        mu_ratio, mu_limit = tracking_condition(0.01, rho)
+        assert harness.analysis_regime(config) == {
+            "L_lo": lower,
+            "rho": rho,
+            "eta0": 0.05,
+            "eta_cap": step_size_cap(lower, rho),
+            "mu_ratio": mu_ratio,
+            "mu_limit": mu_limit,
+        }
+
+    def test_run_inside_the_lower_bound_cap_computes_no_exact_smoothness(self, monkeypatch):
+        config = small_config(algorithm="fednmut", repeats=3, rounds=20)
+        eta_cap = harness.analysis_regime(config)["eta_cap"]
+        config = replace(config, lr=LrSchedule(eta0=eta_cap / 2))
         calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return estimate_smoothness(*args)
-
-        monkeypatch.setattr(harness, "estimate_smoothness", counting)
-        config = replace(config, lr=LrSchedule(eta0=cap + where * (cap_above - cap)))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_detailed(config, 0)
-        messages = [str(w.message) for w in caught]
-        assert any("exceeds the analyzed step-size cap" in m for m in messages) == warned
-        assert len(calls) == 1
-
-    def test_warnings_decided_once_per_call(self, monkeypatch):
-        # eta0 = 1e-4 is under the lower bound's cap, so deciding needs the exact L
-        config = small_config(algorithm="fednmut", lr=LrSchedule(eta0=1e-4), repeats=3, rounds=60)
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return estimate_smoothness(*args)
-
-        monkeypatch.setattr(harness, "estimate_smoothness", counting)
+        monkeypatch.setattr(harness, "estimate_smoothness", lambda *args: calls.append(args))
         run_averaged(config)
-        assert len(calls) == 1
-        calls.clear()
-        bound_sanity(config)
+        assert calls == []
+
+    def test_bound_sanity_computes_the_exact_smoothness_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return estimate_smoothness(*args)
+
+        monkeypatch.setattr(harness, "estimate_smoothness", counting)
+        bound_sanity(small_config(algorithm="fednmut", repeats=3, rounds=60))
         assert len(calls) == 1
 
     def test_zero_smoothness_is_inside_every_cap(self, monkeypatch):
-        # lam = 0 and all-zero features: L = L_lo = 0, and no cap divides by it
+        # lam = 0 and all-zero features: L_lo = 0, and no cap divides by it
         config = small_config(rounds=2, lam=0.0, noise_variance=0.0)
         zeros = tiny_dataset(np.zeros((config.m, config.d)), np.zeros(config.m))
         monkeypatch.setattr(harness, "generate", lambda *args: zeros)
-        assert harness._setup(config).smoothness_lower == 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = run_detailed(config, 0).metrics
-        assert rows["loss"].tolist() == [0.0] * 3
+        regime = harness.analysis_regime(config)
+        assert (regime["L_lo"], regime["eta_cap"]) == (0.0, math.inf)
+        assert run_detailed(config, 0).metrics["loss"].tolist() == [0.0] * 3
 
 
 class TestBlockMetrics:
@@ -327,9 +300,7 @@ class TestRounds:
     def test_yields_the_states_run_detailed_records(self, monkeypatch, algorithm):
         # a ring with channel noise and sampled batches (8 of each client's 20 rows)
         config = small_config(algorithm=algorithm, rounds=BLOCK + 3, repeats=1)
-        setup = harness._setup(config)
-        x0 = harness._start_point(config, setup)
-        yielded = list(harness._rounds(config, 1, setup, x0))  # kept without copying
+        yielded = list(harness._rounds(config, 1, harness._setup(config)))  # kept without copying
         ts = list(range(-1, config.rounds))
         assert [t for t, *_ in yielded] == ts
         assert [eta for _, eta, *_ in yielded] == [eta_at(config.lr, max(t, 0)) for t in ts]
@@ -343,7 +314,7 @@ class TestRounds:
             return measure_block(S, problem)
 
         monkeypatch.setattr(harness, "measure_block", recording)
-        result = run_detailed(config, 1, x0)
+        result = run_detailed(config, 1)
         assert len(recorded) == 2 * BLOCK  # BLOCK + 4 states: one full block, one padded
         for (t, _, X, _), state in zip(yielded, recorded):
             assert np.array_equal(X.T, state), t
@@ -549,10 +520,12 @@ class TestStreams:
         return keys
 
     def test_one_stream_per_repeat_and_purpose(self, monkeypatch):
-        # the shared initial point is drawn once per run_averaged call
+        # each repeat draws its initial point from the one init key, repeat 0's
         keys = self.keys_of_run(monkeypatch, algorithm="fednmut", rounds=5, repeats=3)
         purposes = (PURPOSE_CHANNEL_NOISE, PURPOSE_DATA_BATCH)
-        assert keys == [(5, 0, PURPOSE_INIT)] + [(5, r, p) for r in range(3) for p in purposes]
+        assert keys == [
+            key for r in range(3) for key in [(5, 0, PURPOSE_INIT)] + [(5, r, p) for p in purposes]
+        ]
 
     def test_all_capped_round_derives_no_batch_stream(self, monkeypatch):
         # 80 rows over 4 clients: 20 per shard, all at or under the batch size
@@ -594,7 +567,7 @@ class TestStreams:
 
         monkeypatch.setattr(harness, "derive_stream", recording)
         bound_sanity(small_config(algorithm="fednmut", rounds=60, noise_variance=0.0))
-        assert [purpose for *_, purpose in keys] == [PURPOSE_INIT, PURPOSE_DATA_BATCH]
+        assert keys == [(5, 0, PURPOSE_INIT), (5, 0, PURPOSE_DATA_BATCH)]  # x0 is the run's own
 
     @pytest.mark.parametrize("x0_mode", ["zeros", "shared_random", "independent_random"])
     def test_bound_sanity_samples_the_initial_point(self, monkeypatch, x0_mode):
@@ -779,8 +752,7 @@ class TestSweep:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(harness, name, counting)
-        # eta0 = 0.05 is above the lower bound's cap on both graphs, so the
-        # lower bound alone decides every cell's step-size warning
+        # the one lower bound is the problem's; no run computes the exact L
         template = small_config(rounds=3, repeats=2)
         axes = {"algorithm": ["fedndl1", "fednmut"], "topology": [RING, FULLY_CONNECTED]}
         rows = sweep(template, axes, tmp_path)

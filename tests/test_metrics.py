@@ -81,7 +81,6 @@ def test_grad_norm_matches_average_of_client_gradients():
     np.testing.assert_allclose(grad_norm_sq, float(avg @ avg), atol=1e-10)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_noise_free_fedndl3_loss_monotone_after_burn_in():
     # full-batch gradients make the run deterministic gradient descent
     config = RunConfig(

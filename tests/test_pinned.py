@@ -17,8 +17,6 @@ import pytest
 from dflsim.harness import LrSchedule, RunConfig, run_averaged, write_cell_csv
 from dflsim.topology import TopologySpec
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 # (algorithm, topology, noise variance, x0 mode) -> SHA-256 of the cell CSV
 PINNED = {
     ("fedndl1", "ring", 0.0, "shared_random"): "6383284feaa5b177d4b76f8cf7e1e6375132fc01409af551078597e6aeb47097",
