@@ -198,6 +198,30 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="x0"):
             run_detailed(small_config(x0_mode="hot"), 0)
 
+    @pytest.mark.parametrize(
+        "overrides, condition, outside",
+        [
+            (dict(lr=LrSchedule(eta0=1.0)), "step size", True),
+            (dict(lr=LrSchedule(eta0=1e-4)), "step size", False),
+            (dict(algorithm="fednmut", topology=TopologySpec(RING, 8), mu=0.02), "tracking", True),
+            (dict(algorithm="fedndl1", topology=TopologySpec(RING, 8), mu=0.02), "tracking", False),
+        ],
+        ids=["eta0-above-cap", "eta0-below-cap", "fednmut-mu", "fedndl1-mu"],
+    )
+    def test_outside_theory_warnings(self, overrides, condition, outside):
+        # the regime record tells a run outside the analysis; the run itself raises nothing
+        config = small_config(rounds=3, **overrides)
+        regime = harness.analysis_regime(config)
+        losses = run_detailed(config, 0).metrics["loss"]
+        if condition == "step size":
+            assert (regime["eta0"] > regime["eta_cap"]) == outside
+        else:
+            # mu/(1-mu) <= rho/42 bounds the mu of a run that reads it
+            reads_mu = not np.array_equal(
+                losses, run_detailed(replace(config, mu=0.0), 0).metrics["loss"]
+            )
+            assert (regime["mu_ratio"] > regime["mu_limit"] and reads_mu) == outside
+
     @pytest.mark.parametrize("kind", [RING, TORUS, FULLY_CONNECTED])
     def test_analysis_regime_reads_the_lower_bound_and_the_mixing(self, monkeypatch, kind):
         monkeypatch.setattr(harness, "estimate_smoothness", None)  # a call would fail
