@@ -9,8 +9,11 @@ for client i (sample_noise with shape (n, d); sample_batches in
 objective). The initial point has its own key, (seed, 0, PURPOSE_INIT).
 Layout 2 derived a stream per (repeat, round, purpose); a layout-3 key
 derives layout 2's round-0 stream, so the initial point and each
-repeat's round-0 draws are those of layout 2. The variance knob is the
-per-coordinate variance of the noise, so E||delta||^2 = d * variance.
+repeat's round-0 draws are those of layout 2. The dataset draws from the
+same seed under spawn keys () and (b,) (see dflsim.data), and these keys
+are (repeat, 0, 0, purpose), so no stream is shared between the data and
+a run. The variance knob is the per-coordinate variance of the noise, so
+E||delta||^2 = d * variance.
 """
 
 from __future__ import annotations

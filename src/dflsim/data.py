@@ -3,16 +3,28 @@
 Labels follow y = <w, x> + eps with standard normal features and weight
 vector and Gaussian label noise of a configurable variance. Regeneration
 from the same (m, d, variance, seed) tuple is bit-identical, so datasets
-are never persisted. Shards are contiguous equal (+-1) row ranges. A
+are never persisted. The data layout, the map from a seed to the arrays:
+true_w and then the label noise come from the seed's root stream,
+default_rng(seed); the features are drawn in row blocks of
+max(1, FEATURE_BLOCK // d) rows, block b from the seed's b-th child
+stream, SeedSequence(seed).spawn(n_blocks)[b], whose spawn key is (b,).
+Each block has its own stream, so the arrays do not depend on how many
+threads fill the blocks. Shards are contiguous equal (+-1) row ranges. A
 Problem is the objective: a dataset, its shards and the ridge penalty.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Normals per feature block (2 MiB of doubles). Part of the data layout:
+# changing it changes every dataset's features.
+FEATURE_BLOCK = 1 << 18
 
 
 @dataclass
@@ -40,9 +52,12 @@ class Shard:
 def generate(m: int, d: int, label_noise_variance: float, seed: int) -> Dataset:
     """Draw a dataset deterministically from the seed.
 
-    Draw order is fixed (true_w, then features, then label noise) so the
-    same seed always reproduces the same arrays. Zero variance skips the
-    noise draw and gives exact labels.
+    true_w and then the label noise come from default_rng(seed). The
+    features are drawn in blocks of max(1, FEATURE_BLOCK // d) rows
+    (FEATURE_BLOCK = 2**18 normals), block b from the stream of
+    SeedSequence(seed).spawn(n_blocks)[b], so the same seed reproduces
+    the same arrays whatever the number of usable CPUs. Zero variance
+    skips the noise draw and gives exact labels.
     """
     if m < 1 or d < 1:
         raise ValueError(f"need m >= 1 and d >= 1, got m={m}, d={d}")
@@ -52,11 +67,59 @@ def generate(m: int, d: int, label_noise_variance: float, seed: int) -> Dataset:
         )
     rng = np.random.default_rng(seed)
     true_w = rng.standard_normal(d)
-    features = rng.standard_normal((m, d))
+    features = _draw_features(m, d, seed)
     labels = features @ true_w
     if label_noise_variance > 0:
         labels = labels + rng.normal(0.0, math.sqrt(label_noise_variance), size=m)
     return Dataset(m=m, d=d, features=features, labels=labels, true_w=true_w)
+
+
+def _block_streams(seed: int, n_blocks: int) -> list[np.random.Generator]:
+    """The features' block streams: block b draws from the seed's b-th child stream."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(n_blocks)]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_features(m: int, d: int, seed: int) -> np.ndarray:
+    """The (m, d) features, each row block from its own stream, on all usable CPUs.
+
+    min(n_blocks, usable CPUs) workers take the blocks round-robin, and the
+    calling thread is worker 0, so a one-block array starts no thread. Each
+    worker is the first to touch its blocks' pages. The streams are made
+    here, on the calling thread, so a worker runs nothing but the draws
+    into its slices, which release the GIL. A worker's exception is raised
+    here after every worker has stopped, so a partly filled array never
+    escapes.
+    """
+    features = np.empty((m, d))
+    rows = max(1, FEATURE_BLOCK // d)
+    blocks = [features[lo : lo + rows] for lo in range(0, m, rows)]
+    streams = _block_streams(seed, len(blocks))
+    workers = min(len(blocks), _usable_cpus())
+    failures = []
+
+    def fill(first: int) -> None:
+        try:
+            for b in range(first, len(blocks), workers):
+                streams[b].standard_normal(out=blocks[b])
+        except BaseException as exc:  # re-raised on the calling thread below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=fill, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    fill(0)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return features
 
 
 def partition_iid(dataset: Dataset, n: int) -> list[Shard]:

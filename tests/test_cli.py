@@ -428,8 +428,8 @@ def test_verify_writes_report_and_passes(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("verify_report.txt", "verify_summary.json")}
     assert digests == {
-        "verify_report.txt": "7e57fbba5452d8b1955dd16f70a36b15a0d10b7be125a000f6cd044605fedd77",
-        "verify_summary.json": "577ab29921e7f753c1fb1491c8371bac7bebb593d02e8ebe7840bbc359e71243",
+        "verify_report.txt": "f1debda2354a5c655fd7c956da07a6a216e8229ecf9394f0760bc8fd0e8b202a",
+        "verify_summary.json": "f67bacb990a6c60d469501fbae4836d46cd40eeb277194d4d498d11eac3e9e33",
     }
 
 

@@ -1,13 +1,21 @@
 """Dataset generation, IID partitioning and the Problem that binds them."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dflsim.data import Problem, Shard, generate, partition_iid
+import dflsim
+from dflsim import data
+from dflsim.channel import PURPOSE_CHANNEL_NOISE, PURPOSE_DATA_BATCH, PURPOSE_INIT, derive_stream
+from dflsim.data import FEATURE_BLOCK, Problem, Shard, generate, partition_iid
 
 
 def test_regeneration_is_bit_identical():
@@ -50,6 +58,98 @@ def test_generate_rejects_bad_args():
         generate(3, 0, 0.0, seed=1)
     with pytest.raises(ValueError):
         generate(3, 3, -0.1, seed=1)
+
+
+class _Logged:
+    """A block stream that records which thread draws from it."""
+
+    def __init__(self, stream, log):
+        self.stream, self.log = stream, log
+
+    def standard_normal(self, out):
+        self.log.add(threading.current_thread().name)
+        return self.stream.standard_normal(out=out)
+
+
+# three blocks of 262, 262 and 176 rows; three blocks of one row each (d > FEATURE_BLOCK)
+@pytest.mark.parametrize("m, d", [(700, 1000), (3, FEATURE_BLOCK + 1)])
+def test_dataset_follows_the_block_layout_whatever_the_worker_count(m, d, monkeypatch):
+    rows = max(1, FEATURE_BLOCK // d)
+    starts = range(0, m, rows)
+    real_streams = data._block_streams
+    datasets = []
+    for cpus in (1, 3):
+        threads = set()
+        monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(
+            data, "_block_streams", lambda *key: [_Logged(s, threads) for s in real_streams(*key)]
+        )
+        datasets.append(generate(m, d, 0.05, seed=11))
+        assert len(threads) == min(len(starts), cpus)
+    one, three = datasets
+    for name in ("features", "labels", "true_w"):
+        assert np.array_equal(getattr(one, name), getattr(three, name))
+    assert np.array_equal(one.true_w, np.random.default_rng(11).standard_normal(d))
+    for b, lo in enumerate(starts):
+        block = one.features[lo : lo + rows]
+        stream = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(b,)))
+        assert np.array_equal(block, stream.standard_normal(block.shape))
+
+
+def test_block_streams_share_no_stream_with_each_other_or_the_channel():
+    seed = 11
+    streams = [*data._block_streams(seed, 77), np.random.default_rng(seed)]
+    streams += [
+        derive_stream(seed, r, purpose)
+        for r in range(3)
+        for purpose in (PURPOSE_DATA_BATCH, PURPOSE_CHANNEL_NOISE, PURPOSE_INIT)
+    ]
+    heads = {tuple(stream.standard_normal(4)) for stream in streams}
+    assert len(heads) == len(streams)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_failing_block_fails_generate(cpus, monkeypatch):
+    class Broken:
+        def standard_normal(self, out):
+            raise RuntimeError("block 1 failed")
+
+    real_streams = data._block_streams
+
+    def streams(seed, n_blocks):
+        return [Broken() if b == 1 else s for b, s in enumerate(real_streams(seed, n_blocks))]
+
+    monkeypatch.setattr(data, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(data, "_block_streams", streams)
+    # with 3 workers block 1 is drawn on a worker thread, not the caller
+    with pytest.raises(RuntimeError, match="block 1 failed"):
+        generate(3, FEATURE_BLOCK, 0.0, seed=1)
+
+
+def test_a_one_block_dataset_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started for one block")
+
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(data.threading, "Thread", no_thread)
+    generate(160, 20, 0.0, seed=3)
+
+
+def test_cli_import_and_a_threaded_generate_load_no_executor_or_logging():
+    # every CLI call is a fresh process, so whatever generate imports, every run pays for
+    code = (
+        "import sys, dflsim.cli\n"
+        "from dflsim.data import FEATURE_BLOCK, generate\n"
+        "generate(4, FEATURE_BLOCK, 0.0, 1)\n"
+        "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(dflsim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_partition_even_split():

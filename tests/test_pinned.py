@@ -8,6 +8,10 @@ purpose, from which the rounds draw in order; see dflsim.harness), with
 each round's gradients from one batch_gradients call and the metrics
 evaluated in padded blocks of 16 states (dflsim.metrics.measure_block).
 The schedule decays every 10 rounds, so 40 rounds use four step sizes.
+The dataset follows the blocked data layout (see dflsim.data): true_w
+and the label noise from default_rng(seed), the features in row blocks
+of FEATURE_BLOCK // d rows, block b from SeedSequence(seed).spawn(..)[b].
+At d=20 and m=160 the features are one block.
 """
 
 import hashlib
@@ -19,23 +23,23 @@ from dflsim.topology import TopologySpec
 
 # (algorithm, topology, noise variance, x0 mode) -> SHA-256 of the cell CSV
 PINNED = {
-    ("fedndl1", "ring", 0.0, "shared_random"): "6383284feaa5b177d4b76f8cf7e1e6375132fc01409af551078597e6aeb47097",
-    ("fedndl1", "ring", 0.005, "shared_random"): "ed6f49292b021fa76bb254f9061affe10c84c673ce56e68d5040b62ea2069763",
-    ("fedndl1", "fully_connected", 0.0, "shared_random"): "2edbb96cc7a48c1ea58cb5cbc0614c89b9d3b2437325ef6ead8d6ddc3a431560",
-    ("fedndl1", "fully_connected", 0.005, "shared_random"): "0f38595dc258ba762c8e2b22b99f1689c48c68966fdf0609f95038a0946390f8",
-    ("fedndl2", "ring", 0.0, "shared_random"): "7d909a5956e80079a6300d69a49695b381f039403ca76909a8174d2507ab6fba",
-    ("fedndl2", "ring", 0.005, "shared_random"): "b6a27d6b082a2980511cacdb7b67ce8c5b6e990708f19c93145d20c7e53c1a4a",
-    ("fedndl2", "fully_connected", 0.0, "shared_random"): "9baf42c02a29bcece689a4c0f08547d37a632fce2eb3c685b20aeb1618ac5c39",
-    ("fedndl2", "fully_connected", 0.005, "shared_random"): "88e64ad6a9cc428dccbb9c65eb6b28706c027c89eb77ab63a8df56a0345e1779",
-    ("fedndl3", "ring", 0.0, "shared_random"): "cb2fa1e5b7b187bcbd3daa09bb1dee44ba4bbc144550d09319deb2f9830b91c1",
-    ("fedndl3", "ring", 0.005, "shared_random"): "2a62725f485a6068e62da03d9cae43e0974119293a25786475c8151abe92cdcb",
-    ("fedndl3", "fully_connected", 0.0, "shared_random"): "4e2900540309d334f8237c793181310a1d9d033c7652b0516070371b04c637fc",
-    ("fedndl3", "fully_connected", 0.005, "shared_random"): "fb8afdd42e30120cd47670f3b2a2af6bac2d597fec1499141f844fcef7a69b68",
-    ("fednmut", "ring", 0.0, "shared_random"): "252b7c65ee91dd3da32bf18fb7f40738aacef59c16f1c4552d363357cf37fa85",
-    ("fednmut", "ring", 0.005, "shared_random"): "368eab333d9a61d09c86d592691604c027f76739ca17d2c30c7f5d220c24ce31",
-    ("fednmut", "fully_connected", 0.0, "shared_random"): "22d912526fff9ee66965231869888422160f00cce63459344a6e6677c3bc7215",
-    ("fednmut", "fully_connected", 0.005, "shared_random"): "074899c7b1f761df6dfb85d5529147073188a9c3762352a21d677d65a419d32b",
-    ("fednmut", "ring", 0.005, "independent_random"): "d753f66fe86bf00309a33510e5593cc41ebdd9942a89f595c2297562fcce8bd8",
+    ("fedndl1", "ring", 0.0, "shared_random"): "5c6e5a5137f92bee103d5afa8b4be6a5396823393250ea1ca862d5561a94809d",
+    ("fedndl1", "ring", 0.005, "shared_random"): "49ea7fd0e62878da05b2a51e925b45c83515b7cf2da8e3dc57cda30c01ee941a",
+    ("fedndl1", "fully_connected", 0.0, "shared_random"): "0490816290d2b671203372e3aa27e6bdb94b90d32f13677989ceb13d1fdb8807",
+    ("fedndl1", "fully_connected", 0.005, "shared_random"): "78e8878d81aa9fc591158eab29456967816ebcd770c7499bfa6dc437e33514c3",
+    ("fedndl2", "ring", 0.0, "shared_random"): "b7f2db604143b38e9f4ac7a364479615c575f898823a8c0619617caf50f5015d",
+    ("fedndl2", "ring", 0.005, "shared_random"): "6dd08915a7d1ff694438e17c8290907b4ec76214d83504343430088c764f17d0",
+    ("fedndl2", "fully_connected", 0.0, "shared_random"): "49887fcd2cb28f90a856694132071a573e77d6548065c8de44497758926e9e39",
+    ("fedndl2", "fully_connected", 0.005, "shared_random"): "cd762df6e0b4fcace44672390c512c03c0505e9729a7a33e370ac3ab7ccd662a",
+    ("fedndl3", "ring", 0.0, "shared_random"): "bf42163c44bffa592cd8e3bbe12fb394299827fa0877736012d16ed420bd1914",
+    ("fedndl3", "ring", 0.005, "shared_random"): "912b2815aa492433b51cb5404f7b4635a3cb4d43daeca30ad46950cb25bc17b5",
+    ("fedndl3", "fully_connected", 0.0, "shared_random"): "7c035199bb4fbf24239d1aae06ea704b1915d4b97b54b99eea4aaed915fed6c0",
+    ("fedndl3", "fully_connected", 0.005, "shared_random"): "d1f636de35189c3327a00c25c5fbb5159a59447afd08d259ff4c917704c82f75",
+    ("fednmut", "ring", 0.0, "shared_random"): "af0a9ace306b49c41fabb5f9eff6e23057c7c55c96da22c9375ce6bee3316445",
+    ("fednmut", "ring", 0.005, "shared_random"): "bf44c85f8d3892c761d847d1ccd086cbb1daa6663631ebf0bff8f51f1133e966",
+    ("fednmut", "fully_connected", 0.0, "shared_random"): "62d33323820470c6e42870fc66252e1ec83583f02e1704e7830962c222c784b8",
+    ("fednmut", "fully_connected", 0.005, "shared_random"): "2fea1f3de8c14f19fb222a590339f3e3b33f16b40c8cf9f51eaa44ce18f0bced",
+    ("fednmut", "ring", 0.005, "independent_random"): "b0431ebc547439e7cd7c5ab5b9f1034307e80fb1a29fbea8f11c4468e91a8dac",
 }
 
 
