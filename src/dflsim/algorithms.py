@@ -3,7 +3,8 @@
 With X the d x n matrix of client parameter columns, G = grads(X) the
 matching stochastic gradients (every rule calls grads once per round),
 delta the channel noise (one draw per sender per round, seen identically
-by every receiver), W the mixing matrix applied across columns, and eta
+by every receiver), W the mixing matrix applied across columns (through
+MixingMatrix.apply, the one place that knows how W is stored), and eta
 the step size:
 
     FedNDL1   X' = (X - eta G + delta) W          (step, then noisy gossip)
@@ -81,8 +82,8 @@ class RoundInputs:
 
 def _check_shapes(X: np.ndarray, inputs: RoundInputs) -> None:
     n = X.shape[1]
-    if inputs.W.weights.shape != (n, n):
-        raise ValueError(f"dimension mismatch: {n} clients vs mixing matrix {inputs.W.weights.shape}")
+    if inputs.W.n != n:
+        raise ValueError(f"dimension mismatch: {n} clients vs mixing matrix of {inputs.W.n} clients")
     if inputs.noises.shape != X.shape:
         raise ValueError(f"dimension mismatch: noises {inputs.noises.shape} vs states {X.shape}")
 
@@ -98,20 +99,20 @@ def _gradients(Z: np.ndarray, inputs: RoundInputs) -> np.ndarray:
 def round_fedndl1(X: np.ndarray, inputs: RoundInputs) -> np.ndarray:
     """Local SGD half-step, then gossip of noisy parameters."""
     _check_shapes(X, inputs)
-    return (X - inputs.eta * _gradients(X, inputs) + inputs.noises) @ inputs.W.weights
+    return inputs.W.apply(X - inputs.eta * _gradients(X, inputs) + inputs.noises)
 
 
 def round_fedndl2(X: np.ndarray, inputs: RoundInputs) -> np.ndarray:
     """Gossip noisy parameters first, then step with gradients at the gossiped point."""
     _check_shapes(X, inputs)
-    half = (X + inputs.noises) @ inputs.W.weights
+    half = inputs.W.apply(X + inputs.noises)
     return half - inputs.eta * _gradients(half, inputs)
 
 
 def round_fedndl3(X: np.ndarray, inputs: RoundInputs) -> np.ndarray:
     """Gossip the noisy gradients, then take the mixed step."""
     _check_shapes(X, inputs)
-    return X - inputs.eta * ((_gradients(X, inputs) + inputs.noises) @ inputs.W.weights)
+    return X - inputs.eta * inputs.W.apply(_gradients(X, inputs) + inputs.noises)
 
 
 def round_fednmut_array(
@@ -125,10 +126,9 @@ def round_fednmut_array(
     """
     _check_shapes(X, inputs)
     G = _gradients(X, inputs)
-    w = inputs.W.weights
-    gossip = (X @ w - X) / inputs.eta
+    gossip = (inputs.W.apply(X) - X) / inputs.eta
     delta = G - gossip
-    bias = y_tilde_prev @ w - gossip - delta_prev
+    bias = inputs.W.apply(y_tilde_prev) - gossip - delta_prev
     y_tilde = delta + inputs.mu * bias + inputs.noises
     return X - inputs.eta * y_tilde, y_tilde, delta, bias
 

@@ -299,7 +299,7 @@ def _verify_battery(config: RunConfig) -> list[dict]:
     expected_rho = {"ring": 0.0989187008424176, "torus": 0.64, "fully_connected": 1.0}
     for kind in (RING, TORUS, FULLY_CONNECTED):
         mixing = build_mixing(TopologySpec(kind, n))
-        w = mixing.weights
+        w = mixing.apply(np.eye(n))  # the product the rules run, bit-equal to W
         sym = float(np.max(np.abs(w - w.T)))
         row = float(np.max(np.abs(w.sum(axis=1) - 1.0)))
         col = float(np.max(np.abs(w.sum(axis=0) - 1.0)))

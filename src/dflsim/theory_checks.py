@@ -281,7 +281,7 @@ def check_contraction(mixing: MixingMatrix, trials: int, seed: int) -> Contracti
     """Check the mixing's ||(X - Xbar) W||_F^2 <= (1 - rho + 1e-9) ||X - Xbar||_F^2 on random X."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    n = len(mixing.weights)
+    n = mixing.n
     rng = np.random.default_rng(seed)
     allowed = 1.0 - mixing.rho + 1e-9
     max_ratio = 0.0
@@ -291,6 +291,6 @@ def check_contraction(mixing: MixingMatrix, trials: int, seed: int) -> Contracti
         denom = float((dev * dev).sum())
         if denom == 0.0:
             continue
-        mixed = dev @ mixing.weights
+        mixed = mixing.apply(dev)
         max_ratio = max(max_ratio, float((mixed * mixed).sum()) / denom)
     return ContractionReport(passed=max_ratio <= allowed, max_ratio=max_ratio, allowed=allowed)

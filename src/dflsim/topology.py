@@ -61,10 +61,23 @@ class TopologySpec:
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """Symmetric doubly stochastic gossip weights and their contraction factor."""
+    """Symmetric doubly stochastic gossip weights and their contraction factor.
+
+    apply is the one gossip product: every rule, the contraction check
+    and verify mix through it, so only this class knows W is dense.
+    """
 
     weights: np.ndarray
     rho: float
+
+    @property
+    def n(self) -> int:
+        """Number of clients, the side of W."""
+        return self.weights.shape[0]
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """One gossip step on the d x n column matrix X: exactly X @ W."""
+        return X @ self.weights
 
 
 def build_mixing(spec: TopologySpec) -> MixingMatrix:

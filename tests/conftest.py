@@ -3,6 +3,7 @@
 import pytest
 
 from dflsim import harness
+from dflsim.topology import MixingMatrix
 
 
 @pytest.fixture(autouse=True)
@@ -14,3 +15,17 @@ def empty_problem_memo():
     harness._problem.cache_clear()
     yield
     harness._problem.cache_clear()
+
+
+@pytest.fixture
+def apply_calls(monkeypatch):
+    """Count gossip products: the returned list grows by one per MixingMatrix.apply call."""
+    calls = []
+    apply = MixingMatrix.apply
+
+    def counting(self, X):
+        calls.append(X.shape)
+        return apply(self, X)
+
+    monkeypatch.setattr(MixingMatrix, "apply", counting)
+    return calls

@@ -342,6 +342,14 @@ def test_grads_called_once_per_round_at_the_rules_point(rule):
     np.testing.assert_array_equal(points[0], expected)
 
 
+@pytest.mark.parametrize("rule,products", [("fedndl1", 1), ("fedndl2", 1), ("fedndl3", 1), ("fednmut", 2)])
+def test_every_gossip_product_goes_through_apply(rule, products, apply_calls):
+    mixing = build_mixing(TopologySpec(RING, 4))
+    X, noises, G = np.random.default_rng(32).standard_normal((3, 3, 4))
+    RULES[rule](X, fixed_inputs(0.1, mixing, G, noises, mu=0.02))
+    assert apply_calls == [(3, 4)] * products
+
+
 def test_round_inputs_are_frozen():
     inputs = fixed_inputs(0.1, single_client_mixing(), np.zeros((2, 1)), np.zeros((2, 1)))
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -12,6 +12,12 @@ The dataset follows the blocked data layout (see dflsim.data): true_w
 and the label noise from default_rng(seed), the features in row blocks
 of FEATURE_BLOCK // d rows, block b from SeedSequence(seed).spawn(..)[b].
 At d=20 and m=160 the features are one block.
+
+The hashes hold under OpenBLAS kernel SkylakeX with 2 OpenBLAS threads
+(scipy_openblas_get_corename64_ and scipy_openblas_get_num_threads64_
+in numpy's linalg extension report both). The bits of the gossip and
+gradient products depend on the kernel and on the thread count, so
+another CPU or thread count can fail a hash with correct code.
 """
 
 import hashlib

@@ -309,6 +309,10 @@ class TestContraction:
         assert not report.passed
         assert report.max_ratio == pytest.approx(1.0)
 
+    def test_mixes_through_apply_once_per_trial(self, apply_calls):
+        check_contraction(build_mixing(TopologySpec(RING, 16)), trials=5, seed=0)
+        assert len(apply_calls) == 5
+
     def test_ring_bound_and_tightness_witness(self):
         mixing = build_mixing(TopologySpec(RING, 16))
         report = check_contraction(mixing, trials=1000, seed=2)

@@ -1,11 +1,13 @@
 """Mixing matrix construction, closed-form contraction factor, neighbor sets."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import spectral_contraction
 
+from dflsim import topology
 from dflsim.topology import (
     FULLY_CONNECTED,
     RING,
@@ -170,6 +172,23 @@ def test_gossip_preserves_mean(kind):
 def test_rho_matches_eigensolver_oracle():
     worst = max(abs(m.rho - spectral_contraction(m.weights)) for m in map(build_mixing, VALID_SPECS))
     assert worst <= 1e-12
+
+
+def test_apply_is_bit_identical_to_the_dense_product():
+    rng = np.random.default_rng(5)
+    for spec in VALID_SPECS:
+        m = build_mixing(spec)
+        assert m.n == spec.n
+        # C-ordered, and F-ordered like the harness's (n, d).T noise block
+        for X in (rng.standard_normal((3, spec.n)), rng.standard_normal((spec.n, 3)).T):
+            assert np.array_equal(m.apply(X), X @ m.weights), spec
+
+
+def test_only_topology_reads_the_stored_weights():
+    # every other module gossips through MixingMatrix.apply, so W's storage can change in one place
+    sources = Path(topology.__file__).parent.glob("*.py")
+    readers = sorted(p.name for p in sources if ".weights" in p.read_text())
+    assert readers == ["topology.py"]
 
 
 def test_mixing_holds_weights_and_rho_only():
