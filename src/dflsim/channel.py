@@ -2,11 +2,16 @@
 
 Every (master seed, repeat, purpose) key maps to its own independent
 pseudorandom stream, so a simulation is bit-reproducible no matter how
-clients are scheduled, and no two logical tasks ever share a stream. The
-harness uses stream layout 3: one stream per (repeat, purpose), from
-which every round draws its block for all clients in round order, row i
-for client i (sample_noise with shape (n, d); sample_batches in
-objective). The initial point has its own key, (seed, 0, PURPOSE_INIT).
+clients are scheduled, and no two logical tasks ever share a stream.
+
+Stream layout 3, the harness's: every repeat r first derives three
+streams, init (seed, 0, PURPOSE_INIT), noise (seed, r, PURPOSE_CHANNEL_NOISE)
+and batch (seed, r, PURPOSE_DATA_BATCH). Every repeat draws its x0 from
+the init stream, so all repeats start at one point. Every round then draws, in round order, one
+block for all clients, row i for client i, from each of the other two:
+sample_noise with shape (n, d), and sample_batches (see dflsim.objective).
+The samplers alone decide when a round draws nothing: at variance 0, or
+when no shard is larger than the batch, they leave their stream untouched.
 Layout 2 derived a stream per (repeat, round, purpose); a layout-3 key
 derives layout 2's round-0 stream, so the initial point and each
 repeat's round-0 draws are those of layout 2. The dataset draws from the

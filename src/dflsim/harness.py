@@ -1,13 +1,8 @@
 """Experiment driver: single runs, seed-averaged repeats, sweeps, CSV output.
 
-A run is fully determined by its config and master seed. Random streams
-follow stream layout 3: each repeat draws its x0 from the init stream of key
-(master_seed, 0, init), the same in every repeat, and derives at most two
-round streams, one per purpose, keyed by (repeat, purpose). Every round draws
-from each, in round order, one block whose row i belongs to client i: an
-n x d channel-noise block (no stream at noise 0) and the minibatch keys of
-sample_batches (no stream when every client takes its whole shard). Each
-round's gradients are one batch_gradients call. Results do not depend on
+A run is fully determined by its config and master seed: its random
+streams follow stream layout 3 (see dflsim.channel), and each round's
+gradients are one batch_gradients call. Results do not depend on
 scheduling and re-runs are byte-identical. Metrics row t records the state
 after round t's update; a leading row at t = -1 records the common initial state.
 
@@ -236,12 +231,6 @@ def analysis_regime(config: RunConfig) -> dict[str, float]:
                 mu_ratio=mu_ratio, mu_limit=mu_limit)
 
 
-def _start_point(config: RunConfig) -> np.ndarray:
-    """The x0 of every repeat: one draw from the stream of key (master_seed, 0, init)."""
-    init_stream = derive_stream(config.master_seed, 0, PURPOSE_INIT)
-    return init_states(config.n, config.d, config.x0_mode, init_stream)
-
-
 def _rounds(
     config: RunConfig, repeat_index: int, setup: Setup
 ) -> Iterator[tuple[int, float, np.ndarray, np.ndarray | None]]:
@@ -250,29 +239,20 @@ def _rounds(
     B is fednmut's d x n correction, else None. No yielded X is written again.
     """
     problem, n, d, seed = setup.problem, config.n, config.d, config.master_seed
-    X = _start_point(config)
+    X = init_states(n, d, config.x0_mode, derive_stream(seed, 0, PURPOSE_INIT))
+    noise_stream = derive_stream(seed, repeat_index, PURPOSE_CHANNEL_NOISE)
+    batch_stream = derive_stream(seed, repeat_index, PURPOSE_DATA_BATCH)
     sizes = [shard.size for shard in problem.shards]
-    noise_stream = batch_stream = None
-    if config.noise_variance > 0.0:
-        noise_stream = derive_stream(seed, repeat_index, PURPOSE_CHANNEL_NOISE)
-    if config.batch_size < max(sizes):
-        batch_stream = derive_stream(seed, repeat_index, PURPOSE_DATA_BATCH)
-    noises = np.zeros((d, n))  # every round's noise when there is no noise stream
-    picks = B = None
+    B = None
     # FedNMUT's last broadcasts and Deltas, zero before the first round
     y_tilde, delta = np.zeros((d, n)), np.zeros((d, n))
     rules = {"fedndl1": round_fedndl1, "fedndl2": round_fedndl2, "fedndl3": round_fedndl3}
-
-    def grads(Z: np.ndarray) -> np.ndarray:  # at the current round's picks
-        return batch_gradients(Z, problem, picks)
-
     yield -1, eta_at(config.lr, 0), X, None
     for t in range(config.rounds):
         eta = eta_at(config.lr, t)
-        if noise_stream is not None:
-            noises = sample_noise(noise_stream, (n, d), config.noise_variance).T
-        if batch_stream is not None:
-            picks = sample_batches(batch_stream, sizes, config.batch_size)
+        noises = sample_noise(noise_stream, (n, d), config.noise_variance).T
+        picks = sample_batches(batch_stream, sizes, config.batch_size)
+        grads = functools.partial(batch_gradients, problem=problem, picks=picks)
         inputs = RoundInputs(eta=eta, W=setup.mixing, grads=grads, noises=noises, mu=config.mu)
         if config.algorithm == "fednmut":
             X, y_tilde, delta, B = round_fednmut_array(X, y_tilde, delta, inputs)

@@ -12,8 +12,8 @@ of one uniform block ranks client i's shard rows, and row i of the
 (n, batch_size) block it returns is the first batch_size of them. A shard
 no larger than the batch is taken whole, in order, and its row is not
 read; when every shard is, sample_batches returns None and draws nothing.
-Under stream layout 3 (see dflsim.channel) every round of a repeat draws
-its block from the repeat's one minibatch stream, in round order.
+Stream layout 3 (see dflsim.channel) says which stream each round's block
+is drawn from.
 
 _stacked_gradients is the one gradient formula. batch_gradients takes
 every client's gradient of a round in one pass over a Problem, as

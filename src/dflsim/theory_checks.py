@@ -148,9 +148,9 @@ def estimate_sigma_sq(
     for x in x_samples:
         mean_grads = batch_gradients(np.repeat(x[:, None], len(problem.shards), 1), problem)
         for shard, mean_grad in zip(problem.shards, mean_grads.T):
-            if batch_size >= shard.size:
-                continue  # full batch has zero sampling variance
             picks = sample_batches(rng, [shard.size] * draws, batch_size)
+            if picks is None:
+                continue  # full batch has zero sampling variance
             xs = np.broadcast_to(x, (draws, x.size))
             acc = 0.0
             for diff in gathered_gradients(xs, shard.start + picks, problem) - mean_grad:

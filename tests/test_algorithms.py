@@ -156,6 +156,11 @@ class TestFedNMUT:
         with pytest.raises(ValueError, match="> 0"):
             fixed_inputs(0.0, single_client_mixing(), np.zeros((1, 1)), np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("mu", [-0.01, 1.0])
+    def test_mu_outside_unit_interval_rejected(self, mu):
+        with pytest.raises(ValueError, match=rf"mu must be in \[0, 1\), got {mu}"):
+            fixed_inputs(0.1, single_client_mixing(), np.zeros((1, 1)), np.zeros((1, 1)), mu=mu)
+
 
 @pytest.mark.parametrize(
     "kind,n", [(FULLY_CONNECTED, 4), (RING, 8), (TORUS, 16)]

@@ -6,6 +6,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from dflsim.cli import (
     OPTIONS,
     PAPER_SCALE_D,
     PAPER_SCALE_M,
+    _read_csv_column,
     build_parser,
     config_from_options,
     main,
@@ -24,6 +27,7 @@ from dflsim.cli import (
     resolve_options,
 )
 from dflsim.harness import (
+    CSV_COLUMNS,
     RunConfig,
     analysis_regime,
     cell_id,
@@ -59,6 +63,30 @@ def test_run_writes_csv(tmp_path, capsys):
     assert files == ["fedndl3_ring_var0_mu0.02.csv"]
     header = (tmp_path / files[0]).read_text(encoding="utf-8").splitlines()[0]
     assert header.startswith("round,eta,loss_mean")
+
+
+def test_module_runs_as_a_script(tmp_path):
+    """python -m dflsim.cli, the benchmark's entry point, writes a run and a two-cell sweep."""
+    env = dict(os.environ)
+    src = str(Path(dflsim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "dflsim.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    for argv in (["run"], ["sweep", "--mu", "0.01,0.02"]):
+        proc = cli(*argv, *TINY, "--out", str(tmp_path / argv[0]))
+        assert proc.returncode == 0, proc.stderr
+    [run_csv] = (tmp_path / "run").glob("*.csv")
+    manifest = (tmp_path / "sweep" / "manifest.csv").read_text(encoding="utf-8").splitlines()
+    cells = [row.split(",")[0] for row in manifest[1:]]
+    assert cells == ["fednmut_fully_connected_var0_mu0.01", "fednmut_fully_connected_var0_mu0.02"]
+    for path in [run_csv] + [tmp_path / "sweep" / f"{cid}.csv" for cid in cells]:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS) and len(lines) == 1 + 10 + 1  # header, t = -1..9
+    bad = cli("run", "--no-such-flag")
+    assert bad.returncode == 2 and "unrecognized arguments: --no-such-flag" in bad.stderr
 
 
 def regime_line(config):
@@ -149,6 +177,19 @@ def test_rate_on_existing_csv(tmp_path, capsys):
     assert rc == 0
     slope = float(capsys.readouterr().out.split("slope:")[1])
     assert slope == pytest.approx(-0.5, abs=1e-3)
+
+
+def test_rate_of_a_zero_series_reports_exact_convergence(tmp_path, capsys):
+    path = tmp_path / "cell.csv"
+    path.write_text(cell_csv_text(np.zeros(300)), encoding="utf-8")
+    assert main(["rate", "--csv", str(path)]) == 0
+    assert capsys.readouterr().out == "slope: undefined (exact convergence, series is zero)\n"
+
+
+def test_csv_column_reader_skips_blank_lines(tmp_path):
+    path = tmp_path / "cell.csv"
+    path.write_text("round,grad_norm_sq_mean\n-1,4\n\n0,2\n  \n", encoding="utf-8")
+    assert _read_csv_column(str(path), "grad_norm_sq_mean").tolist() == [4.0, 2.0]
 
 
 def test_rate_names_a_missing_column(tmp_path, capsys):
@@ -253,10 +294,11 @@ def test_config_file_rejects_unknown_key(tmp_path):
         ("dim = 50", ["--paper-scale"], r"paper-scale .* with dim"),
         (None, ["--lr0", "nan"], r"eta0 must be > 0 and finite, got nan"),
         ("lambda = inf", [], r"lam must be >= 0 and finite, got inf"),
+        ("clients 4", [], r"bad\.cfg:2: expected 'key = value', got 'clients 4'"),
     ],
     ids=["file-int", "file-bool", "file-axis", "file-choice", "flag-float", "flag-list",
          "flag-topology", "flag-paper-scale-dim", "file-paper-scale-samples",
-         "file-dim-flag-paper-scale", "flag-lr0-nan", "file-lambda-inf"],
+         "file-dim-flag-paper-scale", "flag-lr0-nan", "file-lambda-inf", "file-no-equals"],
 )
 def test_bad_value_names_its_option_before_any_setup(tmp_path, monkeypatch, capsys,
                                                       config_line, flags, names):
@@ -445,6 +487,8 @@ def test_verify_rejects_bad_seed_before_any_check(tmp_path, monkeypatch, capsys)
 
 @pytest.mark.parametrize("argv, named", [
     (["run", "--rounds", "0"], "rounds must be >= 1, got 0"),
+    (["run", "--repeats", "0"], "repeats must be >= 1, got 0"),
+    (["run", "--samples", "10"], "need at least one sample per client: m=10 < n=16"),
     (["run", "--rounds", "1100", "--lr0", "0.01", "--lr-gamma", "0.5", "--lr-interval", "1"],
      r"step size underflows to 0 by round 1099: LrSchedule\(eta0=0.01, gamma=0.5, decay_interval=1\)"),
     (["run", "--config", "missing.cfg"], "No such file or directory: 'missing.cfg'"),
@@ -454,7 +498,7 @@ def test_verify_rejects_bad_seed_before_any_check(tmp_path, monkeypatch, capsys)
     (["run", "--out", os.devnull], "File exists"),
     (["sweep", "--out", os.devnull], "File exists"),
     (["verify", "--out", os.devnull], "File exists"),
-], ids=["run-invalid-config", "run-step-underflow", "run-missing-config", "sweep-invalid-cell",
+], ids=["run-invalid-config", "run-no-repeat", "run-too-few-samples", "run-step-underflow", "run-missing-config", "sweep-invalid-cell",
         "sweep-cell-collision", "rate-missing-csv", "run-out-file", "sweep-out-file",
         "verify-out-file"])
 def test_bad_input_exits_2_before_any_setup(tmp_path, monkeypatch, capsys, argv, named):

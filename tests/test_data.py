@@ -152,6 +152,13 @@ def test_cli_import_and_a_threaded_generate_load_no_executor_or_logging():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("cpu_count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_affinity_call_is_the_cpu_count(monkeypatch, cpu_count, usable):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert data._usable_cpus() == usable
+
+
 def test_partition_even_split():
     ds = generate(10000, 4, 0.0, seed=1)
     shards = partition_iid(ds, 16)
@@ -175,6 +182,11 @@ def test_partition_too_few_samples():
     ds = generate(3, 2, 0.0, seed=1)
     with pytest.raises(ValueError, match="too few"):
         partition_iid(ds, 4)
+
+
+def test_partition_needs_a_client():
+    with pytest.raises(ValueError, match="need n >= 1, got n=0"):
+        partition_iid(generate(3, 2, 0.0, seed=1), 0)
 
 
 @settings(max_examples=60, deadline=None)

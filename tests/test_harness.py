@@ -1,6 +1,7 @@
 """Schedules, runs, averaging, rate fit, sweeps."""
 
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -384,6 +385,18 @@ class TestRunAveraged:
     @pytest.mark.parametrize(
         "field, value, message",
         [
+            ("repeats", 0, "repeats must be >= 1, got 0"),
+            ("m", 3, "need at least one sample per client: m=3 < n=4"),
+        ],
+    )
+    def test_no_repeat_or_too_few_samples_rejected_before_setup(self, no_setup, field, value,
+                                                                message):
+        with pytest.raises(ValueError, match=message):
+            run_averaged(small_config(**{field: value}))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
             ("d", 0, "d must be >= 1, got 0"),
             ("label_noise_variance", -0.1, "label_noise_variance must be >= 0"),
             ("master_seed", -1, r"master_seed must be in \[0, 2\*\*64\), got -1"),
@@ -530,37 +543,55 @@ class TestRunAveraged:
 
 
 class TestStreams:
-    """Stream layout 3: at most one stream per (repeat, purpose), read in round order."""
+    """Stream layout 3 (see dflsim.channel): three streams per repeat, drawn from in round order."""
 
-    def keys_of_run(self, monkeypatch, **overrides):
-        keys = []
+    def streams_of_run(self, monkeypatch, **overrides):
+        """Each (key, Generator) that derive_stream returned in run_averaged, in call order."""
+        streams = []
 
         def recording(*key):
-            keys.append(key)
-            return derive_stream(*key)
+            streams.append((key, derive_stream(*key)))
+            return streams[-1][1]
 
         monkeypatch.setattr(harness, "derive_stream", recording)
         run_averaged(small_config(**overrides))
-        return keys
+        return streams
+
+    @staticmethod
+    def is_fresh(key, stream):
+        return stream.bit_generator.state == derive_stream(*key).bit_generator.state
 
     def test_one_stream_per_repeat_and_purpose(self, monkeypatch):
-        # each repeat draws its initial point from the one init key, repeat 0's
-        keys = self.keys_of_run(monkeypatch, algorithm="fednmut", rounds=5, repeats=3)
+        # each repeat draws its initial point from the one init key, repeat 0's, and
+        # derives its noise and batch keys whether or not its rounds draw from them
         purposes = (PURPOSE_CHANNEL_NOISE, PURPOSE_DATA_BATCH)
-        assert keys == [
+        expected = [
             key for r in range(3) for key in [(5, 0, PURPOSE_INIT)] + [(5, r, p) for p in purposes]
         ]
+        # 80 rows over 4 clients: 20 per shard, sampled at batch 8, taken whole at batch 20
+        for noise_variance, batch_size in itertools.product([0.0, 0.005], [8, 20]):
+            streams = self.streams_of_run(monkeypatch, algorithm="fednmut", rounds=5, repeats=3,
+                                          noise_variance=noise_variance, batch_size=batch_size)
+            assert [key for key, _ in streams] == expected
+            undrawn = {PURPOSE_CHANNEL_NOISE: noise_variance == 0.0,
+                       PURPOSE_DATA_BATCH: batch_size == 20}
+            for key, stream in streams:
+                if key[2] in undrawn:
+                    assert self.is_fresh(key, stream) == undrawn[key[2]]
 
-    def test_all_capped_round_derives_no_batch_stream(self, monkeypatch):
-        # 80 rows over 4 clients: 20 per shard, all at or under the batch size
-        keys = self.keys_of_run(monkeypatch, batch_size=20, repeats=1)
-        assert [purpose for *_, purpose in keys] == [PURPOSE_INIT, PURPOSE_CHANNEL_NOISE]
-        keys = self.keys_of_run(monkeypatch, batch_size=20, noise_variance=0.0, repeats=1)
-        assert [purpose for *_, purpose in keys] == [PURPOSE_INIT]
+    def test_all_capped_round_draws_nothing_from_the_batch_stream(self, monkeypatch):
+        # every shard is taken whole, so the batch stream is derived and never drawn from
+        for noise_variance in (0.005, 0.0):
+            streams = self.streams_of_run(monkeypatch, batch_size=20, noise_variance=noise_variance,
+                                          repeats=1)
+            [(key, stream)] = [(k, s) for k, s in streams if k[2] == PURPOSE_DATA_BATCH]
+            assert self.is_fresh(key, stream)
 
-    def test_noise_free_run_derives_no_noise_stream(self, monkeypatch):
-        keys = self.keys_of_run(monkeypatch, noise_variance=0.0, repeats=1)
-        assert [purpose for *_, purpose in keys] == [PURPOSE_INIT, PURPOSE_DATA_BATCH]
+    def test_noise_free_run_draws_nothing_from_the_noise_stream(self, monkeypatch):
+        # at noise 0 the noise stream is derived and never drawn from
+        streams = self.streams_of_run(monkeypatch, noise_variance=0.0, repeats=1)
+        [(key, stream)] = [(k, s) for k, s in streams if k[2] == PURPOSE_CHANNEL_NOISE]
+        assert self.is_fresh(key, stream)
 
     def test_rounds_draw_in_order_from_the_repeat_streams(self, monkeypatch):
         noises, keys = [], []
@@ -591,7 +622,8 @@ class TestStreams:
 
         monkeypatch.setattr(harness, "derive_stream", recording)
         bound_sanity(small_config(algorithm="fednmut", rounds=60, noise_variance=0.0))
-        assert keys == [(5, 0, PURPOSE_INIT), (5, 0, PURPOSE_DATA_BATCH)]  # x0 is the run's own
+        # x0 is the run's own: the init key is derived once
+        assert keys == [(5, 0, PURPOSE_INIT), (5, 0, PURPOSE_CHANNEL_NOISE), (5, 0, PURPOSE_DATA_BATCH)]
 
     @pytest.mark.parametrize("x0_mode", ["zeros", "shared_random", "independent_random"])
     def test_bound_sanity_samples_the_initial_point(self, monkeypatch, x0_mode):

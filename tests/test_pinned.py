@@ -3,8 +3,7 @@
 Every refactor of the round loop either keeps each hash or re-pins it on
 purpose, with the reason and the measured drift recorded in CHANGES.md.
 The FedNMUT hashes are those of the array kernel, round_fednmut_array;
-all hashes are those of stream layout 3 (one stream per repeat and
-purpose, from which the rounds draw in order; see dflsim.harness), with
+all hashes are those of stream layout 3 (see dflsim.channel), with
 each round's gradients from one batch_gradients call and the metrics
 evaluated in padded blocks of 16 states (dflsim.metrics.measure_block).
 The schedule decays every 10 rounds, so 40 rounds use four step sizes.
@@ -17,9 +16,11 @@ The hashes hold under OpenBLAS kernel SkylakeX with 2 OpenBLAS threads
 (scipy_openblas_get_corename64_ and scipy_openblas_get_num_threads64_
 in numpy's linalg extension report both). The bits of the gossip and
 gradient products depend on the kernel and on the thread count, so
-another CPU or thread count can fail a hash with correct code.
+another CPU or thread count can fail a hash with correct code. A failure
+names the kernel and thread count in use.
 """
 
+import ctypes
 import hashlib
 
 import pytest
@@ -49,6 +50,20 @@ PINNED = {
 }
 
 
+def blas_in_use() -> tuple[str | None, int | None]:
+    """The OpenBLAS kernel name and thread count numpy's linalg runs on, or None when unreadable."""
+    try:
+        import numpy.linalg._umath_linalg as umath_linalg
+
+        lib = ctypes.CDLL(umath_linalg.__file__)
+        corename, threads = lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_num_threads64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        threads.argtypes, threads.restype = [], ctypes.c_int
+        return corename().decode(), threads()
+    except (ImportError, OSError, AttributeError):
+        return None, None
+
+
 @pytest.mark.parametrize("cell", sorted(PINNED), ids=lambda c: "-".join(map(str, c)))
 def test_cell_csv_hash_is_pinned(cell, tmp_path):
     algorithm, topology, noise_variance, x0_mode = cell
@@ -68,4 +83,8 @@ def test_cell_csv_hash_is_pinned(cell, tmp_path):
     )
     path = tmp_path / "cell.csv"
     write_cell_csv(path, run_averaged(config))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[cell]
+    kernel, threads = blas_in_use()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[cell], (
+        f"hash changed under OpenBLAS kernel {kernel} with {threads} threads"
+        " (pinned under SkylakeX with 2)"
+    )

@@ -296,6 +296,11 @@ class TestTheoremBound:
         with pytest.raises(PreconditionViolated, match="rho/8"):
             evaluate_theorem_bound(consts(), rho=0.5, mu=0.3, eta=0.001, n=4, T=10)
 
+    @pytest.mark.parametrize("L", [0.0, -1.0])
+    def test_non_positive_smoothness_rejected(self, L):
+        with pytest.raises(ValueError, match="smoothness constant must be positive"):
+            evaluate_theorem_bound(consts(L=L), rho=1.0, mu=0.0, eta=0.05, n=4, T=10)
+
 
 class TestContraction:
     def test_fully_connected_annihilates_deviation(self):
@@ -303,6 +308,11 @@ class TestContraction:
         report = check_contraction(mixing, trials=200, seed=0)
         assert report.passed
         assert report.max_ratio <= 1e-25
+
+    def test_single_client_has_no_deviation_to_contract(self):
+        # one client is its own mean, so every trial's deviation is zero and is skipped
+        report = check_contraction(build_mixing(TopologySpec(FULLY_CONNECTED, 1)), trials=5, seed=0)
+        assert report.passed and report.max_ratio == 0.0
 
     def test_identity_fixture_fails_any_positive_rho(self):
         report = check_contraction(MixingMatrix(np.eye(8), 0.1), trials=50, seed=1)
