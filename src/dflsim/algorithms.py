@@ -53,8 +53,8 @@ import numpy as np
 from .topology import MixingMatrix
 
 X0_ZEROS = "zeros"
-X0_SHARED = "shared_random"
-X0_INDEPENDENT = "independent_random"
+X0_SHARED = "shared"
+X0_INDEPENDENT = "independent"
 X0_MODES = (X0_ZEROS, X0_SHARED, X0_INDEPENDENT)
 
 
@@ -136,8 +136,8 @@ def round_fednmut_array(
 def init_states(n: int, d: int, x0_mode: str, rng: np.random.Generator) -> np.ndarray:
     """Initial d x n parameter matrix, one column per client.
 
-    Modes: zeros, shared_random (one draw copied to all clients), or
-    independent_random (one draw per client, in client order).
+    Modes: zeros, shared (one draw copied to all clients), or
+    independent (one draw per client, in client order).
     """
     if x0_mode == X0_ZEROS:
         return np.zeros((d, n))

@@ -11,6 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .algorithms import X0_MODES
 from .harness import (
     ALGORITHMS,
     DegenerateSeriesError,
@@ -26,10 +27,7 @@ from .harness import (
     write_cell_csv,
 )
 from .theory_checks import check_bias_zero_mean, check_contraction
-from .topology import FULLY_CONNECTED, RING, TORUS, TopologySpec, build_mixing
-
-TOPOLOGY_NAMES = {"ring": RING, "torus": TORUS, "full": FULLY_CONNECTED}
-X0_NAMES = {"zeros": "zeros", "shared": "shared_random", "independent": "independent_random"}
+from .topology import FULLY_CONNECTED, KINDS, RING, TORUS, TopologySpec, build_mixing
 
 PAPER_SCALE_D = 2000
 PAPER_SCALE_M = 10000
@@ -51,33 +49,31 @@ class Option(NamedTuple):
         return self.dest or self.flag.replace("-", "_")
 
 
-def _topology_kind(name: str) -> str:
-    if name not in TOPOLOGY_NAMES:
-        raise ValueError(f"unknown topology {name!r}, expected one of {sorted(TOPOLOGY_NAMES)}")
-    return TOPOLOGY_NAMES[name]
-
+# Every default but out's and paper-scale's is the library's own.
+_DEFAULT = RunConfig()
 
 # Sweep axes stay text until config_from_options or cmd_sweep splits them,
 # so argparse and the config file both accept a comma list.
 OPTIONS = (
-    Option("algorithm", str, "fednmut", "update rule: " + "|".join(ALGORITHMS), axis="algorithm"),
-    Option("topology", _topology_kind, "full", "gossip graph: " + "|".join(TOPOLOGY_NAMES),
-           axis="topology"),
-    Option("clients", int, 16, "number of clients n"),
-    Option("dim", int, 200, "model dimension d"),
-    Option("samples", int, 2000, "total samples m"),
-    Option("rounds", int, 500, "rounds per repeat"),
-    Option("noise-var", float, 0.0, "per-coordinate channel noise variance",
+    Option("algorithm", str, _DEFAULT.algorithm, "update rule: " + "|".join(ALGORITHMS),
+           axis="algorithm"),
+    Option("topology", str, _DEFAULT.topology.kind, "gossip graph: " + "|".join(KINDS),
+           axis="topology", choices=KINDS),
+    Option("clients", int, _DEFAULT.n, "number of clients n"),
+    Option("dim", int, _DEFAULT.d, "model dimension d"),
+    Option("samples", int, _DEFAULT.m, "total samples m"),
+    Option("rounds", int, _DEFAULT.rounds, "rounds per repeat"),
+    Option("noise-var", float, _DEFAULT.noise_variance, "per-coordinate channel noise variance",
            axis="noise_variance"),
-    Option("mu", float, 0.02, "tracking scaling factor", axis="mu"),
-    Option("lambda", float, 1e-4, "ridge penalty", dest="lam"),
-    Option("batch-size", int, 32, "minibatch size per client"),
-    Option("lr0", float, 0.2, "initial step size"),
-    Option("lr-gamma", float, 0.9, "step-size decay factor"),
-    Option("lr-interval", int, 10, "rounds between step-size decays"),
-    Option("repeats", int, 3, "independent repeats averaged per cell"),
-    Option("seed", int, 1, "master seed"),
-    Option("x0", str, "shared", "initial point", choices=tuple(sorted(X0_NAMES))),
+    Option("mu", float, _DEFAULT.mu, "tracking scaling factor", axis="mu"),
+    Option("lambda", float, _DEFAULT.lam, "ridge penalty", dest="lam"),
+    Option("batch-size", int, _DEFAULT.batch_size, "minibatch size per client"),
+    Option("lr0", float, _DEFAULT.lr.eta0, "initial step size"),
+    Option("lr-gamma", float, _DEFAULT.lr.gamma, "step-size decay factor"),
+    Option("lr-interval", int, _DEFAULT.lr.decay_interval, "rounds between step-size decays"),
+    Option("repeats", int, _DEFAULT.repeats, "independent repeats averaged per cell"),
+    Option("seed", int, _DEFAULT.master_seed, "master seed"),
+    Option("x0", str, _DEFAULT.x0_mode, "initial point", choices=X0_MODES),
     Option("out", str, "dflsim_out", "output directory"),
     Option("paper-scale", bool, False, f"use d={PAPER_SCALE_D}, m={PAPER_SCALE_M}"),
 )
@@ -88,8 +84,10 @@ def _add_flags(p: argparse.ArgumentParser, options: tuple[Option, ...]) -> None:
     for opt in options:
         if opt.type is bool:
             kwargs = {"action": "store_const", "const": True}
+        elif opt.axis:  # _parse checks each value of the comma list against choices
+            kwargs = {"type": str}
         else:
-            kwargs = {"type": str if opt.axis else opt.type, "choices": opt.choices}
+            kwargs = {"type": opt.type, "choices": opt.choices}
         sweep_note = " (sweep: comma list)" if opt.axis else ""
         p.add_argument(f"--{opt.flag}", dest=opt.name,
                        help=f"{opt.help}{sweep_note} (default: {opt.default})", **kwargs)
@@ -186,7 +184,7 @@ def _template(opts: dict, axes: dict) -> RunConfig:
         batch_size=opts["batch_size"],
         repeats=opts["repeats"],
         master_seed=opts["seed"],
-        x0_mode=X0_NAMES[opts["x0"]],
+        x0_mode=opts["x0"],
         **first,
     )
 
@@ -296,7 +294,7 @@ def _verify_battery(config: RunConfig) -> list[dict]:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
     n = config.n
-    expected_rho = {"ring": 0.0989187008424176, "torus": 0.64, "fully_connected": 1.0}
+    expected_rho = {RING: 0.0989187008424176, TORUS: 0.64, FULLY_CONNECTED: 1.0}
     for kind in (RING, TORUS, FULLY_CONNECTED):
         mixing = build_mixing(TopologySpec(kind, n))
         w = mixing.apply(np.eye(n))  # the product the rules run, bit-equal to W

@@ -27,7 +27,7 @@ import numpy as np
 
 RING = "ring"
 TORUS = "torus"
-FULLY_CONNECTED = "fully_connected"
+FULLY_CONNECTED = "full"
 KINDS = (RING, TORUS, FULLY_CONNECTED)
 
 
@@ -56,7 +56,7 @@ class TopologySpec:
             if k * k != self.n or k < 3:
                 raise ValueError(f"torus requires n = k*k with k >= 3, got n={self.n}")
         if self.kind == FULLY_CONNECTED and self.n < 1:
-            raise ValueError(f"fully_connected requires n >= 1, got n={self.n}")
+            raise ValueError(f"{FULLY_CONNECTED} requires n >= 1, got n={self.n}")
 
 
 @dataclass(frozen=True)

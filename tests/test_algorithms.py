@@ -200,7 +200,7 @@ def test_per_client_matches_matrix_oracle(kind, n):
         assert np.max(np.abs(drift)) <= 1e-10
 
 
-@pytest.mark.parametrize("x0_mode", ["shared_random", "independent_random"])
+@pytest.mark.parametrize("x0_mode", ["shared", "independent"])
 @pytest.mark.parametrize("kind,n", [(FULLY_CONNECTED, 4), (RING, 8), (TORUS, 9)])
 def test_array_kernel_matches_per_client_oracle(kind, n, x0_mode):
     """100 noisy rounds under a decaying step size, where the matrix oracle drifts.
@@ -232,7 +232,7 @@ def test_neighbor_copies_stay_consistent_for_200_rounds():
     d, n = 6, 8
     mixing = build_mixing(TopologySpec(RING, n))
     rng = np.random.default_rng(99)
-    states = states_from_columns(init_states(n, d, "independent_random", rng))
+    states = states_from_columns(init_states(n, d, "independent", rng))
     for _ in range(200):
         grads, noises = rng.standard_normal((d, n)), rng.normal(0.0, 0.07, size=(d, n))
         inputs = fixed_inputs(0.05, mixing, grads, noises, mu=0.02)
@@ -247,7 +247,7 @@ def test_bias_column_mean_follows_noise_recursion():
     d, n, eta, mu, variance = 8, 8, 0.1, 0.02, 0.01
     mixing = build_mixing(TopologySpec(RING, n))
     rng = np.random.default_rng(12)
-    X = init_states(n, d, "independent_random", rng)
+    X = init_states(n, d, "independent", rng)
     y_tilde, delta = np.zeros((d, n)), np.zeros((d, n))
     prev_bias_mean = np.zeros(d)
     prev_noise_mean = np.zeros(d)
@@ -295,16 +295,16 @@ class TestInitStates:
         assert consensus_error(X) == 0.0
         assert np.all(X == 0.0)
 
-    def test_shared_random_starts_at_consensus(self):
-        X = init_states(5, 7, "shared_random", np.random.default_rng(1))
+    def test_shared_starts_at_consensus(self):
+        X = init_states(5, 7, "shared", np.random.default_rng(1))
         # averaging n identical columns can differ in the last ulp
         assert consensus_error(X) <= 1e-28
         assert np.any(X[:, 0] != 0.0)
         for i in range(1, 5):
             np.testing.assert_array_equal(X[:, i], X[:, 0])
 
-    def test_independent_random_disagrees(self):
-        X = init_states(2, 4, "independent_random", np.random.default_rng(2))
+    def test_independent_disagrees(self):
+        X = init_states(2, 4, "independent", np.random.default_rng(2))
         assert consensus_error(X) > 0.0
         # one draw per client, in client order
         draws = np.random.default_rng(2)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import dflsim
+from dflsim.algorithms import X0_MODES
 from dflsim.cli import (
     OPTIONS,
     PAPER_SCALE_D,
@@ -35,7 +36,7 @@ from dflsim.harness import (
     run_averaged,
     write_cell_csv,
 )
-from dflsim.topology import FULLY_CONNECTED, RING, TopologySpec
+from dflsim.topology import FULLY_CONNECTED, KINDS, RING, TopologySpec
 
 TINY = [
     "--clients", "4", "--dim", "8", "--samples", "40", "--rounds", "10",
@@ -65,23 +66,24 @@ def test_run_writes_csv(tmp_path, capsys):
     assert header.startswith("round,eta,loss_mean")
 
 
-def test_module_runs_as_a_script(tmp_path):
-    """python -m dflsim.cli, the benchmark's entry point, writes a run and a two-cell sweep."""
+def cli(*argv):
+    """python -m dflsim.cli argv in a subprocess, on this checkout's package."""
     env = dict(os.environ)
     src = str(Path(dflsim.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "dflsim.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
 
-    def cli(*argv):
-        return subprocess.run([sys.executable, "-m", "dflsim.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
 
+def test_module_runs_as_a_script(tmp_path):
+    """python -m dflsim.cli, the benchmark's entry point, writes a run and a two-cell sweep."""
     for argv in (["run"], ["sweep", "--mu", "0.01,0.02"]):
         proc = cli(*argv, *TINY, "--out", str(tmp_path / argv[0]))
         assert proc.returncode == 0, proc.stderr
     [run_csv] = (tmp_path / "run").glob("*.csv")
     manifest = (tmp_path / "sweep" / "manifest.csv").read_text(encoding="utf-8").splitlines()
     cells = [row.split(",")[0] for row in manifest[1:]]
-    assert cells == ["fednmut_fully_connected_var0_mu0.01", "fednmut_fully_connected_var0_mu0.02"]
+    assert cells == ["fednmut_full_var0_mu0.01", "fednmut_full_var0_mu0.02"]
     for path in [run_csv] + [tmp_path / "sweep" / f"{cid}.csv" for cid in cells]:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS) and len(lines) == 1 + 10 + 1  # header, t = -1..9
@@ -152,7 +154,7 @@ def test_sweep_empty_comma_list_rejected(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--algorithm", "fedndl1,fedx", "unknown algorithm 'fedx'"),
-    ("--topology", "ring,star", "unknown topology 'star'"),
+    ("--topology", "ring,star", r"--topology: expected one of \['ring', 'torus', 'full'\], got 'star'"),
 ])
 def test_sweep_unknown_axis_value_rejected(tmp_path, capsys, flag, value, message):
     assert_exits_2_naming(capsys, ["sweep", flag, value, *TINY, "--out", str(tmp_path / "out")],
@@ -287,7 +289,7 @@ def test_config_file_rejects_unknown_key(tmp_path):
         ("x0 = origin", [], r"bad\.cfg:2: x0: expected one of"),
         (None, ["--mu", "abc"], r"--mu: could not convert"),
         (None, ["--noise-var", "0,0.005"], r"--noise-var takes one value outside sweep"),
-        (None, ["--topology", "star"], r"--topology: unknown topology 'star'"),
+        (None, ["--topology", "star"], r"--topology: expected one of \[.*\], got 'star'"),
         (None, ["--paper-scale", "--dim", "50", "--samples", "300"],
          r"paper-scale sets dim=2000 and samples=10000; .* with dim or samples"),
         ("paper-scale = true", ["--samples", "300"], r"paper-scale .* with samples"),
@@ -446,12 +448,28 @@ def test_paper_scale_sets_dimensions():
     assert opts["dim"] == PAPER_SCALE_D and opts["samples"] == PAPER_SCALE_M
 
 
-def test_topology_and_x0_name_mapping():
-    parser = build_parser()
-    args = parser.parse_args(["run", "--topology", "full", "--x0", "independent", *TINY])
-    config = config_from_options(resolve_options(args))
-    assert config.topology.kind == "fully_connected"
-    assert config.x0_mode == "independent_random"
+def test_topology_and_x0_choices_are_the_library_names():
+    """The CLI takes the library's own names: no mapping stands between them."""
+    by_flag = {opt.flag: opt for opt in OPTIONS}
+    assert by_flag["topology"].choices is KINDS
+    assert by_flag["x0"].choices is X0_MODES
+    for kind, mode in zip(KINDS, X0_MODES):
+        args = build_parser().parse_args(["run", "--topology", kind, "--x0", mode, "--clients", "9"])
+        config = config_from_options(resolve_options(args))
+        assert (config.topology.kind, config.x0_mode) == (kind, mode)
+
+
+def test_sweep_names_cells_and_manifest_by_the_library_kinds(tmp_path):
+    proc = cli("sweep", "--topology", ",".join(KINDS), *TINY, "--clients", "9",
+               "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = (tmp_path / "manifest.csv").read_text(encoding="utf-8").splitlines()
+    columns = header.split(",")
+    cells = [dict(zip(columns, row.split(","))) for row in rows]
+    assert [cell["topology"] for cell in cells] == list(KINDS)
+    assert [cell["cell_id"] for cell in cells] == [f"fednmut_{kind}_var0_mu0.02" for kind in KINDS]
+    assert sorted(path.name for path in tmp_path.glob("*.csv")) == sorted(
+        [f"fednmut_{kind}_var0_mu0.02.csv" for kind in KINDS] + ["manifest.csv"])
 
 
 def test_verify_writes_report_and_passes(tmp_path, capsys):
@@ -470,8 +488,8 @@ def test_verify_writes_report_and_passes(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("verify_report.txt", "verify_summary.json")}
     assert digests == {
-        "verify_report.txt": "f1debda2354a5c655fd7c956da07a6a216e8229ecf9394f0760bc8fd0e8b202a",
-        "verify_summary.json": "f67bacb990a6c60d469501fbae4836d46cd40eeb277194d4d498d11eac3e9e33",
+        "verify_report.txt": "87bddcdfd2aae1edb9fd0e4e779846e85fc4a264979b0befb53bfe814259d9ab",
+        "verify_summary.json": "2f980b0cc741c62c7221976b6bff4e2725dc9dc8dd976dff0bc75c8985d0848a",
     }
 
 

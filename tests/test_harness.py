@@ -183,13 +183,29 @@ class TestRunSingle:
             rounds=50,
             noise_variance=0.0,
             repeats=1,
-            x0_mode="shared_random",
+            x0_mode="shared",
         )
         a = run_detailed(small_config(algorithm="fedndl1", **base), 0).metrics
         b = run_detailed(small_config(algorithm="fedndl3", **base), 0).metrics
         for la, lb, ga, gb in zip(a["loss"], b["loss"], a["grad_norm_sq"], b["grad_norm_sq"]):
             assert abs(la - lb) <= 1e-10 * max(1.0, abs(lb))
             assert abs(ga - gb) <= 1e-8 * max(1.0, gb)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("noise_variance", [0.0, 0.005])
+    def test_fedndl3_keeps_the_start_disagreement_on_the_full_graph(self, n, noise_variance):
+        # X' = X - eta (G + delta) W never mixes X: on the full graph every
+        # client takes the same step, so the deviations from the mean stay put
+        config = small_config(topology=TopologySpec(FULLY_CONNECTED, n), rounds=40,
+                              noise_variance=noise_variance, repeats=1, x0_mode="independent")
+        consensus = run_detailed(config, 0).metrics["consensus_error"]
+        np.testing.assert_allclose(consensus, consensus[0], rtol=1e-12, atol=0)
+
+    def test_fedndl3_moves_the_start_disagreement_on_a_ring(self):
+        config = small_config(topology=TopologySpec(RING, 8), rounds=40, repeats=1,
+                              x0_mode="independent")
+        consensus = run_detailed(config, 0).metrics["consensus_error"]
+        assert consensus[-1] > 1.5 * consensus[0]  # 6.49 -> 15.35 at this config
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="algorithm"):
@@ -625,7 +641,7 @@ class TestStreams:
         # x0 is the run's own: the init key is derived once
         assert keys == [(5, 0, PURPOSE_INIT), (5, 0, PURPOSE_CHANNEL_NOISE), (5, 0, PURPOSE_DATA_BATCH)]
 
-    @pytest.mark.parametrize("x0_mode", ["zeros", "shared_random", "independent_random"])
+    @pytest.mark.parametrize("x0_mode", ["zeros", "shared", "independent"])
     def test_bound_sanity_samples_the_initial_point(self, monkeypatch, x0_mode):
         samples = []
 
@@ -750,7 +766,7 @@ class TestSweep:
             template,
             {
                 "algorithm": ["fedndl1", "fedndl2", "fedndl3", "fednmut"],
-                "topology": ["ring", "torus", "fully_connected"],
+                "topology": ["ring", "torus", "full"],
                 "noise_variance": [0.0, 0.005, 0.01],
             },
             tmp_path,

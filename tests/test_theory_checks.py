@@ -303,7 +303,7 @@ class TestTheoremBound:
 
 
 class TestContraction:
-    def test_fully_connected_annihilates_deviation(self):
+    def test_full_graph_annihilates_deviation(self):
         mixing = build_mixing(TopologySpec(FULLY_CONNECTED, 16))
         report = check_contraction(mixing, trials=200, seed=0)
         assert report.passed

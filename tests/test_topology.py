@@ -54,12 +54,12 @@ def test_symmetric_doubly_stochastic_n16(kind):
     assert w.min() >= 0.0
 
 
-def test_fully_connected_entries():
+def test_full_graph_entries():
     w = build_mixing(TopologySpec(FULLY_CONNECTED, 16)).weights
     np.testing.assert_array_equal(w, np.full((16, 16), 1.0 / 16.0))
 
 
-def test_fully_connected_single_client():
+def test_full_graph_single_client():
     m = build_mixing(TopologySpec(FULLY_CONNECTED, 1))
     np.testing.assert_array_equal(m.weights, [[1.0]])
     assert m.rho == 1.0
