@@ -41,19 +41,19 @@ class Option(NamedTuple):
     default: object
     help: str
     axis: str = ""  # RunConfig field it sets when it is a sweep axis
-    dest: str = ""  # resolve_options key, when not the flag with "-" as "_"
     choices: tuple | None = None
 
     @property
     def name(self) -> str:
-        return self.dest or self.flag.replace("-", "_")
+        """Its resolve_options key: the flag with "-" as "_"."""
+        return self.flag.replace("-", "_")
 
 
 # Every default but out's and paper-scale's is the library's own.
 _DEFAULT = RunConfig()
 
-# Sweep axes stay text until config_from_options or cmd_sweep splits them,
-# so argparse and the config file both accept a comma list.
+# _value parses a flag and a config-file line alike; a sweep axis takes a
+# comma list and resolves to a list, every other option to one value.
 OPTIONS = (
     Option("algorithm", str, _DEFAULT.algorithm, "update rule: " + "|".join(ALGORITHMS),
            axis="algorithm"),
@@ -66,28 +66,25 @@ OPTIONS = (
     Option("noise-var", float, _DEFAULT.noise_variance, "per-coordinate channel noise variance",
            axis="noise_variance"),
     Option("mu", float, _DEFAULT.mu, "tracking scaling factor", axis="mu"),
-    Option("lambda", float, _DEFAULT.lam, "ridge penalty", dest="lam"),
+    Option("lambda", float, _DEFAULT.lam, "ridge penalty"),
     Option("batch-size", int, _DEFAULT.batch_size, "minibatch size per client"),
     Option("lr0", float, _DEFAULT.lr.eta0, "initial step size"),
     Option("lr-gamma", float, _DEFAULT.lr.gamma, "step-size decay factor"),
     Option("lr-interval", int, _DEFAULT.lr.decay_interval, "rounds between step-size decays"),
     Option("repeats", int, _DEFAULT.repeats, "independent repeats averaged per cell"),
     Option("seed", int, _DEFAULT.master_seed, "master seed"),
-    Option("x0", str, _DEFAULT.x0_mode, "initial point", choices=X0_MODES),
+    Option("x0", str, _DEFAULT.x0_mode, "initial point: " + "|".join(X0_MODES),
+           choices=X0_MODES),
     Option("out", str, "dflsim_out", "output directory"),
     Option("paper-scale", bool, False, f"use d={PAPER_SCALE_D}, m={PAPER_SCALE_M}"),
 )
 
 
 def _add_flags(p: argparse.ArgumentParser, options: tuple[Option, ...]) -> None:
-    # Defaults stay None so config-file values can fill unset flags.
+    # Each flag given keeps its text for resolve_options to parse; one not
+    # given stays None, so a config-file value can fill it.
     for opt in options:
-        if opt.type is bool:
-            kwargs = {"action": "store_const", "const": True}
-        elif opt.axis:  # _parse checks each value of the comma list against choices
-            kwargs = {"type": str}
-        else:
-            kwargs = {"type": opt.type, "choices": opt.choices}
+        kwargs = {"action": "store_const", "const": "true"} if opt.type is bool else {}
         sweep_note = " (sweep: comma list)" if opt.axis else ""
         p.add_argument(f"--{opt.flag}", dest=opt.name,
                        help=f"{opt.help}{sweep_note} (default: {opt.default})", **kwargs)
@@ -102,27 +99,26 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse(where: str, text: str, opt: Option):
-    """One value of opt; a bad one raises ValueError naming where it came from."""
-    try:
-        value = (_parse_bool if opt.type is bool else opt.type)(text)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    if opt.choices and value not in opt.choices:
-        raise ValueError(f"{where}: expected one of {list(opt.choices)}, got {text!r}")
-    return value
-
-
-def _comma_list(where: str, value, opt: Option) -> list:
-    values = [_parse(where, part.strip(), opt) for part in str(value).split(",") if part.strip()]
-    if not values:
-        raise ValueError(f"{where} needs at least one value, got {value!r}")
-    return values
+def _value(where: str, text: str, opt: Option):
+    """opt's value in text, a list for a sweep axis; a bad one raises ValueError naming where."""
+    parts = [part.strip() for part in text.split(",") if part.strip()] if opt.axis else [text]
+    if not parts:
+        raise ValueError(f"{where} needs at least one value, got {text!r}")
+    values = []
+    for part in parts:
+        try:
+            value = (_parse_bool if opt.type is bool else opt.type)(part)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if opt.choices and value not in opt.choices:
+            raise ValueError(f"{where}: expected one of {list(opt.choices)}, got {part!r}")
+        values.append(value)
+    return values if opt.axis else values[0]
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key = value pairs, one per line, # starts a comment."""
-    values = {}
+    """Flat key = value pairs, one per line, # starts a comment; each key set at most once."""
+    values, first_line = {}, {}
     by_key = {opt.flag: opt for opt in OPTIONS}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -133,26 +129,23 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            value = value.strip()
             if key not in by_key:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: {key}: already set on line {first_line[key]}")
+            first_line[key] = lineno
             opt = by_key[key]
-            where = f"{path}:{lineno}: {key}"
-            if opt.axis:
-                _comma_list(where, value, opt)  # checked here, kept as text
-            else:
-                value = _parse(where, value, opt)
-            values[opt.name] = value
+            values[opt.name] = _value(f"{path}:{lineno}: {key}", value.strip(), opt)
     return values
 
 
 def resolve_options(args: argparse.Namespace) -> dict:
-    """Merge CLI flags over config-file values over defaults."""
+    """Merge CLI flags over config-file values over defaults; a sweep axis holds a list."""
     given = read_config_file(args.config) if getattr(args, "config", None) else {}
     for opt in OPTIONS:
-        cli_value = getattr(args, opt.name, None)
-        if cli_value is not None:
-            given[opt.name] = cli_value
+        text = getattr(args, opt.name, None)
+        if text is not None:
+            given[opt.name] = _value(f"--{opt.flag}", text, opt)
     if given.get("paper_scale"):
         clash = [key for key in ("dim", "samples") if key in given]
         if clash:
@@ -161,26 +154,20 @@ def resolve_options(args: argparse.Namespace) -> dict:
                 f"it cannot be combined with {' or '.join(clash)}"
             )
         given.update(dim=PAPER_SCALE_D, samples=PAPER_SCALE_M)
-    return {**{opt.name: opt.default for opt in OPTIONS}, **given}
+    defaults = {opt.name: [opt.default] if opt.axis else opt.default for opt in OPTIONS}
+    return {**defaults, **given}
 
 
-def _sweep_axes(opts: dict) -> dict:
-    """Each sweep axis's values, converted, keyed by its RunConfig field."""
-    return {
-        opt.axis: _comma_list(f"--{opt.flag}", opts[opt.name], opt) for opt in OPTIONS if opt.axis
-    }
-
-
-def _template(opts: dict, axes: dict) -> RunConfig:
+def _template(opts: dict) -> RunConfig:
     """The RunConfig of opts, with each sweep axis at its first value."""
-    first = {field: values[0] for field, values in axes.items()}
+    first = {opt.axis: opts[opt.name][0] for opt in OPTIONS if opt.axis}
     return RunConfig(
         topology=TopologySpec(first.pop("topology"), opts["clients"]),
         d=opts["dim"],
         m=opts["samples"],
         rounds=opts["rounds"],
         lr=LrSchedule(eta0=opts["lr0"], gamma=opts["lr_gamma"], decay_interval=opts["lr_interval"]),
-        lam=opts["lam"],
+        lam=opts["lambda"],
         batch_size=opts["batch_size"],
         repeats=opts["repeats"],
         master_seed=opts["seed"],
@@ -191,11 +178,10 @@ def _template(opts: dict, axes: dict) -> RunConfig:
 
 def config_from_options(opts: dict) -> RunConfig:
     """The RunConfig of opts for run, where each sweep axis holds one value."""
-    axes = _sweep_axes(opts)
     for opt in OPTIONS:
-        if opt.axis and len(axes[opt.axis]) > 1:
-            raise ValueError(f"--{opt.flag} takes one value outside sweep, got {opts[opt.name]!r}")
-    return _template(opts, axes)
+        if opt.axis and len(opts[opt.name]) > 1:
+            raise ValueError(f"--{opt.flag} takes one value outside sweep, got {opts[opt.name]}")
+    return _template(opts)
 
 
 @contextlib.contextmanager
@@ -241,9 +227,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     with _bad_input(args):
         opts = resolve_options(args)
-        axes = _sweep_axes(opts)
-        template = _template(opts, axes)
-        axes = {k: v for k, v in axes.items() if len(v) > 1}
+        template = _template(opts)
+        axes = {opt.axis: opts[opt.name] for opt in OPTIONS if opt.axis and len(opts[opt.name]) > 1}
         cells = sweep_cells(template, axes)
         os.makedirs(opts["out"], exist_ok=True)
     _report_regimes(*cells.values())
@@ -331,9 +316,9 @@ def _verify_battery(config: RunConfig) -> list[dict]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    opts = resolve_options(args)
-    # the tracking run's config is checked first, so a bad seed fails before any check runs
+    # the options and the tracking run's config are checked first, so a bad seed fails here
     with _bad_input(args):
+        opts = resolve_options(args)
         config = RunConfig(d=50, m=800, rounds=300, repeats=1, master_seed=opts["seed"])
         os.makedirs(opts["out"], exist_ok=True)
     checks = _verify_battery(config)

@@ -255,18 +255,18 @@ def test_config_file_and_override(tmp_path):
     )
     values = read_config_file(str(cfg))
     assert values == {
-        "algorithm": "fedndl1",
-        "topology": "torus",
+        "algorithm": ["fedndl1"],  # a sweep axis resolves to its list of values
+        "topology": ["torus"],
         "clients": 9,
-        "noise_var": "0.01",  # sweep axes stay text until config_from_options
+        "noise_var": [0.01],
         "lr_gamma": 0.8,
         "paper_scale": False,
     }
     parser = build_parser()
     args = parser.parse_args(["run", "--config", str(cfg), "--algorithm", "fednmut"])
     opts = resolve_options(args)
-    assert opts["algorithm"] == "fednmut"  # CLI wins
-    assert opts["topology"] == "torus"  # file fills the rest
+    assert opts["algorithm"] == ["fednmut"]  # CLI wins
+    assert opts["topology"] == ["torus"]  # file fills the rest
     assert opts["rounds"] == 500  # default
     config = config_from_options(opts)
     assert config.topology.kind == "torus" and config.n == 9
@@ -297,10 +297,12 @@ def test_config_file_rejects_unknown_key(tmp_path):
         (None, ["--lr0", "nan"], r"eta0 must be > 0 and finite, got nan"),
         ("lambda = inf", [], r"lam must be >= 0 and finite, got inf"),
         ("clients 4", [], r"bad\.cfg:2: expected 'key = value', got 'clients 4'"),
+        ("mu = 0.02\nmu = 0.5", [], r"bad\.cfg:3: mu: already set on line 2$"),
     ],
     ids=["file-int", "file-bool", "file-axis", "file-choice", "flag-float", "flag-list",
          "flag-topology", "flag-paper-scale-dim", "file-paper-scale-samples",
-         "file-dim-flag-paper-scale", "flag-lr0-nan", "file-lambda-inf", "file-no-equals"],
+         "file-dim-flag-paper-scale", "flag-lr0-nan", "file-lambda-inf", "file-no-equals",
+         "file-repeated-key"],
 )
 def test_bad_value_names_its_option_before_any_setup(tmp_path, monkeypatch, capsys,
                                                       config_line, flags, names):
@@ -365,6 +367,57 @@ def test_help_names_every_option(capsys, command):
         if f"--{opt.flag}" in FLAGS_TAKEN[command]:
             assert f"(default: {opt.default})" in text
     assert text.count("(sweep: comma list)") == (4 if command in ("run", "sweep") else 0)
+    for opt in OPTIONS:
+        if opt.choices and f"--{opt.flag}" in FLAGS_TAKEN[command]:
+            assert "|".join(opt.choices) in text
+
+
+def bad_texts(opt):
+    """Texts that opt's parse rejects: a non-number, a name not among its choices, an empty list."""
+    if opt.type in (int, float, bool):
+        yield "abc"
+    if opt.choices:
+        yield "nosuch"
+    if opt.axis:
+        yield ","
+
+
+# (command, option, bad text, given as a flag or a config-file line), for every
+# option that has a bad text; a bool option's flag takes no value.
+BAD_VALUES = [
+    (command, opt, text, source)
+    for command in ("run", "sweep", "verify")
+    for opt in OPTIONS
+    if f"--{opt.flag}" in FLAGS_TAKEN[command]
+    for text in bad_texts(opt)
+    for source in ("flag", "file")
+    if not (source == "flag" and opt.type is bool)
+    and not (source == "file" and "--config" not in FLAGS_TAKEN[command])
+]
+
+
+def test_every_option_but_free_text_has_a_bad_value():
+    assert [opt.flag for opt in OPTIONS if not list(bad_texts(opt))] == ["out"]
+
+
+@pytest.mark.parametrize("command, opt, text, source", BAD_VALUES,
+                         ids=lambda v: getattr(v, "flag", v))
+def test_bad_value_gives_one_line_naming_its_option(tmp_path, monkeypatch, capsys,
+                                                    command, opt, text, source):
+    def no_setup(*args, **kwargs):
+        raise AssertionError("set-up started before the options were checked")
+
+    for target in ("dflsim.harness.generate", "dflsim.cli.build_mixing",
+                   "dflsim.cli.run_averaged", "dflsim.cli.sweep"):
+        monkeypatch.setattr(target, no_setup)
+    monkeypatch.chdir(tmp_path)
+    if source == "flag":
+        argv, where = [command, f"--{opt.flag}", text], f"--{opt.flag}"
+    else:
+        Path("bad.cfg").write_text(f"# options\n{opt.flag} = {text}\n", encoding="utf-8")
+        argv, where = [command, "--config", "bad.cfg"], f"bad.cfg:2: {opt.flag}"
+    assert_exits_2_naming(capsys, [*argv, "--out", "out"], re.escape(f"error: {where}") + "[: ]")
+    assert os.listdir(tmp_path) == (["bad.cfg"] if source == "file" else [])
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -409,7 +462,7 @@ def test_readme_config_example_resolves(tmp_path, monkeypatch):
     example = re.search(r"```\n(# exp\.cfg\n.*?)```", readme, flags=re.DOTALL).group(1)
     monkeypatch.chdir(tmp_path)
     Path("exp.cfg").write_text(example, encoding="utf-8")
-    values = {"algorithm": "fednmut", "topology": "torus", "noise_var": "0.005", "lr0": 0.1}
+    values = {"algorithm": ["fednmut"], "topology": ["torus"], "noise_var": [0.005], "lr0": 0.1}
     assert read_config_file("exp.cfg") == values
     [argv] = [argv for argv in readme_commands() if "--config" in argv]
     config = config_from_options(resolve_options(build_parser().parse_args(argv)))
