@@ -29,6 +29,7 @@ from .harness import (
     run_averaged,
     run_detailed,
     sweep,
+    sweep_cells,
 )
 from .metrics import consensus_error, mean_iterate, measure_block
 from .objective import batch_gradients, ridge_optimum, sample_batches
@@ -87,6 +88,7 @@ __all__ = [
     "sample_noise",
     "smoothness_lower_bound",
     "sweep",
+    "sweep_cells",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ from .harness import (
     RunConfig,
     analysis_regime,
     bound_sanity,
-    cell_id,
     rate_fit,
     run_averaged,
     sweep,
@@ -176,14 +175,6 @@ def _template(opts: dict) -> RunConfig:
     )
 
 
-def config_from_options(opts: dict) -> RunConfig:
-    """The RunConfig of opts for run, where each sweep axis holds one value."""
-    for opt in OPTIONS:
-        if opt.axis and len(opts[opt.name]) > 1:
-            raise ValueError(f"--{opt.flag} takes one value outside sweep, got {opts[opt.name]}")
-    return _template(opts)
-
-
 @contextlib.contextmanager
 def _bad_input(args: argparse.Namespace):
     """Report a bad input as argparse does: one error line, exit status 2.
@@ -198,21 +189,33 @@ def _bad_input(args: argparse.Namespace):
         raise SystemExit(2) from None
 
 
-def _report_regimes(*configs: RunConfig) -> None:
-    """Each config's analysis_regime as one stderr line: dflsim: <cell_id>: k=v ..."""
-    for config in configs:
+def _cells(args: argparse.Namespace) -> tuple[dict[str, RunConfig], str]:
+    """The checked cells of run or sweep, keyed by cell_id, and the --out made for them.
+
+    The cells are the product of the sweep axes given more than one value;
+    run takes one value per axis, so one cell. Each cell's analysis_regime
+    goes to stderr as one line: dflsim: <cell_id>: k=v ...
+    """
+    with _bad_input(args):
+        opts = resolve_options(args)
+        swept = [opt for opt in OPTIONS if opt.axis and len(opts[opt.name]) > 1]
+        if swept and args.command == "run":
+            raise ValueError(
+                f"--{swept[0].flag} takes one value outside sweep, got {opts[swept[0].name]}"
+            )
+        cells = sweep_cells(_template(opts), {opt.axis: opts[opt.name] for opt in swept})
+        os.makedirs(opts["out"], exist_ok=True)
+    for cid, config in cells.items():
         facts = " ".join(f"{key}={value:.6g}" for key, value in analysis_regime(config).items())
-        sys.stderr.write(f"dflsim: {cell_id(config)}: {facts}\n")
+        sys.stderr.write(f"dflsim: {cid}: {facts}\n")
+    return cells, opts["out"]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    with _bad_input(args):
-        opts = resolve_options(args)
-        config = config_from_options(opts)
-        os.makedirs(opts["out"], exist_ok=True)
-    _report_regimes(config)
+    cells, out = _cells(args)
+    [(cid, config)] = cells.items()
     avg = run_averaged(config)
-    path = os.path.join(opts["out"], cell_id(config) + ".csv")
+    path = os.path.join(out, cid + ".csv")
     write_cell_csv(path, avg)
     print(f"wrote {path}")
     col = avg.columns
@@ -225,15 +228,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    with _bad_input(args):
-        opts = resolve_options(args)
-        template = _template(opts)
-        axes = {opt.axis: opts[opt.name] for opt in OPTIONS if opt.axis and len(opts[opt.name]) > 1}
-        cells = sweep_cells(template, axes)
-        os.makedirs(opts["out"], exist_ok=True)
-    _report_regimes(*cells.values())
-    rows = sweep(template, axes, opts["out"])
-    print(f"wrote {len(rows)} cells + manifest.csv under {opts['out']}")
+    cells, out = _cells(args)
+    rows = sweep(cells, out)
+    print(f"wrote {len(rows)} cells + manifest.csv under {out}")
     return 0
 
 

@@ -417,15 +417,13 @@ def sweep_cells(template: RunConfig, axes: dict) -> dict[str, RunConfig]:
     return cells
 
 
-def sweep(template: RunConfig, axes: dict, out_dir) -> list[dict]:
-    """Run the cartesian product of the requested axes, one CSV per cell.
+def sweep(cells: dict[str, RunConfig], out_dir) -> list[dict]:
+    """Run sweep_cells' cells, one CSV per cell named by its cell_id.
 
     Writes manifest.csv listing every cell and returns the manifest rows.
-    Every cell is checked before the output directory is made. No sweep
-    axis changes the problem, so every cell runs on the one _setup builds
-    first.
+    No sweep axis changes the problem, so every cell runs on the one _setup
+    builds first.
     """
-    cells = sweep_cells(template, axes)
     os.makedirs(out_dir, exist_ok=True)
     manifest_rows = []
     for cid, config in cells.items():

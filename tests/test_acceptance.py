@@ -14,7 +14,7 @@ import pytest
 
 from dflsim.algorithms import RoundInputs
 from dflsim.data import Problem, generate, partition_iid
-from dflsim.harness import LrSchedule, RunConfig, bound_sanity, run_averaged, sweep
+from dflsim.harness import LrSchedule, RunConfig, bound_sanity, run_averaged, sweep, sweep_cells
 from dflsim.objective import batch_gradients, ridge_optimum
 from dflsim.theory_checks import check_bias_zero_mean
 from dflsim.topology import FULLY_CONNECTED, RING, TORUS, TopologySpec, build_mixing
@@ -238,8 +238,8 @@ def test_criterion_10_sweep_determinism(tmp_path):
     axes = {"noise_variance": [0.005, 0.01]}
     first = tmp_path / "first"
     second = tmp_path / "second"
-    sweep(template, axes, first)
-    sweep(template, axes, second)
+    sweep(sweep_cells(template, axes), first)
+    sweep(sweep_cells(template, axes), second)
     names = sorted(p.name for p in first.iterdir())
     identical = all(
         (first / name).read_bytes() == (second / name).read_bytes() for name in names

@@ -21,8 +21,8 @@ from dflsim.cli import (
     PAPER_SCALE_D,
     PAPER_SCALE_M,
     _read_csv_column,
+    _template,
     build_parser,
-    config_from_options,
     main,
     read_config_file,
     resolve_options,
@@ -34,6 +34,7 @@ from dflsim.harness import (
     cell_id,
     rate_fit,
     run_averaged,
+    sweep_cells,
     write_cell_csv,
 )
 from dflsim.topology import FULLY_CONNECTED, KINDS, RING, TopologySpec
@@ -100,7 +101,7 @@ def test_run_reports_its_analysis_regime_on_one_stderr_line(tmp_path, capsys):
     argv = ["run", "--algorithm", "fednmut", "--topology", "ring", *TINY]
     assert main([*argv, "--out", str(tmp_path / "a")]) == 0
     [line] = capsys.readouterr().err.splitlines()
-    config = config_from_options(resolve_options(build_parser().parse_args(argv)))
+    config = _template(resolve_options(build_parser().parse_args(argv)))
     assert line == regime_line(config)
     keys = re.findall(r" (\w+)=", line)
     assert keys == ["L_lo", "rho", "eta0", "eta_cap", "mu_ratio", "mu_limit"]
@@ -113,12 +114,39 @@ def test_run_reports_its_analysis_regime_on_one_stderr_line(tmp_path, capsys):
 def test_sweep_reports_one_regime_line_per_cell(tmp_path, capsys):
     argv = ["sweep", "--topology", "ring,full", *TINY, "--out", str(tmp_path)]
     assert main(argv) == 0
-    template = config_from_options(resolve_options(build_parser().parse_args(["run", *TINY])))
+    template = _template(resolve_options(build_parser().parse_args(["run", *TINY])))
     expected = [
         regime_line(replace(template, topology=TopologySpec(kind, 4)))
         for kind in (RING, FULLY_CONNECTED)
     ]
     assert capsys.readouterr().err.splitlines() == expected
+
+
+def test_run_is_the_one_cell_sweep_of_the_same_options(tmp_path, capsys):
+    argv = ["--algorithm", "fednmut", "--topology", "ring", "--noise-var", "0.005", *TINY]
+    err = {}
+    for command in ("run", "sweep"):
+        assert main([command, *argv, "--out", str(tmp_path / command)]) == 0
+        err[command] = capsys.readouterr().err
+    name = "fednmut_ring_var0.005_mu0.02.csv"
+    assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "sweep" / name).read_bytes()
+    assert err["run"] == err["sweep"] and len(err["run"].splitlines()) == 1
+    assert sorted(os.listdir(tmp_path / "run")) == [name]
+    assert sorted(os.listdir(tmp_path / "sweep")) == [name, "manifest.csv"]
+
+
+def test_sweep_builds_its_cells_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sweep_cells(*args, **kwargs)
+
+    # cli imports sweep_cells by name; harness looks it up in its own module
+    monkeypatch.setattr("dflsim.cli.sweep_cells", counting)
+    monkeypatch.setattr("dflsim.harness.sweep_cells", counting)
+    assert main(["sweep", "--mu", "0.01,0.02", *TINY, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_sweep_comma_lists(tmp_path):
@@ -225,7 +253,7 @@ def test_rate_of_run_csv_equals_fit_of_run(tmp_path, monkeypatch, capsys):
     argv = ["--algorithm", "fednmut", "--topology", "ring", "--noise-var", "0.01", *TINY,
             "--rounds", "60", "--out", str(tmp_path)]
     assert main(["run", *argv]) == 0
-    config = config_from_options(resolve_options(build_parser().parse_args(["run", *argv])))
+    config = _template(resolve_options(build_parser().parse_args(["run", *argv])))
     fits = []
 
     def recording_fit(series):
@@ -268,7 +296,7 @@ def test_config_file_and_override(tmp_path):
     assert opts["algorithm"] == ["fednmut"]  # CLI wins
     assert opts["topology"] == ["torus"]  # file fills the rest
     assert opts["rounds"] == 500  # default
-    config = config_from_options(opts)
+    config = _template(opts)
     assert config.topology.kind == "torus" and config.n == 9
     assert config.noise_variance == 0.01
 
@@ -289,6 +317,13 @@ def test_config_file_rejects_unknown_key(tmp_path):
         ("x0 = origin", [], r"bad\.cfg:2: x0: expected one of"),
         (None, ["--mu", "abc"], r"--mu: could not convert"),
         (None, ["--noise-var", "0,0.005"], r"--noise-var takes one value outside sweep"),
+        (None, ["--algorithm", "fedndl1,fednmut"],
+         r"error: --algorithm takes one value outside sweep, got \['fedndl1', 'fednmut'\]$"),
+        (None, ["--topology", "ring,full"],
+         r"error: --topology takes one value outside sweep, got \['ring', 'full'\]$"),
+        (None, ["--mu", "0.01,0.02"], r"error: --mu takes one value outside sweep, got \[0\.01, 0\.02\]$"),
+        ("noise-var = 0, 0.005", [],
+         r"error: --noise-var takes one value outside sweep, got \[0\.0, 0\.005\]$"),
         (None, ["--topology", "star"], r"--topology: expected one of \[.*\], got 'star'"),
         (None, ["--paper-scale", "--dim", "50", "--samples", "300"],
          r"paper-scale sets dim=2000 and samples=10000; .* with dim or samples"),
@@ -300,6 +335,7 @@ def test_config_file_rejects_unknown_key(tmp_path):
         ("mu = 0.02\nmu = 0.5", [], r"bad\.cfg:3: mu: already set on line 2$"),
     ],
     ids=["file-int", "file-bool", "file-axis", "file-choice", "flag-float", "flag-list",
+         "flag-list-algorithm", "flag-list-topology", "flag-list-mu", "file-list-noise-var",
          "flag-topology", "flag-paper-scale-dim", "file-paper-scale-samples",
          "file-dim-flag-paper-scale", "flag-lr0-nan", "file-lambda-inf", "file-no-equals",
          "file-repeated-key"],
@@ -320,7 +356,7 @@ def test_bad_value_names_its_option_before_any_setup(tmp_path, monkeypatch, caps
 
 
 def test_cli_defaults_are_the_library_defaults():
-    assert config_from_options(resolve_options(build_parser().parse_args(["run"]))) == RunConfig()
+    assert _template(resolve_options(build_parser().parse_args(["run"]))) == RunConfig()
 
 
 # One non-default value per option, as a flag and as a config-file value.
@@ -348,7 +384,7 @@ def test_flag_and_config_line_resolve_alike(tmp_path, opt):
     by_file = resolve_options(parser.parse_args(["run", "--config", str(cfg)]))
     defaults = resolve_options(parser.parse_args(["run"]))
     assert by_flag == by_file != defaults
-    assert config_from_options(by_flag) == config_from_options(by_file)
+    assert _template(by_flag) == _template(by_file)
 
 
 RUN_FLAGS = {f"--{opt.flag}" for opt in OPTIONS} | {"--config"}
@@ -465,7 +501,7 @@ def test_readme_config_example_resolves(tmp_path, monkeypatch):
     values = {"algorithm": ["fednmut"], "topology": ["torus"], "noise_var": [0.005], "lr0": 0.1}
     assert read_config_file("exp.cfg") == values
     [argv] = [argv for argv in readme_commands() if "--config" in argv]
-    config = config_from_options(resolve_options(build_parser().parse_args(argv)))
+    config = _template(resolve_options(build_parser().parse_args(argv)))
     assert config.topology.kind == "torus" and config.noise_variance == 0.005
     assert (config.algorithm, config.lr.eta0, config.master_seed) == ("fednmut", 0.1, 7)
 
@@ -508,7 +544,7 @@ def test_topology_and_x0_choices_are_the_library_names():
     assert by_flag["x0"].choices is X0_MODES
     for kind, mode in zip(KINDS, X0_MODES):
         args = build_parser().parse_args(["run", "--topology", kind, "--x0", mode, "--clients", "9"])
-        config = config_from_options(resolve_options(args))
+        config = _template(resolve_options(args))
         assert (config.topology.kind, config.x0_mode) == (kind, mode)
 
 

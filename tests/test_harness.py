@@ -34,6 +34,7 @@ from dflsim.harness import (
     run_averaged,
     run_detailed,
     sweep,
+    sweep_cells,
 )
 from dflsim.data import Problem, generate, partition_iid
 from dflsim.metrics import measure_block
@@ -723,7 +724,7 @@ class TestRateFit:
 class TestSweep:
     def test_empty_axes_single_cell(self, tmp_path):
         template = small_config(rounds=6, repeats=1)
-        rows = sweep(template, {}, tmp_path)
+        rows = sweep(sweep_cells(template, {}), tmp_path)
         assert len(rows) == 1
         assert rows[0]["cell_id"] == cell_id(template)
         assert (tmp_path / rows[0]["csv_path"]).exists()
@@ -732,8 +733,7 @@ class TestSweep:
     def test_grid_structure(self, tmp_path):
         template = small_config(rounds=5, repeats=1)
         rows = sweep(
-            template,
-            {"algorithm": ["fedndl1", "fedndl3"], "noise_variance": [0.0, 0.005]},
+            sweep_cells(template, {"algorithm": ["fedndl1", "fedndl3"], "noise_variance": [0.0, 0.005]}),
             tmp_path,
         )
         assert len(rows) == 4
@@ -748,14 +748,14 @@ class TestSweep:
         axes = {"noise_variance": [0.0, 0.005]}
         first = tmp_path / "a"
         second = tmp_path / "b"
-        sweep(template, axes, first)
-        sweep(template, axes, second)
+        sweep(sweep_cells(template, axes), first)
+        sweep(sweep_cells(template, axes), second)
         for name in sorted(os.listdir(first)):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_unknown_axis_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="axis"):
-            sweep(small_config(), {"rounds": [1, 2]}, tmp_path)
+            sweep(sweep_cells(small_config(), {"rounds": [1, 2]}), tmp_path)
 
     def test_full_grid_has_36_cells(self, tmp_path):
         # the full algorithm x topology x noise grid at toy scale
@@ -763,12 +763,14 @@ class TestSweep:
             topology=TopologySpec(RING, 9), d=6, m=45, rounds=3, repeats=1, batch_size=4
         )
         rows = sweep(
-            template,
-            {
-                "algorithm": ["fedndl1", "fedndl2", "fedndl3", "fednmut"],
-                "topology": ["ring", "torus", "full"],
-                "noise_variance": [0.0, 0.005, 0.01],
-            },
+            sweep_cells(
+                template,
+                {
+                    "algorithm": ["fedndl1", "fedndl2", "fedndl3", "fednmut"],
+                    "topology": ["ring", "torus", "full"],
+                    "noise_variance": [0.0, 0.005, 0.01],
+                },
+            ),
             tmp_path,
         )
         assert len(rows) == 36
@@ -781,14 +783,14 @@ class TestSweep:
         template = small_config(algorithm="fednmut", rounds=4, repeats=1)
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=r"share cell_id .*: mu=0\.02 vs 0\.02"):
-            sweep(template, {"mu": mus}, out)
+            sweep(sweep_cells(template, {"mu": mus}), out)
         assert not out.exists()
 
     @pytest.mark.parametrize("axis", ["algorithm", "topology", "noise_variance", "mu"])
     def test_empty_axis_rejected_before_output_dir(self, tmp_path, no_setup, axis):
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=f"sweep axis '{axis}' has no values"):
-            sweep(small_config(), {axis: []}, out)
+            sweep(sweep_cells(small_config(), {axis: []}), out)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -797,21 +799,21 @@ class TestSweep:
     def test_bad_template_rejected_before_output_dir(self, tmp_path, field, value, message):
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=message):
-            sweep(small_config(**{field: value}), {"mu": [0.02, 0.05]}, out)
+            sweep(sweep_cells(small_config(**{field: value}), {"mu": [0.02, 0.05]}), out)
         assert not out.exists()
 
     def test_bad_mu_cell_rejected_before_output_dir(self, tmp_path):
         template = small_config(algorithm="fednmut", rounds=4, repeats=1)
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=r"mu must be in \[0, 1\), got 1"):
-            sweep(template, {"mu": [0.02, 1.0]}, out)
+            sweep(sweep_cells(template, {"mu": [0.02, 1.0]}), out)
         assert not out.exists()
 
     def test_topology_with_other_n_rejected(self, tmp_path):
         template = small_config(rounds=4, repeats=1)
         out = tmp_path / "out"
         with pytest.raises(ValueError, match="unknown topology kind TopologySpec"):
-            sweep(template, {"topology": [RING, TopologySpec(FULLY_CONNECTED, 8)]}, out)
+            sweep(sweep_cells(template, {"topology": [RING, TopologySpec(FULLY_CONNECTED, 8)]}), out)
         assert not out.exists()
 
     def test_one_smoothness_estimate_per_sweep(self, tmp_path, monkeypatch):
@@ -827,7 +829,7 @@ class TestSweep:
         # the one lower bound is the problem's; no run computes the exact L
         template = small_config(rounds=3, repeats=2)
         axes = {"algorithm": ["fedndl1", "fednmut"], "topology": [RING, FULLY_CONNECTED]}
-        rows = sweep(template, axes, tmp_path)
+        rows = sweep(sweep_cells(template, axes), tmp_path)
         assert len(rows) == 4
         [(args, kwargs)] = calls["smoothness_lower_bound"]  # one call, on the problem
         assert [type(a) for a in args] == [Problem] and not kwargs
@@ -835,7 +837,7 @@ class TestSweep:
 
     def test_mu_axis_sweep(self, tmp_path):
         template = small_config(algorithm="fednmut", rounds=4, repeats=1, noise_variance=0.0)
-        rows = sweep(template, {"mu": [0.0, 0.02, 0.05]}, tmp_path)
+        rows = sweep(sweep_cells(template, {"mu": [0.0, 0.02, 0.05]}), tmp_path)
         assert [float(r["mu"]) for r in rows] == [0.0, 0.02, 0.05]
 
 
@@ -860,3 +862,16 @@ def test_readme_library_example_runs(capsys):
     assert "rounds=500" in code
     exec(code.replace("rounds=500", "rounds=20"), {})
     assert len(capsys.readouterr().out.split()) == 2
+
+
+def test_readme_sweep_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    run_code, sweep_code = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)[:2]
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(run_code.replace("rounds=500", "rounds=20"), namespace)
+    exec(sweep_code, namespace)
+    assert [row["cell_id"] for row in namespace["rows"]] == list(namespace["cells"])
+    assert len(namespace["rows"]) == 4
+    assert (tmp_path / "sweep_out" / "manifest.csv").exists()
