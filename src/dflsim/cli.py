@@ -51,13 +51,12 @@ class Option(NamedTuple):
 # Every default but out's and paper-scale's is the library's own.
 _DEFAULT = RunConfig()
 
-# _value parses a flag and a config-file line alike; a sweep axis takes a
-# comma list and resolves to a list, every other option to one value.
+# _value parses a flag and a config-file line alike, stripped and non-empty; a
+# sweep axis takes a comma list and resolves to a list, every other option to one value.
 OPTIONS = (
-    Option("algorithm", str, _DEFAULT.algorithm, "update rule: " + "|".join(ALGORITHMS),
-           axis="algorithm"),
-    Option("topology", str, _DEFAULT.topology.kind, "gossip graph: " + "|".join(KINDS),
-           axis="topology", choices=KINDS),
+    Option("algorithm", str, _DEFAULT.algorithm, "update rule", axis="algorithm",
+           choices=ALGORITHMS),
+    Option("topology", str, _DEFAULT.topology.kind, "gossip graph", axis="topology", choices=KINDS),
     Option("clients", int, _DEFAULT.n, "number of clients n"),
     Option("dim", int, _DEFAULT.d, "model dimension d"),
     Option("samples", int, _DEFAULT.m, "total samples m"),
@@ -72,8 +71,7 @@ OPTIONS = (
     Option("lr-interval", int, _DEFAULT.lr.decay_interval, "rounds between step-size decays"),
     Option("repeats", int, _DEFAULT.repeats, "independent repeats averaged per cell"),
     Option("seed", int, _DEFAULT.master_seed, "master seed"),
-    Option("x0", str, _DEFAULT.x0_mode, "initial point: " + "|".join(X0_MODES),
-           choices=X0_MODES),
+    Option("x0", str, _DEFAULT.x0_mode, "initial point", choices=X0_MODES),
     Option("out", str, "dflsim_out", "output directory"),
     Option("paper-scale", bool, False, f"use d={PAPER_SCALE_D}, m={PAPER_SCALE_M}"),
 )
@@ -84,9 +82,10 @@ def _add_flags(p: argparse.ArgumentParser, options: tuple[Option, ...]) -> None:
     # given stays None, so a config-file value can fill it.
     for opt in options:
         kwargs = {"action": "store_const", "const": "true"} if opt.type is bool else {}
+        choice_note = ": " + "|".join(opt.choices) if opt.choices else ""
         sweep_note = " (sweep: comma list)" if opt.axis else ""
-        p.add_argument(f"--{opt.flag}", dest=opt.name,
-                       help=f"{opt.help}{sweep_note} (default: {opt.default})", **kwargs)
+        p.add_argument(f"--{opt.flag}", dest=opt.name, **kwargs,
+                       help=f"{opt.help}{choice_note}{sweep_note} (default: {opt.default})")
 
 
 def _parse_bool(text: str) -> bool:
@@ -100,7 +99,7 @@ def _parse_bool(text: str) -> bool:
 
 def _value(where: str, text: str, opt: Option):
     """opt's value in text, a list for a sweep axis; a bad one raises ValueError naming where."""
-    parts = [part.strip() for part in text.split(",") if part.strip()] if opt.axis else [text]
+    parts = [part.strip() for part in (text.split(",") if opt.axis else [text]) if part.strip()]
     if not parts:
         raise ValueError(f"{where} needs at least one value, got {text!r}")
     values = []
@@ -140,7 +139,10 @@ def read_config_file(path: str) -> dict:
 
 def resolve_options(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file values over defaults; a sweep axis holds a list."""
-    given = read_config_file(args.config) if getattr(args, "config", None) else {}
+    path = getattr(args, "config", None)  # verify takes no --config
+    if path == "":
+        raise ValueError("--config needs a file path, got ''")
+    given = read_config_file(path) if path is not None else {}
     for opt in OPTIONS:
         text = getattr(args, opt.name, None)
         if text is not None:

@@ -30,6 +30,7 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -132,7 +133,8 @@ class RunConfig:
     repeats: int = 3
     master_seed: int = 1
     x0_mode: str = X0_SHARED
-    label_noise_variance: float = 0.05
+    # a class constant, not a field: every run's dataset has this label noise
+    label_noise_variance: ClassVar[float] = 0.05
 
     @property
     def n(self) -> int:
@@ -147,11 +149,6 @@ class RunConfig:
             raise ValueError(f"unknown x0 mode {self.x0_mode!r}, expected one of {X0_MODES}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        # "not 0 <= x < inf" also rejects nan, which fails every comparison
-        if not 0 <= self.label_noise_variance < math.inf:
-            raise ValueError(
-                f"label_noise_variance must be >= 0 and finite, got {self.label_noise_variance}"
-            )
         # derive_stream keys on the seed modulo 2**64, and generate on the
         # seed itself: only this range gives one seed per stream set.
         if not 0 <= self.master_seed < 2**64:
@@ -163,6 +160,7 @@ class RunConfig:
             raise ValueError(f"step size underflows to 0 by round {self.rounds - 1}: {self.lr}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        # "not 0 <= x < inf" also rejects nan, which fails every comparison
         if not 0 <= self.noise_variance < math.inf:
             raise ValueError(f"noise_variance must be >= 0 and finite, got {self.noise_variance}")
         if not 0.0 <= self.mu < 1.0:
@@ -202,20 +200,17 @@ class AveragedResult:
 
 
 @functools.lru_cache(maxsize=1)
-def _problem(
-    m: int, d: int, label_noise_variance: float, master_seed: int, n: int, lam: float
-) -> tuple[Problem, float]:
+def _problem(m: int, d: int, master_seed: int, n: int, lam: float) -> tuple[Problem, float]:
     """The problem of these config fields and its smoothness lower bound, memo keyed by all."""
-    dataset = generate(m, d, label_noise_variance, master_seed)
+    dataset = generate(m, d, RunConfig.label_noise_variance, master_seed)
     problem = Problem(dataset, partition_iid(dataset, n), lam)
     return problem, smoothness_lower_bound(problem)
 
 
 def _setup(config: RunConfig) -> Setup:
     """The only place a set-up is made; the last problem built is kept for the next run."""
-    key = (config.m, config.d, config.label_noise_variance, config.master_seed, config.n, config.lam)
-    problem, smoothness_lower = _problem(*key)
-    return Setup(problem, smoothness_lower, build_mixing(config.topology))
+    problem, lower = _problem(config.m, config.d, config.master_seed, config.n, config.lam)
+    return Setup(problem, lower, build_mixing(config.topology))
 
 
 def analysis_regime(config: RunConfig) -> dict[str, float]:

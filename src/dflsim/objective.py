@@ -15,14 +15,15 @@ read; when every shard is, sample_batches returns None and draws nothing.
 Stream layout 3 (see dflsim.channel) says which stream each round's block
 is drawn from.
 
-_stacked_gradients is the one gradient formula. batch_gradients takes
-every client's gradient of a round in one pass over a Problem, as
-stacked products over each of its runs of adjacent equal-sized shards
-(views of whole shards, gathers of sampled rows in chunks of at most
-GATHER_BUDGET elements). The loss
-formula is dflsim.metrics'. The per-vector forms, stochastic_gradient,
-local_loss and global_loss, live in tests/oracles.py as the references
-both are tested against bit for bit.
+_stacked_gradients is the minibatch gradient formula: batch_gradients
+takes every client's gradient of a round in one pass over a Problem, as
+stacked products over each run of adjacent equal-sized shards (views of
+whole shards, gathers of sampled rows in chunks of at most GATHER_BUDGET
+elements). dflsim.metrics._global_terms, with the loss formula, is the
+full-data one: one residual @ A product per metrics block, A as BLAS's
+first factor (A @ X.T cost +33 MiB at paper scale). Both are tied to
+tests/oracles.py bit for bit, by TestBatchGradients and, on a one-state
+block, by test_fused_measure_is_bit_identical_to_objective_calls.
 """
 
 from __future__ import annotations

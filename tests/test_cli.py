@@ -1,5 +1,6 @@
 """Command line surface: flags, config file, subcommands."""
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -181,7 +182,7 @@ def test_sweep_empty_comma_list_rejected(tmp_path, capsys, flag):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--algorithm", "fedndl1,fedx", "unknown algorithm 'fedx'"),
+    ("--algorithm", "fedndl1,fedx", r"--algorithm: expected one of \[.*\], got 'fedx'"),
     ("--topology", "ring,star", r"--topology: expected one of \['ring', 'torus', 'full'\], got 'star'"),
 ])
 def test_sweep_unknown_axis_value_rejected(tmp_path, capsys, flag, value, message):
@@ -315,6 +316,7 @@ def test_config_file_rejects_unknown_key(tmp_path):
         ("paper-scale = maybe", [], r"bad\.cfg:2: paper-scale: not a boolean"),
         ("mu = abc", [], r"bad\.cfg:2: mu: could not convert"),
         ("x0 = origin", [], r"bad\.cfg:2: x0: expected one of"),
+        ("algorithm = nosuch", [], r"bad\.cfg:2: algorithm: expected one of \[.*\], got 'nosuch'$"),
         (None, ["--mu", "abc"], r"--mu: could not convert"),
         (None, ["--noise-var", "0,0.005"], r"--noise-var takes one value outside sweep"),
         (None, ["--algorithm", "fedndl1,fednmut"],
@@ -325,6 +327,9 @@ def test_config_file_rejects_unknown_key(tmp_path):
         ("noise-var = 0, 0.005", [],
          r"error: --noise-var takes one value outside sweep, got \[0\.0, 0\.005\]$"),
         (None, ["--topology", "star"], r"--topology: expected one of \[.*\], got 'star'"),
+        (None, ["--algorithm", "nosuch"],
+         r"error: --algorithm: expected one of \['fedndl1', 'fedndl2', 'fedndl3', 'fednmut'\], "
+         r"got 'nosuch'$"),
         (None, ["--paper-scale", "--dim", "50", "--samples", "300"],
          r"paper-scale sets dim=2000 and samples=10000; .* with dim or samples"),
         ("paper-scale = true", ["--samples", "300"], r"paper-scale .* with samples"),
@@ -334,11 +339,11 @@ def test_config_file_rejects_unknown_key(tmp_path):
         ("clients 4", [], r"bad\.cfg:2: expected 'key = value', got 'clients 4'"),
         ("mu = 0.02\nmu = 0.5", [], r"bad\.cfg:3: mu: already set on line 2$"),
     ],
-    ids=["file-int", "file-bool", "file-axis", "file-choice", "flag-float", "flag-list",
-         "flag-list-algorithm", "flag-list-topology", "flag-list-mu", "file-list-noise-var",
-         "flag-topology", "flag-paper-scale-dim", "file-paper-scale-samples",
-         "file-dim-flag-paper-scale", "flag-lr0-nan", "file-lambda-inf", "file-no-equals",
-         "file-repeated-key"],
+    ids=["file-int", "file-bool", "file-axis", "file-choice", "file-algorithm", "flag-float",
+         "flag-list", "flag-list-algorithm", "flag-list-topology", "flag-list-mu",
+         "file-list-noise-var", "flag-topology", "flag-algorithm", "flag-paper-scale-dim",
+         "file-paper-scale-samples", "file-dim-flag-paper-scale", "flag-lr0-nan",
+         "file-lambda-inf", "file-no-equals", "file-repeated-key"],
 )
 def test_bad_value_names_its_option_before_any_setup(tmp_path, monkeypatch, capsys,
                                                       config_line, flags, names):
@@ -387,6 +392,30 @@ def test_flag_and_config_line_resolve_alike(tmp_path, opt):
     assert _template(by_flag) == _template(by_file)
 
 
+def leaves(obj, prefix=""):
+    """(dotted path, value) of each leaf field of a dataclass, nested dataclasses flattened."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from leaves(value, f"{prefix}{field.name}.")
+        else:
+            yield prefix + field.name, value
+
+
+def test_every_run_config_field_is_set_by_exactly_one_option():
+    default = dict(leaves(RunConfig()))
+    set_by = []
+    for opt in OPTIONS:
+        if opt.flag in ("out", "paper-scale"):  # where results go; a preset of dim and samples
+            continue
+        args = build_parser().parse_args(["run", f"--{opt.flag}", SAMPLE_VALUES[opt.flag]])
+        config = _template(resolve_options(args))
+        changed = [path for path, value in leaves(config) if value != default[path]]
+        assert len(changed) == 1, (opt.flag, changed)
+        set_by += changed
+    assert sorted(set_by) == sorted(default)
+
+
 RUN_FLAGS = {f"--{opt.flag}" for opt in OPTIONS} | {"--config"}
 FLAGS_TAKEN = {"run": RUN_FLAGS, "sweep": RUN_FLAGS, "verify": {"--seed", "--out"},
                "rate": {"--csv"}}
@@ -409,13 +438,15 @@ def test_help_names_every_option(capsys, command):
 
 
 def bad_texts(opt):
-    """Texts that opt's parse rejects: a non-number, a name not among its choices, an empty list."""
+    """Texts opt's parse rejects: a non-number, an unknown choice, an empty list, no free text."""
     if opt.type in (int, float, bool):
         yield "abc"
     if opt.choices:
         yield "nosuch"
     if opt.axis:
         yield ","
+    if opt.type is str and not opt.choices:
+        yield ""
 
 
 # (command, option, bad text, given as a flag or a config-file line), for every
@@ -433,7 +464,9 @@ BAD_VALUES = [
 
 
 def test_every_option_but_free_text_has_a_bad_value():
-    assert [opt.flag for opt in OPTIONS if not list(bad_texts(opt))] == ["out"]
+    # free text's one bad value is no text
+    assert [opt.flag for opt in OPTIONS if not list(bad_texts(opt))] == []
+    assert [opt.flag for opt in OPTIONS if list(bad_texts(opt)) == [""]] == ["out"]
 
 
 @pytest.mark.parametrize("command, opt, text, source", BAD_VALUES,
@@ -446,13 +479,14 @@ def test_bad_value_gives_one_line_naming_its_option(tmp_path, monkeypatch, capsy
     for target in ("dflsim.harness.generate", "dflsim.cli.build_mixing",
                    "dflsim.cli.run_averaged", "dflsim.cli.sweep"):
         monkeypatch.setattr(target, no_setup)
-    monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(tmp_path)  # where a command that ran would write dflsim_out
     if source == "flag":
         argv, where = [command, f"--{opt.flag}", text], f"--{opt.flag}"
     else:
         Path("bad.cfg").write_text(f"# options\n{opt.flag} = {text}\n", encoding="utf-8")
         argv, where = [command, "--config", "bad.cfg"], f"bad.cfg:2: {opt.flag}"
-    assert_exits_2_naming(capsys, [*argv, "--out", "out"], re.escape(f"error: {where}") + "[: ]")
+    # no --out: a later flag wins, so one would hide a bad out
+    assert_exits_2_naming(capsys, argv, re.escape(f"error: {where}") + "[: ]")
     assert os.listdir(tmp_path) == (["bad.cfg"] if source == "file" else [])
 
 
@@ -530,6 +564,12 @@ def test_all_lists_every_public_name():
     assert set(dflsim.__all__) == public
 
 
+def test_package_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == dflsim.__version__
+
+
 def test_paper_scale_sets_dimensions():
     parser = build_parser()
     args = parser.parse_args(["run", "--paper-scale"])
@@ -599,13 +639,16 @@ def test_verify_rejects_bad_seed_before_any_check(tmp_path, monkeypatch, capsys)
     (["run", "--rounds", "1100", "--lr0", "0.01", "--lr-gamma", "0.5", "--lr-interval", "1"],
      r"step size underflows to 0 by round 1099: LrSchedule\(eta0=0.01, gamma=0.5, decay_interval=1\)"),
     (["run", "--config", "missing.cfg"], "No such file or directory: 'missing.cfg'"),
+    (["run", "--config", ""], r"error: --config needs a file path, got ''$"),
+    (["sweep", "--config", ""], r"error: --config needs a file path, got ''$"),
     (["sweep", "--mu", "0.02,1.5"], r"mu must be in \[0, 1\), got 1.5"),
     (["sweep", "--mu", "0.02,0.0200000001"], "share cell_id"),
     (["rate", "--csv", "missing.csv"], "No such file or directory: 'missing.csv'"),
     (["run", "--out", os.devnull], "File exists"),
     (["sweep", "--out", os.devnull], "File exists"),
     (["verify", "--out", os.devnull], "File exists"),
-], ids=["run-invalid-config", "run-no-repeat", "run-too-few-samples", "run-step-underflow", "run-missing-config", "sweep-invalid-cell",
+], ids=["run-invalid-config", "run-no-repeat", "run-too-few-samples", "run-step-underflow",
+        "run-missing-config", "run-empty-config", "sweep-empty-config", "sweep-invalid-cell",
         "sweep-cell-collision", "rate-missing-csv", "run-out-file", "sweep-out-file",
         "verify-out-file"])
 def test_bad_input_exits_2_before_any_setup(tmp_path, monkeypatch, capsys, argv, named):

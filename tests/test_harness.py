@@ -415,7 +415,6 @@ class TestRunAveraged:
         "field, value, message",
         [
             ("d", 0, "d must be >= 1, got 0"),
-            ("label_noise_variance", -0.1, "label_noise_variance must be >= 0"),
             ("master_seed", -1, r"master_seed must be in \[0, 2\*\*64\), got -1"),
             ("master_seed", 2**64 + 5, r"master_seed must be in \[0, 2\*\*64\)"),
         ],
@@ -424,6 +423,12 @@ class TestRunAveraged:
         with pytest.raises(ValueError, match=message):
             run_averaged(small_config(**{field: value}))
 
+    def test_label_noise_is_a_class_constant_not_a_field(self):
+        assert "label_noise_variance" not in {f.name for f in dataclasses.fields(RunConfig)}
+        assert RunConfig().label_noise_variance == RunConfig.label_noise_variance == 0.05
+        with pytest.raises(TypeError, match="label_noise_variance"):
+            RunConfig(label_noise_variance=0.0)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "field, call",
@@ -431,10 +436,9 @@ class TestRunAveraged:
             ("eta0", lambda v: LrSchedule(eta0=v)),
             ("lam", lambda v: run_averaged(small_config(lam=v))),
             ("noise_variance", lambda v: run_averaged(small_config(noise_variance=v))),
-            ("label_noise_variance", lambda v: run_averaged(small_config(label_noise_variance=v))),
             ("label_noise_variance", lambda v: data.generate(10, 2, v, 0)),
         ],
-        ids=["eta0", "lam", "noise_variance", "label_noise_variance", "generate"],
+        ids=["eta0", "lam", "noise_variance", "generate"],
     )
     def test_non_finite_value_rejected_before_setup(self, no_setup, field, call, value):
         with pytest.raises(ValueError, match=rf"^{field} must be >=? 0 and finite, got {value}$"):
@@ -522,13 +526,12 @@ class TestRunAveraged:
         [
             dict(m=120),
             dict(d=12),
-            dict(label_noise_variance=0.0),
             dict(master_seed=6),
             dict(topology=TopologySpec(RING, 5)),
             dict(lam=1e-3),
             dict(topology=TopologySpec(FULLY_CONNECTED, 4)),  # same n, so the same problem
         ],
-        ids=["m", "d", "label_noise_variance", "master_seed", "n", "lam", "topology"],
+        ids=["m", "d", "master_seed", "n", "lam", "topology"],
     )
     def test_run_after_another_problem_equals_fresh_run(self, overrides):
         # every field the problem is built from is in the memo's key
