@@ -137,12 +137,22 @@ def read_config_file(path: str) -> dict:
     return values
 
 
+@contextlib.contextmanager
+def _naming(flag: str):
+    """Re-raise an OSError, or a file that is not UTF-8, on --flag's path naming --flag."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"--{flag}: {exc}") from None
+
+
 def resolve_options(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file values over defaults; a sweep axis holds a list."""
     path = getattr(args, "config", None)  # verify takes no --config
     if path == "":
         raise ValueError("--config needs a file path, got ''")
-    given = read_config_file(path) if path is not None else {}
+    with _naming("config"):
+        given = read_config_file(path) if path is not None else {}
     for opt in OPTIONS:
         text = getattr(args, opt.name, None)
         if text is not None:
@@ -206,7 +216,8 @@ def _cells(args: argparse.Namespace) -> tuple[dict[str, RunConfig], str]:
                 f"--{swept[0].flag} takes one value outside sweep, got {opts[swept[0].name]}"
             )
         cells = sweep_cells(_template(opts), {opt.axis: opts[opt.name] for opt in swept})
-        os.makedirs(opts["out"], exist_ok=True)
+        with _naming("out"):
+            os.makedirs(opts["out"], exist_ok=True)
     for cid, config in cells.items():
         facts = " ".join(f"{key}={value:.6g}" for key, value in analysis_regime(config).items())
         sys.stderr.write(f"dflsim: {cid}: {facts}\n")
@@ -299,7 +310,8 @@ def _verify_battery(config: RunConfig) -> list[dict]:
         )
 
     bias = check_bias_zero_mean(
-        mu=0.02, per_coord_variance=0.005, n=n, d=4, T=100, trials=4000, seed=11
+        mu=0.02, per_coord_variance=0.005, mixing=build_mixing(config.topology), d=4, T=100,
+        trials=4000, seed=11,
     )
     record(
         "bias-zero-mean",
@@ -319,7 +331,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with _bad_input(args):
         opts = resolve_options(args)
         config = RunConfig(d=50, m=800, rounds=300, repeats=1, master_seed=opts["seed"])
-        os.makedirs(opts["out"], exist_ok=True)
+        with _naming("out"):
+            os.makedirs(opts["out"], exist_ok=True)
     checks = _verify_battery(config)
     lines = []
     for check in checks:

@@ -13,8 +13,12 @@ lower envelopes of the assumed uniform bounds, and the worst-case bound
 evaluation built on them is a sanity check rather than a certificate.
 Their per-client reference gradient is tests/oracles.py's.
 
-Also here: a Monte-Carlo check that the tracking bias stays zero-mean
-under channel noise, and the contraction check for gossip matrices.
+Also here: the contraction check for gossip matrices, and a Monte-Carlo
+check that the tracking bias stays zero-mean under channel noise. It runs
+round_fednmut_array itself, so it catches a kernel that drops the noise
+from the broadcast or scales it by the step; mu applied twice or with a
+flipped sign moves neither the bias's mean nor its variance enough to
+show, and passes.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algorithms import RoundInputs, round_fednmut_array
+from .channel import sample_noise
 from .data import Problem
 from .metrics import consensus_error
 from .objective import batch_gradients, gathered_gradients, sample_batches
@@ -36,6 +42,8 @@ _POWER_STEPS = 4
 _ROUNDING_MARGIN = 1e-12
 # Rows of each random X that check_contraction draws.
 _CONTRACTION_DIM = 8
+# check_bias_zero_mean's step: below 1, so that noise scaled by the step shows.
+_BIAS_ETA = 0.1
 
 
 class PreconditionViolated(ValueError):
@@ -174,26 +182,25 @@ def estimate_zeta_sq(x_samples: list[np.ndarray], problem: Problem) -> float:
 def check_bias_zero_mean(
     mu: float,
     per_coord_variance: float,
-    n: int,
+    mixing: MixingMatrix,
     d: int,
     T: int,
     trials: int,
     seed: int,
 ) -> BiasMeanReport:
-    """Monte-Carlo test that the averaged tracking bias has zero mean.
+    """Monte-Carlo test, through round_fednmut_array, that the tracking bias has zero mean.
 
-    Simulates the column-mean recursion b_t = mu * b_{t-1} + mean of the
-    round's n client noise draws, starting from zero, over independent
-    noise sequences. Each coordinate's sample mean after T rounds must
-    sit within 4 standard errors of zero; one with no spread, as at zero
-    noise, passes. The variance is reported but not asserted.
+    The trials are stacked along the coordinate axis: one (trials*d) x n
+    state from X = 0 with zero gradients, each column a client, run T
+    rounds on mixing with noise drawn as the harness draws it. Under a
+    doubly stochastic W the gossip terms have client mean 0, so the client
+    mean of the broadcasts follows b_t = mu b_{t-1} + mean(delta_t), for
+    any step: _BIAS_ETA only makes noise wrongly scaled by the step show.
+    Each coordinate's sample mean of the last b must sit within 4 standard
+    errors of zero (one with no spread, as at zero noise, passes), and the
+    empirical variance within 5 of its standard errors of the predicted
+    one (an exact 0 when 0 is predicted).
     """
-    if not 0.0 <= mu < 1.0:
-        raise ValueError(f"mu must be in [0, 1), got {mu}")
-    if not 0 <= per_coord_variance < math.inf:
-        raise ValueError(f"per_coord_variance must be >= 0 and finite, got {per_coord_variance}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if T < 1:
@@ -201,21 +208,27 @@ def check_bias_zero_mean(
     if trials < 2:
         raise ValueError(f"trials must be >= 2, got {trials}")
     rng = np.random.default_rng(seed)
-    b = np.zeros((trials, d))
-    scale = math.sqrt(per_coord_variance)
+    n, rows = mixing.n, trials * d
+    X, y_tilde, delta = np.zeros((rows, n)), np.zeros((rows, n)), np.zeros((rows, n))
     for _ in range(T):
-        delta_bar = rng.normal(0.0, scale, size=(trials, n, d)).mean(axis=1)
-        b = mu * b + delta_bar
+        noises = sample_noise(rng, (n, rows), per_coord_variance).T
+        inputs = RoundInputs(eta=_BIAS_ETA, W=mixing, grads=np.zeros_like, noises=noises, mu=mu)
+        X, y_tilde, delta, _ = round_fednmut_array(X, y_tilde, delta, inputs)
+    b = y_tilde.mean(axis=1).reshape(trials, d)
     means = b.mean(axis=0)
     ses = b.std(axis=0, ddof=1) / math.sqrt(trials)
     ratios = np.divide(np.abs(means), ses, out=np.zeros(d), where=ses > 0)
-    geometric = (1.0 - mu ** (2 * T)) / (1.0 - mu * mu)
+    empirical = float(b.var(axis=0, ddof=1).mean())
+    predicted = per_coord_variance / n * (1.0 - mu ** (2 * T)) / (1.0 - mu * mu)
+    # a Gaussian sample variance's relative standard error, averaged over d coordinates
+    band = 5.0 * math.sqrt(2.0 / (d * (trials - 1)))
+    variance_ok = empirical == 0.0 if predicted == 0.0 else abs(empirical / predicted - 1.0) <= band
     return BiasMeanReport(
-        passed=bool(np.all(ratios <= 4.0)),
+        passed=bool(np.all(ratios <= 4.0)) and variance_ok,
         max_abs_mean=float(np.max(np.abs(means))),
         max_se_ratio=float(ratios.max()),
-        empirical_variance=float(b.var(axis=0, ddof=1).mean()),
-        predicted_variance=per_coord_variance / n * geometric,
+        empirical_variance=empirical,
+        predicted_variance=predicted,
     )
 
 

@@ -131,7 +131,8 @@ def test_criterion_4_tracking_oracle_equivalence():
 def test_criterion_5_bias_zero_mean_monte_carlo():
     start = time.time()
     result = check_bias_zero_mean(
-        mu=0.02, per_coord_variance=0.005, n=N, d=4, T=100, trials=10_000, seed=5
+        mu=0.02, per_coord_variance=0.005, mixing=build_mixing(TopologySpec(RING, N)), d=4,
+        T=100, trials=10_000, seed=5,
     )
     elapsed = time.time() - start
     passed = result.passed and elapsed < 30.0

@@ -617,8 +617,8 @@ def test_verify_writes_report_and_passes(tmp_path, capsys):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in ("verify_report.txt", "verify_summary.json")}
     assert digests == {
-        "verify_report.txt": "87bddcdfd2aae1edb9fd0e4e779846e85fc4a264979b0befb53bfe814259d9ab",
-        "verify_summary.json": "2f980b0cc741c62c7221976b6bff4e2725dc9dc8dd976dff0bc75c8985d0848a",
+        "verify_report.txt": "0a3bb41e5d5174bd1bba6c194667b563c91b043834569dab2451bbc23c4d6ffc",
+        "verify_summary.json": "9ddf38806114af7a355dec1326e159f4c3fbc590f971734ad76f6699d6b87238",
     }
 
 
@@ -638,19 +638,20 @@ def test_verify_rejects_bad_seed_before_any_check(tmp_path, monkeypatch, capsys)
     (["run", "--samples", "10"], "need at least one sample per client: m=10 < n=16"),
     (["run", "--rounds", "1100", "--lr0", "0.01", "--lr-gamma", "0.5", "--lr-interval", "1"],
      r"step size underflows to 0 by round 1099: LrSchedule\(eta0=0.01, gamma=0.5, decay_interval=1\)"),
-    (["run", "--config", "missing.cfg"], "No such file or directory: 'missing.cfg'"),
+    (["run", "--config", "missing.cfg"], "--config: .*No such file or directory: 'missing.cfg'"),
     (["run", "--config", ""], r"error: --config needs a file path, got ''$"),
     (["sweep", "--config", ""], r"error: --config needs a file path, got ''$"),
     (["sweep", "--mu", "0.02,1.5"], r"mu must be in \[0, 1\), got 1.5"),
     (["sweep", "--mu", "0.02,0.0200000001"], "share cell_id"),
     (["rate", "--csv", "missing.csv"], "No such file or directory: 'missing.csv'"),
-    (["run", "--out", os.devnull], "File exists"),
-    (["sweep", "--out", os.devnull], "File exists"),
-    (["verify", "--out", os.devnull], "File exists"),
+    (["run", "--out", os.devnull], rf"error: --out: \[Errno \d+\] File exists: '{os.devnull}'$"),
+    (["sweep", "--out", os.devnull], rf"error: --out: \[Errno \d+\] File exists: '{os.devnull}'$"),
+    (["verify", "--out", os.devnull], rf"error: --out: \[Errno \d+\] File exists: '{os.devnull}'$"),
+    (["run", "--config", os.curdir], r"error: --config: \[Errno \d+\] Is a directory: '\.'$"),
 ], ids=["run-invalid-config", "run-no-repeat", "run-too-few-samples", "run-step-underflow",
         "run-missing-config", "run-empty-config", "sweep-empty-config", "sweep-invalid-cell",
         "sweep-cell-collision", "rate-missing-csv", "run-out-file", "sweep-out-file",
-        "verify-out-file"])
+        "verify-out-file", "run-config-directory"])
 def test_bad_input_exits_2_before_any_setup(tmp_path, monkeypatch, capsys, argv, named):
     def no_setup(*args, **kwargs):
         raise AssertionError("set-up started before the inputs were checked")
@@ -660,6 +661,14 @@ def test_bad_input_exits_2_before_any_setup(tmp_path, monkeypatch, capsys, argv,
     monkeypatch.chdir(tmp_path)  # where a command that ran would write dflsim_out
     assert_exits_2_naming(capsys, argv, named)
     assert os.listdir(tmp_path) == []
+
+
+def test_config_file_that_is_not_text_names_its_option(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"seed = \xff\n")
+    assert_exits_2_naming(capsys, ["run", "--config", str(cfg), "--out", str(tmp_path / "out")],
+                          r"error: --config: 'utf-8' codec can't decode byte 0xff")
+    assert not (tmp_path / "out").exists()
 
 
 def test_value_error_after_setup_propagates(tmp_path, monkeypatch):

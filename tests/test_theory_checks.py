@@ -1,9 +1,12 @@
 """Constant estimators, bias zero-mean check, worst-case bound, contraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dflsim import objective
+from dflsim.algorithms import round_fednmut_array
 from dflsim.data import Problem, Shard, generate, partition_iid
 from dflsim.objective import sample_batches
 from dflsim.theory_checks import (
@@ -202,35 +205,54 @@ class TestZetaSq:
         assert 0.0 < value < np.inf
 
 
+def ring(n):
+    """The ring mixing of n clients."""
+    return build_mixing(TopologySpec(RING, n))
+
+
 class TestBiasZeroMean:
     def test_zero_variance_exact(self):
-        report = check_bias_zero_mean(0.5, 0.0, n=4, d=3, T=20, trials=100, seed=0)
+        report = check_bias_zero_mean(0.5, 0.0, ring(4), d=3, T=20, trials=100, seed=0)
         assert report.passed
         assert report.max_abs_mean == 0.0
         assert report.empirical_variance == 0.0
 
     def test_mu_zero_is_last_noise_average(self):
-        report = check_bias_zero_mean(0.0, 0.01, n=8, d=4, T=10, trials=3000, seed=1)
+        report = check_bias_zero_mean(0.0, 0.01, ring(8), d=4, T=10, trials=3000, seed=1)
         assert report.passed
         # with mu = 0 only the final round's noise average survives
         assert report.predicted_variance == pytest.approx(0.01 / 8)
         assert report.empirical_variance == pytest.approx(0.01 / 8, rel=0.15)
 
     def test_moderate_monte_carlo(self):
-        report = check_bias_zero_mean(0.02, 0.005, n=16, d=4, T=30, trials=3000, seed=2)
+        mixing = build_mixing(TopologySpec(FULLY_CONNECTED, 16))
+        report = check_bias_zero_mean(0.02, 0.005, mixing, d=4, T=30, trials=3000, seed=2)
         assert report.passed
         assert report.max_se_ratio <= 4.0
         assert report.empirical_variance == pytest.approx(report.predicted_variance, rel=0.2)
 
+    @pytest.mark.parametrize("change", [
+        lambda inputs: replace(inputs, noises=np.zeros_like(inputs.noises)),
+        lambda inputs: replace(inputs, noises=inputs.eta * inputs.noises),
+    ], ids=["noise-dropped", "noise-scaled-by-step"])
+    def test_kernel_mutant_fails(self, monkeypatch, change):
+        """The real kernel run on change(inputs): the check reads the kernel, not a stand-in."""
+        def mutant(X, y_tilde, delta, inputs):
+            return round_fednmut_array(X, y_tilde, delta, change(inputs))
+
+        monkeypatch.setattr("dflsim.theory_checks.round_fednmut_array", mutant)
+        report = check_bias_zero_mean(0.02, 0.005, ring(16), d=4, T=30, trials=3000, seed=2)
+        assert report.passed is False
+
     def test_invalid_mu_rejected(self):
-        with pytest.raises(ValueError):
-            check_bias_zero_mean(1.0, 0.01, n=2, d=2, T=5, trials=10, seed=0)
+        with pytest.raises(ValueError, match=r"mu must be in \[0, 1\), got 1.0"):
+            check_bias_zero_mean(1.0, 0.01, ring(3), d=2, T=5, trials=10, seed=0)
 
     @pytest.mark.parametrize("variance", [-0.1, np.nan, np.inf])
     def test_negative_or_non_finite_variance_rejected(self, variance):
-        message = rf"^per_coord_variance must be >= 0 and finite, got {variance}$"
+        message = rf"^variance must be >= 0 and finite, got {variance}$"
         with pytest.raises(ValueError, match=message):
-            check_bias_zero_mean(0.5, variance, n=4, d=3, T=20, trials=100, seed=0)
+            check_bias_zero_mean(0.5, variance, ring(4), d=3, T=20, trials=100, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -243,14 +265,16 @@ class TestBiasZeroMean:
         (lambda _: estimate_zeta_sq([], None), "x_samples must not be"),
         (lambda rng: estimate_sigma_sq([], None, 1, rng), "x_samples must"),
         (lambda _: check_contraction(MixingMatrix(np.eye(4), 0.1), trials=0, seed=0), "trials must be >= 1"),
-        (lambda _: check_bias_zero_mean(0.0, 0.1, 4, 2, T=5, trials=1, seed=0), "trials must be >= 2"),
-        (lambda _: check_bias_zero_mean(0.0, 0.1, 4, 2, T=0, trials=9, seed=0), "T must be >= 1"),
-        (lambda _: check_bias_zero_mean(0.0, 0.1, 0, 2, T=5, trials=9, seed=0), "n must be >= 1"),
-        (lambda _: check_bias_zero_mean(0.0, 0.1, 4, 0, T=5, trials=9, seed=0), "d must be >= 1"),
+        (lambda _: check_bias_zero_mean(0.0, 0.1, ring(4), 2, T=5, trials=1, seed=0),
+         "trials must be >= 2"),
+        (lambda _: check_bias_zero_mean(0.0, 0.1, ring(4), 2, T=0, trials=9, seed=0),
+         "T must be >= 1"),
+        (lambda _: check_bias_zero_mean(0.0, 0.1, ring(4), 0, T=5, trials=9, seed=0),
+         "d must be >= 1"),
     ],
     ids=[
         "sigma-draws-0", "sigma-draws-neg", "zeta-no-samples", "sigma-no-samples",
-        "contraction-0", "bias-trials-1", "bias-T-0", "bias-n-0", "bias-d-0",
+        "contraction-0", "bias-trials-1", "bias-T-0", "bias-d-0",
     ],
 )
 def test_sample_count_without_a_result_rejected_before_any_draw(monkeypatch, check, message):
