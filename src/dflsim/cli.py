@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import json
 import os
 import sys
@@ -12,6 +13,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .algorithms import X0_MODES
+from .data import _usable_cpus
 from .harness import (
     ALGORITHMS,
     DegenerateSeriesError,
@@ -75,6 +77,46 @@ OPTIONS = (
     Option("out", str, "dflsim_out", "output directory"),
     Option("paper-scale", bool, False, f"use d={PAPER_SCALE_D}, m={PAPER_SCALE_M}"),
 )
+
+
+class BlasInfo(NamedTuple):
+    """The BLAS numpy's linalg runs on; None for each field that cannot be read."""
+
+    name: str | None
+    version: str | None
+    kernel: str | None
+    threads: int | None
+
+
+def _openblas(name: str, restype, argtypes=()) -> Callable | None:
+    """OpenBLAS's scipy_openblas_<name>64_, as numpy's linalg extension links it, or None."""
+    try:
+        import numpy.linalg._umath_linalg as umath_linalg
+
+        func = getattr(ctypes.CDLL(umath_linalg.__file__), f"scipy_openblas_{name}64_")
+    except (ImportError, OSError, AttributeError):
+        return None
+    func.argtypes, func.restype = list(argtypes), restype
+    return func
+
+
+def blas_info() -> BlasInfo:
+    """The BLAS name and version (from its config string), kernel and thread count."""
+    config = _openblas("get_config", ctypes.c_char_p)
+    kernel = _openblas("get_corename", ctypes.c_char_p)
+    threads = _openblas("get_num_threads", ctypes.c_int)
+    name, version = (config().decode().split() + [None, None])[:2] if config else (None, None)
+    return BlasInfo(name, version, kernel().decode() if kernel else None,
+                    threads() if threads else None)
+
+
+def set_blas_threads(count: int) -> bool:
+    """Set the BLAS thread count; False, and nothing set, where the setter cannot be found."""
+    setter = _openblas("set_num_threads", None, [ctypes.c_int])
+    if setter is None:
+        return False
+    setter(count)
+    return True
 
 
 def _add_flags(p: argparse.ArgumentParser, options: tuple[Option, ...]) -> None:
@@ -224,10 +266,24 @@ def _cells(args: argparse.Namespace) -> tuple[dict[str, RunConfig], str]:
     return cells, opts["out"]
 
 
+def _one_blas_thread() -> int:
+    """Set one BLAS thread; the processes to run work items in, 1 where it cannot be set.
+
+    At one thread a product's bits do not depend on the host's CPU count,
+    and run and sweep can run their work items in up to 2 processes per
+    usable CPU (see harness._per_repeat) without oversubscribing the CPUs.
+    They take 1 process where os.fork is missing or one CPU is usable.
+    """
+    if not set_blas_threads(1):
+        return 1
+    cpus = _usable_cpus()
+    return 2 * cpus if cpus > 1 and hasattr(os, "fork") else 1
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cells, out = _cells(args)
     [(cid, config)] = cells.items()
-    avg = run_averaged(config)
+    avg = run_averaged(config, processes=_one_blas_thread())
     path = os.path.join(out, cid + ".csv")
     write_cell_csv(path, avg)
     print(f"wrote {path}")
@@ -242,7 +298,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cells, out = _cells(args)
-    rows = sweep(cells, out)
+    rows = sweep(cells, out, processes=_one_blas_thread())
     print(f"wrote {len(rows)} cells + manifest.csv under {out}")
     return 0
 
@@ -372,8 +428,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command, and restore the caller's BLAS thread count after it.
+
+    run and sweep build their cells at that count, then run the rounds at
+    one thread (see _one_blas_thread): the set-up's BLAS products only feed
+    the regime lines on stderr.
+    """
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    threads = blas_info().threads
+    try:
+        return args.handler(args)
+    finally:
+        if threads is not None:
+            set_blas_threads(threads)
 
 
 if __name__ == "__main__":

@@ -20,17 +20,30 @@ a block of METRICS_BLOCK states for one measure_block call, and pads the
 last block with copies of the final state, dropping the pad rows: a
 narrower product could take another BLAS kernel, and a row's bits would
 then depend on where the run ends.
+
+run_averaged and sweep take each (cell, repeat) work item through
+_per_repeat, one after another by default, at the caller's BLAS setting.
+With processes > 1, which only the CLI passes (at one BLAS thread), the
+items are split over this process and forked children, and the results come
+back in item order: every item's streams are its own, so the output is that
+of the sequential run, bit for bit.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
 import os
+import pickle
+import signal
+import sys
+import traceback
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from typing import ClassVar
+from typing import ClassVar, NoReturn
 
 import numpy as np
 
@@ -281,9 +294,111 @@ def run_detailed(config: RunConfig, repeat_index: int) -> RunResult:
     return RunResult(metrics=metrics, bias_sq=bias_sq, x0=x0)
 
 
-def run_averaged(config: RunConfig) -> AveragedResult:
-    """Each metric's mean and sample standard deviation per round across repeats."""
-    per_repeat = [run_detailed(config, r).metrics for r in range(config.repeats)]
+# prctl's option that has the kernel signal a child when its parent dies
+_PR_SET_PDEATHSIG = 1
+
+
+def _run_items(items: list[tuple[str, RunConfig, int]]) -> list[dict[str, np.ndarray]]:
+    """run_detailed's metrics per (cell_id, config, repeat) item; a failure names its item."""
+    metrics = []
+    for cid, config, r in items:
+        try:
+            metrics.append(run_detailed(config, r).metrics)
+        except Exception as exc:
+            message = f"cell {cid} repeat {r} failed: {type(exc).__name__}: {exc}"
+            raise RuntimeError(message) from exc
+    return metrics
+
+
+def _child(items: list[tuple[str, RunConfig, int]], write_fd: int, parent: int) -> NoReturn:
+    """In a forked child: run items, pickle ("ok", metrics) or ("error", traceback) to write_fd.
+
+    Never returns. os._exit skips the buffers, atexit hooks and finally
+    blocks inherited from the parent, so none of them runs twice.
+    """
+    status = 1
+    try:
+        try:
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+            prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)  # die with the parent, where there is prctl
+        except (OSError, AttributeError):  # not Linux
+            pass
+        if os.getppid() != parent:  # the parent died before prctl
+            return
+        try:
+            reply = ("ok", _run_items(items))
+        except Exception as exc:
+            reply = ("error", "".join(traceback.format_exception(exc)))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _per_repeat(
+    items: list[tuple[str, RunConfig, int]], processes: int = 1
+) -> Iterator[dict[str, np.ndarray]]:
+    """run_detailed's metrics per (cell_id, config, repeat) item, in item order.
+
+    At processes 1, or one item, the items run here, one after another, as
+    they are consumed. Otherwise min(processes, items) workers take the
+    items round-robin: this process is worker 0, each other worker a forked
+    child that shares the set-up built so far copy-on-write and pickles its
+    results down a pipe. A failed item raises RuntimeError naming its cell
+    and repeat. Every child is reaped, and killed first unless it has
+    replied, before this returns or raises.
+    """
+    workers = min(processes, len(items))
+    if workers <= 1:
+        for _, config, r in items:
+            yield run_detailed(config, r).metrics
+        return
+    sys.stdout.flush()
+    sys.stderr.flush()
+    parent = os.getpid()
+    pending: dict[int, tuple[int, int]] = {}  # pid -> (read end, worker) of each child not reaped
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            # Python 3.12 warns on forking a process with threads. The only other
+            # threads here are OpenBLAS's pool: generate's threads have joined,
+            # OpenBLAS's own fork handler stops its pool, and a child, at the
+            # one BLAS thread the CLI sets, never starts it again.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                _child(items[k::workers], write_fd, parent)
+            os.close(write_fd)
+            pending[pid] = read_fd, k
+        results = [_run_items(items[::workers])]
+        for pid, (read_fd, k) in list(pending.items()):
+            with os.fdopen(read_fd, "rb", closefd=False) as pipe:
+                reply = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del pending[pid]
+            os.close(read_fd)
+            if not reply:
+                held = ", ".join(f"cell {cid} repeat {r}" for cid, _, r in items[k::workers])
+                message = f"({held}) sent nothing, wait status {status}"
+                raise RuntimeError(f"forked worker {pid} {message}")
+            kind, payload = pickle.loads(reply)
+            if kind == "error":
+                raise RuntimeError(f"forked worker {pid} failed:\n{payload}")
+            results.append(payload)
+    finally:
+        for pid, (read_fd, _) in pending.items():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for i in range(len(items)):
+        yield results[i % workers][i // workers]
+
+
+def _average(per_repeat: list[dict[str, np.ndarray]]) -> AveragedResult:
+    """Each metric's mean and sample standard deviation per round across per_repeat."""
     columns = {"round": per_repeat[0]["round"], "eta": per_repeat[0]["eta"]}
     for name, stats in METRICS.items():
         vals = np.array([rep[name] for rep in per_repeat])
@@ -293,6 +408,15 @@ def run_averaged(config: RunConfig) -> AveragedResult:
             std = vals.std(axis=0, ddof=1) if len(vals) > 1 else 0.0
             columns[name + "_std"] = np.where(np.all(vals == vals[0], axis=0), 0.0, std)
     return AveragedResult(columns=columns, per_repeat=per_repeat)
+
+
+def run_averaged(config: RunConfig, processes: int = 1) -> AveragedResult:
+    """Each metric's mean and sample standard deviation per round across repeats.
+
+    processes > 1 runs the repeats in forked processes; see _per_repeat.
+    """
+    items = [(cell_id(config), config, r) for r in range(config.repeats)]
+    return _average(list(_per_repeat(items, processes)))
 
 
 def rate_fit(series) -> float:
@@ -412,18 +536,22 @@ def sweep_cells(template: RunConfig, axes: dict) -> dict[str, RunConfig]:
     return cells
 
 
-def sweep(cells: dict[str, RunConfig], out_dir) -> list[dict]:
+def sweep(cells: dict[str, RunConfig], out_dir, processes: int = 1) -> list[dict]:
     """Run sweep_cells' cells, one CSV per cell named by its cell_id.
 
     Writes manifest.csv listing every cell and returns the manifest rows.
     No sweep axis changes the problem, so every cell runs on the one _setup
-    builds first.
+    builds first. processes > 1 runs the cells' repeats in forked processes;
+    see _per_repeat.
     """
     os.makedirs(out_dir, exist_ok=True)
+    items = [(cid, config, r) for cid, config in cells.items() for r in range(config.repeats)]
+    per_repeat = _per_repeat(items, processes)
     manifest_rows = []
     for cid, config in cells.items():
         csv_name = cid + ".csv"
-        write_cell_csv(os.path.join(out_dir, csv_name), run_averaged(config))
+        avg = _average(list(itertools.islice(per_repeat, config.repeats)))
+        write_cell_csv(os.path.join(out_dir, csv_name), avg)
         manifest_rows.append(
             {
                 "cell_id": cid,

@@ -13,18 +13,18 @@ of FEATURE_BLOCK // d rows, block b from SeedSequence(seed).spawn(..)[b].
 At d=20 and m=160 the features are one block.
 
 The hashes hold under OpenBLAS kernel SkylakeX with 2 OpenBLAS threads
-(scipy_openblas_get_corename64_ and scipy_openblas_get_num_threads64_
-in numpy's linalg extension report both). The bits of the gossip and
+(dflsim.cli.blas_info reads both, through scipy_openblas_get_corename64_
+and scipy_openblas_get_num_threads64_ in numpy's linalg extension). The bits of the gossip and
 gradient products depend on the kernel and on the thread count, so
 another CPU or thread count can fail a hash with correct code. A failure
 names the kernel and thread count in use.
 """
 
-import ctypes
 import hashlib
 
 import pytest
 
+from dflsim.cli import blas_info
 from dflsim.harness import LrSchedule, RunConfig, run_averaged, write_cell_csv
 from dflsim.topology import TopologySpec
 
@@ -50,20 +50,6 @@ PINNED = {
 }
 
 
-def blas_in_use() -> tuple[str | None, int | None]:
-    """The OpenBLAS kernel name and thread count numpy's linalg runs on, or None when unreadable."""
-    try:
-        import numpy.linalg._umath_linalg as umath_linalg
-
-        lib = ctypes.CDLL(umath_linalg.__file__)
-        corename, threads = lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_num_threads64_
-        corename.argtypes, corename.restype = [], ctypes.c_char_p
-        threads.argtypes, threads.restype = [], ctypes.c_int
-        return corename().decode(), threads()
-    except (ImportError, OSError, AttributeError):
-        return None, None
-
-
 @pytest.mark.parametrize("cell", sorted(PINNED), ids=lambda c: "-".join(map(str, c)))
 def test_cell_csv_hash_is_pinned(cell, tmp_path):
     algorithm, topology, noise_variance, x0_mode = cell
@@ -83,8 +69,8 @@ def test_cell_csv_hash_is_pinned(cell, tmp_path):
     )
     path = tmp_path / "cell.csv"
     write_cell_csv(path, run_averaged(config))
-    kernel, threads = blas_in_use()
+    blas = blas_info()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[cell], (
-        f"hash changed under OpenBLAS kernel {kernel} with {threads} threads"
+        f"hash changed under OpenBLAS kernel {blas.kernel} with {blas.threads} threads"
         " (pinned under SkylakeX with 2)"
     )
