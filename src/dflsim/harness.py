@@ -23,10 +23,11 @@ then depend on where the run ends.
 
 run_averaged and sweep take each (cell, repeat) work item through
 _per_repeat, one after another by default, at the caller's BLAS setting.
-With processes > 1, which only the CLI passes (at one BLAS thread), the
-items are split over this process and forked children, and the results come
-back in item order: every item's streams are its own, so the output is that
-of the sequential run, bit for bit.
+With parallel=True, which the CLI passes, _per_repeat runs the items at one
+BLAS thread, split over this process and forked children, and restores the
+caller's thread count after them. The results come back in item order:
+every item's streams are its own, so the output is that of the sequential
+run at one thread, bit for bit, on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ import signal
 import sys
 import traceback
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
-from typing import ClassVar, NoReturn
+from typing import ClassVar, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -64,7 +65,7 @@ from .channel import (
     derive_stream,
     sample_noise,
 )
-from .data import Problem, generate, partition_iid
+from .data import Problem, _usable_cpus, generate, partition_iid
 from .metrics import measure_block
 from .objective import batch_gradients, ridge_optimum, sample_batches
 from .theory_checks import (
@@ -294,6 +295,46 @@ def run_detailed(config: RunConfig, repeat_index: int) -> RunResult:
     return RunResult(metrics=metrics, bias_sq=bias_sq, x0=x0)
 
 
+class BlasInfo(NamedTuple):
+    """The BLAS numpy's linalg runs on; None for each field that cannot be read."""
+
+    name: str | None
+    version: str | None
+    kernel: str | None
+    threads: int | None
+
+
+def _openblas(name: str, restype, argtypes=()) -> Callable | None:
+    """OpenBLAS's scipy_openblas_<name>64_, as numpy's linalg extension links it, or None."""
+    try:
+        import numpy.linalg._umath_linalg as umath_linalg
+
+        func = getattr(ctypes.CDLL(umath_linalg.__file__), f"scipy_openblas_{name}64_")
+    except (ImportError, OSError, AttributeError):
+        return None
+    func.argtypes, func.restype = list(argtypes), restype
+    return func
+
+
+def blas_info() -> BlasInfo:
+    """The BLAS name and version (from its config string), kernel and thread count."""
+    config = _openblas("get_config", ctypes.c_char_p)
+    kernel = _openblas("get_corename", ctypes.c_char_p)
+    threads = _openblas("get_num_threads", ctypes.c_int)
+    name, version = (config().decode().split() + [None, None])[:2] if config else (None, None)
+    return BlasInfo(name, version, kernel().decode() if kernel else None,
+                    threads() if threads else None)
+
+
+def set_blas_threads(count: int) -> bool:
+    """Set the BLAS thread count; False, and nothing set, where the setter cannot be found."""
+    setter = _openblas("set_num_threads", None, [ctypes.c_int])
+    if setter is None:
+        return False
+    setter(count)
+    return True
+
+
 # prctl's option that has the kernel signal a child when its parent dies
 _PR_SET_PDEATHSIG = 1
 
@@ -338,34 +379,40 @@ def _child(items: list[tuple[str, RunConfig, int]], write_fd: int, parent: int) 
 
 
 def _per_repeat(
-    items: list[tuple[str, RunConfig, int]], processes: int = 1
-) -> Iterator[dict[str, np.ndarray]]:
+    items: list[tuple[str, RunConfig, int]], parallel: bool = False
+) -> list[dict[str, np.ndarray]]:
     """run_detailed's metrics per (cell_id, config, repeat) item, in item order.
 
-    At processes 1, or one item, the items run here, one after another, as
-    they are consumed. Otherwise min(processes, items) workers take the
-    items round-robin: this process is worker 0, each other worker a forked
-    child that shares the set-up built so far copy-on-write and pickles its
+    By default the items run here, one after another, at the caller's BLAS
+    setting. parallel=True sets one BLAS thread, so a product's bits do not
+    depend on the host's CPU count, and restores the caller's count before
+    this returns or raises; the items then go to up to 2 workers per usable
+    CPU without oversubscribing the CPUs. One worker runs them where os.fork
+    is missing or one CPU is usable, and at the caller's count where that
+    count cannot be read or set. min(workers, items) workers take the items
+    round-robin: this process is worker 0, each other worker a forked child
+    that shares the set-up built so far copy-on-write and pickles its
     results down a pipe. A failed item raises RuntimeError naming its cell
     and repeat. Every child is reaped, and killed first unless it has
     replied, before this returns or raises.
     """
-    workers = min(processes, len(items))
-    if workers <= 1:
-        for _, config, r in items:
-            yield run_detailed(config, r).metrics
-        return
+    threads = blas_info().threads if parallel else None
     sys.stdout.flush()
     sys.stderr.flush()
     parent = os.getpid()
     pending: dict[int, tuple[int, int]] = {}  # pid -> (read end, worker) of each child not reaped
     try:
+        workers = 1
+        if threads is not None and set_blas_threads(1):
+            cpus = _usable_cpus()
+            if cpus > 1 and hasattr(os, "fork"):
+                workers = min(2 * cpus, len(items))
         for k in range(1, workers):
             read_fd, write_fd = os.pipe()
             # Python 3.12 warns on forking a process with threads. The only other
             # threads here are OpenBLAS's pool: generate's threads have joined,
             # OpenBLAS's own fork handler stops its pool, and a child, at the
-            # one BLAS thread the CLI sets, never starts it again.
+            # one BLAS thread _per_repeat sets, never starts it again.
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
@@ -389,12 +436,13 @@ def _per_repeat(
                 raise RuntimeError(f"forked worker {pid} failed:\n{payload}")
             results.append(payload)
     finally:
+        if threads is not None:
+            set_blas_threads(threads)
         for pid, (read_fd, _) in pending.items():
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for i in range(len(items)):
-        yield results[i % workers][i // workers]
+    return [results[i % workers][i // workers] for i in range(len(items))]
 
 
 def _average(per_repeat: list[dict[str, np.ndarray]]) -> AveragedResult:
@@ -410,13 +458,13 @@ def _average(per_repeat: list[dict[str, np.ndarray]]) -> AveragedResult:
     return AveragedResult(columns=columns, per_repeat=per_repeat)
 
 
-def run_averaged(config: RunConfig, processes: int = 1) -> AveragedResult:
+def run_averaged(config: RunConfig, parallel: bool = False) -> AveragedResult:
     """Each metric's mean and sample standard deviation per round across repeats.
 
-    processes > 1 runs the repeats in forked processes; see _per_repeat.
+    parallel=True runs the repeats at one BLAS thread in forked processes; see _per_repeat.
     """
     items = [(cell_id(config), config, r) for r in range(config.repeats)]
-    return _average(list(_per_repeat(items, processes)))
+    return _average(_per_repeat(items, parallel))
 
 
 def rate_fit(series) -> float:
@@ -536,21 +584,22 @@ def sweep_cells(template: RunConfig, axes: dict) -> dict[str, RunConfig]:
     return cells
 
 
-def sweep(cells: dict[str, RunConfig], out_dir, processes: int = 1) -> list[dict]:
+def sweep(cells: dict[str, RunConfig], out_dir, parallel: bool = False) -> list[dict]:
     """Run sweep_cells' cells, one CSV per cell named by its cell_id.
 
     Writes manifest.csv listing every cell and returns the manifest rows.
     No sweep axis changes the problem, so every cell runs on the one _setup
-    builds first. processes > 1 runs the cells' repeats in forked processes;
-    see _per_repeat.
+    builds first. parallel=True runs the cells' repeats at one BLAS thread in
+    forked processes; see _per_repeat.
     """
     os.makedirs(out_dir, exist_ok=True)
     items = [(cid, config, r) for cid, config in cells.items() for r in range(config.repeats)]
-    per_repeat = _per_repeat(items, processes)
+    per_repeat = _per_repeat(items, parallel)
     manifest_rows = []
     for cid, config in cells.items():
         csv_name = cid + ".csv"
-        avg = _average(list(itertools.islice(per_repeat, config.repeats)))
+        avg = _average(per_repeat[: config.repeats])
+        del per_repeat[: config.repeats]
         write_cell_csv(os.path.join(out_dir, csv_name), avg)
         manifest_rows.append(
             {

@@ -672,7 +672,7 @@ def test_config_file_that_is_not_text_names_its_option(tmp_path, capsys):
 
 
 def test_value_error_after_setup_propagates(tmp_path, monkeypatch):
-    def failing_run(config, processes):
+    def failing_run(config, parallel):
         raise ValueError("raised inside the run")
 
     monkeypatch.setattr("dflsim.cli.run_averaged", failing_run)

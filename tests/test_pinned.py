@@ -12,20 +12,21 @@ and the label noise from default_rng(seed), the features in row blocks
 of FEATURE_BLOCK // d rows, block b from SeedSequence(seed).spawn(..)[b].
 At d=20 and m=160 the features are one block.
 
-The hashes hold under OpenBLAS kernel SkylakeX with 2 OpenBLAS threads
-(dflsim.cli.blas_info reads both, through scipy_openblas_get_corename64_
-and scipy_openblas_get_num_threads64_ in numpy's linalg extension). The bits of the gossip and
-gradient products depend on the kernel and on the thread count, so
-another CPU or thread count can fail a hash with correct code. A failure
-names the kernel and thread count in use.
+The hashes are of library calls, which run at the caller's BLAS thread
+count, and hold under OpenBLAS kernel SkylakeX with 2 OpenBLAS threads and
+with the 1 that parallel=True and the CLI set (dflsim.harness.blas_info
+reads both, through scipy_openblas_get_corename64_ and
+scipy_openblas_get_num_threads64_ in numpy's linalg extension). The bits of
+the gossip and gradient products depend on the kernel and on the thread
+count, so another CPU or thread count can fail a hash with correct code. A
+failure names the kernel and thread count in use.
 """
 
 import hashlib
 
 import pytest
 
-from dflsim.cli import blas_info
-from dflsim.harness import LrSchedule, RunConfig, run_averaged, write_cell_csv
+from dflsim.harness import LrSchedule, RunConfig, blas_info, run_averaged, write_cell_csv
 from dflsim.topology import TopologySpec
 
 # (algorithm, topology, noise variance, x0 mode) -> SHA-256 of the cell CSV
